@@ -84,12 +84,14 @@ def lambda_spread(p: AxisymPattern, gamma: float) -> float:
 # ------------------------------------------------------------------- solver
 
 
+FD_STEP = 1e-6  # Jacobian step, scaled by max(1, |z_k|), capped by local gaps
+MAX_HALVINGS = 40  # Newton step halvings before a damping failure
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     tol: float = 1e-11  # on the max-norm of the residual vector
     max_iter: int = 60
-    fd_step: float = 1e-6  # scaled by max(1, |z_k|), capped by local gaps
-    max_halvings: int = 40
     m_target: float = 0.0
 
 
@@ -120,12 +122,12 @@ def _residuals_z(z: np.ndarray, gamma: float, m_target: float) -> np.ndarray:
     return residuals(p, gamma, m_target)
 
 
-def _jacobian(z: np.ndarray, gamma: float, m_target: float, fd_step: float) -> np.ndarray:
+def _jacobian(z: np.ndarray, gamma: float, m_target: float) -> np.ndarray:
     n = z.size
     jac = np.empty((n, n))
     nodes = np.concatenate(([-1.0], z, [1.0]))
     for i in range(n):
-        h = fd_step * max(1.0, abs(z[i]))
+        h = FD_STEP * max(1.0, abs(z[i]))
         gap = min(z[i] - nodes[i], nodes[i + 2] - z[i])
         h = min(h, 0.25 * gap)  # keep both FD states strictly ordered
         zp, zm = z.copy(), z.copy()
@@ -168,14 +170,14 @@ def solve_critical(
                 residual_norm=norm,
                 trace=SolverTrace(iterations=it, damping_events=damping_events, init_label=init_label),
             )
-        jac = _jacobian(z, gamma, opts.m_target, opts.fd_step)
+        jac = _jacobian(z, gamma, opts.m_target)
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"singular Jacobian at iteration {it}") from exc
         scale = 1.0
         old_sq = float(res @ res)
-        for halving in range(opts.max_halvings + 1):
+        for halving in range(MAX_HALVINGS + 1):
             trial = z + scale * step
             if _in_domain(trial):
                 trial_res = _residuals_z(trial, gamma, opts.m_target)

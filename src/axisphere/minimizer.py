@@ -37,7 +37,7 @@ import numpy as np
 
 from .energy import EnergyBreakdown, total_energy
 from .errors import CycleLimit, DomainError, NoEscape, OrderingViolated, OutOfRange
-from .pattern import AxisymPattern, make_pattern, mass_of_interfaces, xi_profile
+from .pattern import AxisymPattern, is_symmetric, make_pattern, mass_of_interfaces, xi_profile
 
 __all__ = [
     "MASS_ZERO_TOL",
@@ -62,6 +62,8 @@ __all__ = [
 ]
 
 MASS_ZERO_TOL = 1e-12  # mean values below this count as zero for the profile
+DECREASE_TOL = 1e-13  # energy drops below this end a move or a sweep
+SCAN_SAMPLES = 48  # grid points of the pre-scan before golden section
 
 
 def profile_f(x: float) -> float:
@@ -99,7 +101,7 @@ def pole_limit(alpha: float, gamma: float) -> float:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_min(f, lo: float, hi: float, tol: float = 1e-12, samples: int = 48):
+def golden_min(f, lo: float, hi: float, tol: float = 1e-12, samples: int = SCAN_SAMPLES):
     """Grid pre-scan followed by golden-section refinement on (lo, hi).
 
     The pre-scan guards against the double-well shapes the window profile
@@ -204,9 +206,7 @@ def move_range(p: AxisymPattern, k: int) -> tuple[float, float]:
 class MinimizeOptions:
     x_tol: float = 1e-12
     max_cycles: int = 200
-    decrease_tol: float = 1e-13
     symmetric: bool = False
-    scan_samples: int = 48
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,6 @@ def _frame_offset(p: AxisymPattern, k: int, gamma: float, opts: MinimizeOptions)
             fr.alpha,
             fr.beta,
             tol=opts.x_tol,
-            samples=opts.scan_samples,
         )
         t = 0.5 * (x_star - fr.x)
         if e_star < e0 and _offset_fits(p, k, t):
@@ -267,7 +266,7 @@ def _frame_offset(p: AxisymPattern, k: int, gamma: float, opts: MinimizeOptions)
     def along(t: float) -> float:
         return total_energy(apply_elementary_move(p, k, t), gamma).total
 
-    t_star, e_star = golden_min(along, t_lo + pad, t_hi - pad, tol=opts.x_tol, samples=opts.scan_samples)
+    t_star, e_star = golden_min(along, t_lo + pad, t_hi - pad, tol=opts.x_tol)
     if e_star < base and _offset_fits(p, k, t_star):
         return t_star, (e_star - base) / (2.0 * math.pi)
     return 0.0, 0.0
@@ -276,13 +275,9 @@ def _frame_offset(p: AxisymPattern, k: int, gamma: float, opts: MinimizeOptions)
 def minimize_triple(p: AxisymPattern, k: int, gamma: float, opts: MinimizeOptions = MinimizeOptions()) -> AxisymPattern:
     """One-frame descent step; returns the input when no strict improvement."""
     t, drop = _frame_offset(p, k, gamma, opts)
-    if t == 0.0 or -drop * 2.0 * math.pi < opts.decrease_tol:
+    if t == 0.0 or -drop * 2.0 * math.pi < DECREASE_TOL:
         return p
     return apply_elementary_move(p, k, t)
-
-
-def _is_symmetric(p: AxisymPattern) -> bool:
-    return all(abs(a + b) <= 1e-9 for a, b in zip(p.z, reversed(p.z)))
 
 
 def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
@@ -292,7 +287,7 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
     to the reflected frame, skipping the self-mirrored central frame whose
     symmetric variation vanishes.
     """
-    if opts.symmetric and not _is_symmetric(p0):
+    if opts.symmetric and not is_symmetric(p0):
         raise DomainError("symmetric sweep requested for an asymmetric pattern")
     p = p0
     energy = total_energy(p, gamma)
@@ -323,7 +318,7 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
         records.append(CycleRecord(cycle=cycle, energy_over_pi=new_energy.total_over_pi, max_move=max_move))
         improved = energy.total - new_energy.total
         energy = new_energy
-        if improved < opts.decrease_tol:
+        if improved < DECREASE_TOL:
             return MinimizeResult(pattern=p, energy=energy, cycles=tuple(records))
     raise CycleLimit(f"no fixed point within {opts.max_cycles} sweep cycles")
 
@@ -417,7 +412,7 @@ def _escape_pole(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions) -> Ax
         cand = body[:-1] + [0.5 * (alpha + x), 0.5 * (x + 1.0)]
         return total_energy(AxisymPattern(z=tuple(cand), m=m_b), gamma).total
 
-    x_star, e_star = golden_min(along, x_lo + pad, 1.0 - pad, tol=opts.x_tol, samples=opts.scan_samples)
+    x_star, e_star = golden_min(along, x_lo + pad, 1.0 - pad, tol=opts.x_tol)
     if not e_star < boundary_value - 1e-12 * max(1.0, abs(boundary_value)):
         raise NoEscape(f"pole configuration is locally optimal at gamma={gamma!r}")
     out = tuple(body[:-1] + [0.5 * (alpha + x_star), 0.5 * (x_star + 1.0)])
@@ -447,7 +442,7 @@ def _escape_merged(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions) -> 
         cand = zs[: j - 1] + [below - t, y - t] + zs[j + 1 :]
         return total_energy(AxisymPattern(z=tuple(cand), m=m_b), gamma).total
 
-    t_star, e_star = golden_min(along, pad, t_max - pad, tol=opts.x_tol, samples=opts.scan_samples)
+    t_star, e_star = golden_min(along, pad, t_max - pad, tol=opts.x_tol)
     if not e_star < boundary_value - 1e-12 * max(1.0, abs(boundary_value)):
         raise NoEscape(f"merged pair is locally optimal at gamma={gamma!r}")
     out = tuple(zs[: j - 1] + [below - t_star, y - t_star] + zs[j + 1 :])

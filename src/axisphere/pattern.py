@@ -15,19 +15,12 @@ potential: it is piecewise linear, vanishes at both poles, and has slope
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (
-    IndexOutOfRange,
-    MassMismatch,
-    NonIncreasing,
-    NonPositive,
-    OutOfRange,
-)
+from .errors import IndexOutOfRange, MassMismatch, NonIncreasing, OutOfRange
 
 __all__ = [
     "AxisymPattern",
@@ -38,10 +31,7 @@ __all__ = [
     "xi_profile",
     "xi_eval",
     "reflect",
-    "negate",
-    "radius_to_gamma",
-    "pattern_to_json",
-    "pattern_from_json",
+    "is_symmetric",
 ]
 
 # Mass recomputation after a rigid pair move stays within this bound.
@@ -193,35 +183,6 @@ def reflect(p: AxisymPattern) -> AxisymPattern:
     return make_pattern(tuple(-v for v in reversed(p.z)))
 
 
-def negate(p: AxisymPattern) -> AxisymPattern:
-    """Representative of the complementary (sign-flipped) pattern.
-
-    The convention pins the south pole to the -1 phase, so the pointwise
-    complement is representable only after composing with the equatorial
-    reflection, which is a rigid motion of the sphere: for odd n the result
-    is exactly the complement rotated pole-to-pole (mean -m); for even n
-    the complement touches both poles with the +1 phase and leaves the
-    representable class entirely, so the reflected pattern stands in as its
-    energy-equal representative.
-    """
-    return reflect(p)
-
-
-def radius_to_gamma(radius: float) -> float:
-    """Coupling on the unit sphere equivalent to working on radius R: R**3."""
-    if not radius > 0.0:
-        raise NonPositive(f"sphere radius must be positive, got {radius!r}")
-    return radius**3
-
-
-def pattern_to_json(p: AxisymPattern) -> str:
-    """Serialize as {"z": [...], "m": ...}; floats round-trip bit-exactly."""
-    return json.dumps({"z": list(p.z), "m": p.m})
-
-
-def pattern_from_json(text: str) -> AxisymPattern:
-    data = json.loads(text)
-    p = make_pattern(data["z"])
-    if "m" in data and abs(p.m - data["m"]) > 1e-12:
-        raise MassMismatch(f"stored mean {data['m']!r} inconsistent with interfaces")
-    return p
+def is_symmetric(p: AxisymPattern) -> bool:
+    """True when the interfaces mirror through the equator to within 1e-9."""
+    return all(abs(a + b) <= 1e-9 for a, b in zip(p.z, reversed(p.z)))

@@ -32,7 +32,6 @@ class PotentialAtInterfaces:
 
     values: tuple[float, ...]
     diffs: tuple[float, ...]  # diffs[k-1] = v(z_{k+1}) - v(z_k), k = 1..n-1
-    anchor: str = "south-pole"
 
 
 def v_diff(p: AxisymPattern, k: int) -> float:

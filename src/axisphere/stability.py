@@ -17,6 +17,13 @@ where a = r_i^2 + r_j^2 + (z_i - z_j)^2 and b = 2 r_i r_j encode the
 squared chord distance a - b cos u between points of the two circles.
 The q form keeps full precision in the self-interaction case a = b,
 where q = 1 and the integrand has a log singularity.
+
+fourier_log_integral evaluates this closed form elementwise on arrays,
+so one call gives the whole n x n kernel matrix of a wavenumber, and the
+assembly, the two-cap identity and the self-verification all share it.
+Every block k = 0..K is -2 gamma (r_i r_j) F_k(a, b) plus the diagonal
+pi (k^2 - 1)/r_i + 4 pi gamma g_i r_i; the constants block is the k = 0
+block doubled, because the constant mode has norm 2 pi instead of pi.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 
 from .criticality import residuals
 from .errors import DomainError, NotCritical, OutOfRange
-from .pattern import AxisymPattern
+from .pattern import AxisymPattern, is_symmetric
 from .potential import grad_v_normal
 
 __all__ = [
@@ -47,15 +54,22 @@ CRITICAL_TOL = 1e-8
 CERT_MODES = 6
 
 
-def fourier_log_integral(a: float, b: float, k: int) -> float:
-    """Fourier coefficient of log(a - b cos u) over a full period."""
-    if a <= 0.0 or b < 0.0 or b > a:
-        raise DomainError(f"need a >= b >= 0 with a > 0, got a={a!r}, b={b!r}")
+def fourier_log_integral(a, b, k: int):
+    """Fourier coefficient of log(a - b cos u) over a full period.
+
+    Elementwise in ``a`` and ``b`` (scalars or broadcastable arrays); one
+    entry outside a >= b >= 0, a > 0 rejects the whole call.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    bad = np.flatnonzero((a <= 0.0) | (b < 0.0) | (b > a))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(f"need a >= b >= 0 with a > 0, got a={float(a.flat[i])!r}, b={float(b.flat[i])!r}")
     if k < 0:
         raise OutOfRange("wavenumber must be nonnegative")
-    s = math.sqrt((a - b) * (a + b))
+    s = np.sqrt((a - b) * (a + b))
     if k == 0:
-        return 2.0 * math.pi * math.log(0.5 * (a + s))
+        return 2.0 * math.pi * np.log(0.5 * (a + s))
     q = b / (a + s)
     return -(2.0 * math.pi / k) * q**k
 
@@ -124,18 +138,6 @@ class JMatrix:
             raise OutOfRange(f"wavenumber {k} outside 0..{self.K}")
         return self.k_blocks[k - 1]
 
-    def dense(self) -> np.ndarray:
-        """Full matrix over {constant} + {cos k, sin k : k <= K} per circle."""
-        n = self.pattern.n
-        dim = n * (2 * self.K + 1)
-        out = np.zeros((dim, dim))
-        out[:n, :n] = self.const_block
-        for k in range(1, self.K + 1):
-            for half in range(2):
-                lo = n + (2 * (k - 1) + half) * n
-                out[lo : lo + n, lo : lo + n] = self.k_blocks[k - 1]
-        return out
-
 
 def assemble_J(p: AxisymPattern, gamma: float, K: int = 32) -> JMatrix:
     """Blockwise second variation about a critical pattern.
@@ -143,7 +145,8 @@ def assemble_J(p: AxisymPattern, gamma: float, K: int = 32) -> JMatrix:
     Diagonal carries the curvature part ((k^2-1)/r_i weighted by the mode
     norm) and the normal derivative of the screened potential; every pair
     of circles couples through the log-kernel Fourier coefficient at its
-    chord geometry.
+    chord geometry.  r_i r_j is formed before scaling by gamma, so every
+    block is exactly symmetric.
     """
     if K < 1:
         raise OutOfRange("mode cutoff must be at least 1")
@@ -154,21 +157,13 @@ def assemble_J(p: AxisymPattern, gamma: float, K: int = 32) -> JMatrix:
     r = np.array([p.radius(i) for i in range(1, n + 1)])
     z = np.array(p.z)
     g = np.array([grad_v_normal(p, i) for i in range(1, n + 1)])
+    rr = r[:, None] * r[None, :]
     a = r[:, None] ** 2 + r[None, :] ** 2 + (z[:, None] - z[None, :]) ** 2
-    b = 2.0 * r[:, None] * r[None, :]
-
-    const = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            const[i, j] = -4.0 * gamma * r[i] * r[j] * fourier_log_integral(a[i, j], b[i, j], 0)
-    const[np.diag_indices(n)] += -2.0 * math.pi / r + 4.0 * gamma * g * 2.0 * math.pi * r
+    b = 2.0 * rr
 
     blocks = []
-    for k in range(1, K + 1):
-        blk = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                blk[i, j] = -2.0 * gamma * r[i] * r[j] * fourier_log_integral(a[i, j], b[i, j], k)
+    for k in range(K + 1):
+        blk = -2.0 * gamma * rr * fourier_log_integral(a, b, k)
         blk[np.diag_indices(n)] += math.pi * (k * k - 1.0) / r + 4.0 * gamma * g * math.pi * r
         blocks.append(blk)
 
@@ -176,8 +171,8 @@ def assemble_J(p: AxisymPattern, gamma: float, K: int = 32) -> JMatrix:
         pattern=p,
         gamma=gamma,
         K=K,
-        const_block=const,
-        k_blocks=tuple(blocks),
+        const_block=2.0 * blocks[0],  # the constant mode has norm 2 pi, not pi
+        k_blocks=tuple(blocks[1:]),
         weights=2.0 * math.pi * r,
     )
 
@@ -208,10 +203,6 @@ class StabilityReport:
         }
 
 
-def _is_symmetric(p: AxisymPattern) -> bool:
-    return all(abs(x + y) <= 1e-9 for x, y in zip(p.z, reversed(p.z)))
-
-
 def min_eig_constrained(J: JMatrix) -> StabilityReport:
     """Smallest eigenvalue over zero-mean perturbations, with certificates.
 
@@ -239,7 +230,7 @@ def min_eig_constrained(J: JMatrix) -> StabilityReport:
 
     single: tuple = ()
     pm = None
-    if _is_symmetric(p) and abs(p.m) <= 1e-12 and p.z[-1] > 0.0:
+    if is_symmetric(p) and abs(p.m) <= 1e-12 and p.z[-1] > 0.0:
         single = tuple(single_mode_J(p.z[-1], J.gamma, k) for k in range(1, CERT_MODES + 1))
         if n >= 2:
             pm = axisym_pm_bound(p.z[-1], J.gamma)

@@ -8,10 +8,8 @@ from axisphere.pattern import (
     AxisymPattern,
     kappa_g,
     make_pattern,
+    is_symmetric,
     mass_of_interfaces,
-    negate,
-    pattern_from_json,
-    pattern_to_json,
     reflect,
     xi_eval,
     xi_profile,
@@ -85,7 +83,7 @@ def test_kappa_sign_convention():
     assert kappa_g(make_pattern([0.0]), 1) == 0.0
 
 
-def test_reflect_involution_and_negate():
+def test_reflect_involution():
     rng = np.random.default_rng(3)
     for _ in range(20):
         n = int(rng.integers(1, 7))
@@ -98,13 +96,13 @@ def test_reflect_involution_and_negate():
         # south pole is pinned to the -1 phase, so mirroring renormalizes
         # odd counts (mean flips) and leaves even counts alone
         assert reflect(p).m == pytest.approx(-p.m if n % 2 == 1 else p.m, abs=1e-15)
-        assert negate(p).z == reflect(p).z
 
 
-def test_json_round_trip():
-    p = make_pattern([-0.4, 0.1, 0.7])
-    q = pattern_from_json(pattern_to_json(p))
-    assert q.z == p.z and q.m == p.m
+def test_is_symmetric():
+    assert is_symmetric(make_pattern([-0.5, 0.0, 0.5]))
+    assert is_symmetric(make_pattern([-0.3 - 1e-10, 0.3]))
+    assert not is_symmetric(make_pattern([-0.3 - 1e-8, 0.3]))
+    assert not is_symmetric(make_pattern([-0.5, 0.1, 0.5]))
 
 
 def test_pattern_is_frozen():

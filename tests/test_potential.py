@@ -55,7 +55,6 @@ def test_accumulated_values_match_diffs():
     for k in range(1, p.n):
         assert at.diffs[k - 1] == pytest.approx(v_diff(p, k), abs=1e-15)
         assert at.values[k] - at.values[k - 1] == pytest.approx(at.diffs[k - 1], abs=1e-13)
-    assert at.anchor == "south-pole"
 
 
 def test_double_cap_potential_is_symmetric():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from axisphere.criticality import initial_guess, solve_critical
+from axisphere.criticality import SolveOptions, initial_guess, solve_critical
+from axisphere.errors import DomainError
 from axisphere.pattern import make_pattern
+from axisphere.potential import grad_v_normal
 from axisphere.quadrature import QuadratureSpec, integrate_adaptive
 from axisphere.stability import (
     CERT_MODES,
@@ -31,6 +33,19 @@ def _fourier_log_quad(a: float, b: float, k: int) -> float:
     return integrate_adaptive(f, 0.0, 2.0 * math.pi, spec, abs_tol=1e-12)
 
 
+def _block_by_loop(p, gamma: float, k: int) -> np.ndarray:
+    """Block k of the second variation, one circle pair at a time."""
+    n = p.n
+    r = [p.radius(i) for i in range(1, n + 1)]
+    blk = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            a = r[i] ** 2 + r[j] ** 2 + (p.z[i] - p.z[j]) ** 2
+            blk[i, j] = -2.0 * gamma * r[i] * r[j] * fourier_log_integral(a, 2.0 * r[i] * r[j], k)
+        blk[i, i] += math.pi * (k * k - 1.0) / r[i] + 4.0 * gamma * grad_v_normal(p, i + 1) * math.pi * r[i]
+    return blk if k else 2.0 * blk  # the constant mode has norm 2 pi
+
+
 def test_fourier_log_integral_property():
     """Closed form against quadrature, 200 draws including the a = b edge."""
     rng = np.random.default_rng(20240817)
@@ -42,6 +57,23 @@ def test_fourier_log_integral_property():
         got = fourier_log_integral(a, b, k)
         worst = max(worst, abs(got - _fourier_log_quad(a, b, k)))
     assert worst <= 1e-8, f"worst abs gap {worst:.3e}"
+
+    # array form: entry by entry the scalar value, a = b diagonal included;
+    # numpy's vectorized pow may round q^k an ulp away from the scalar one
+    b = rng.uniform(0.05, 4.0, size=(6, 6))
+    a = b + rng.uniform(1e-6, 5.0, size=(6, 6))
+    np.fill_diagonal(a, np.diag(b))
+    for k in range(0, 9):
+        got = fourier_log_integral(a, b, k)
+        assert got.shape == (6, 6)
+        want = [[fourier_log_integral(float(a[i, j]), float(b[i, j]), k) for j in range(6)] for i in range(6)]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    # one entry out of domain rejects the whole array
+    for i, j, bad_a, bad_b in ((2, 3, 0.0, 0.0), (4, 1, 1.0, -0.5), (0, 5, 1.0, 1.5)):
+        a_bad, b_bad = a.copy(), b.copy()
+        a_bad[i, j], b_bad[i, j] = bad_a, bad_b
+        with pytest.raises(DomainError):
+            fourier_log_integral(a_bad, b_bad, 3)
 
 
 def test_fourier_log_closed_values():
@@ -63,13 +95,23 @@ def test_doublecap_kernel_closed_form():
         )
 
 
-def test_assembled_blocks_are_symmetric():
-    p = solve_critical(3, 2.0, initial_guess(3)).pattern
-    J = assemble_J(p, 2.0, K=8)
+@pytest.mark.parametrize(
+    "n, gamma, opts",
+    [
+        (3, 2.0, SolveOptions()),
+        # nonzero mean: the critical pattern is not equatorially symmetric
+        (5, 20.0, SolveOptions(m_target=-0.2)),
+    ],
+)
+def test_assembled_blocks_are_symmetric(n, gamma, opts):
+    p = solve_critical(n, gamma, initial_guess(n), opts).pattern
+    J = assemble_J(p, gamma, K=8)
     for k in range(0, 9):
         blk = J.block(k)
-        assert blk.shape == (3, 3)
+        assert blk.shape == (n, n)
         assert float(np.max(np.abs(blk - blk.T))) == 0.0
+        ref = _block_by_loop(p, gamma, k)
+        np.testing.assert_allclose(blk, ref, rtol=0.0, atol=1e-13 * float(np.max(np.abs(ref))))
     # cos and sin carry the same quadratic form on every wavenumber
     for k in range(1, 9):
         gap = float(np.max(np.abs(J.block(k, parity="cos") - J.block(k, parity="sin"))))
