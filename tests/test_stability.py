@@ -95,27 +95,27 @@ def test_doublecap_kernel_closed_form():
         )
 
 
-@pytest.mark.parametrize(
-    "n, gamma, opts",
-    [
-        (3, 2.0, SolveOptions()),
-        # nonzero mean: the critical pattern is not equatorially symmetric
-        (5, 20.0, SolveOptions(m_target=-0.2)),
-    ],
-)
-def test_assembled_blocks_are_symmetric(n, gamma, opts):
-    p = solve_critical(n, gamma, initial_guess(n), opts).pattern
-    J = assemble_J(p, gamma, K=8)
-    for k in range(0, 9):
-        blk = J.block(k)
-        assert blk.shape == (n, n)
-        assert float(np.max(np.abs(blk - blk.T))) == 0.0
-        ref = _block_by_loop(p, gamma, k)
-        np.testing.assert_allclose(blk, ref, rtol=0.0, atol=1e-13 * float(np.max(np.abs(ref))))
-    # cos and sin carry the same quadratic form on every wavenumber
-    for k in range(1, 9):
-        gap = float(np.max(np.abs(J.block(k, parity="cos") - J.block(k, parity="sin"))))
-        assert gap <= 1e-12
+_SYMMETRY_CASES = [
+    (3, 2.0, SolveOptions()),
+    # nonzero mean: the critical pattern is not equatorially symmetric
+    (5, 20.0, SolveOptions(m_target=-0.2)),
+]
+
+
+def test_assembled_blocks_are_symmetric():
+    for n, gamma, opts in _SYMMETRY_CASES:
+        p = solve_critical(n, gamma, initial_guess(n), opts).pattern
+        J = assemble_J(p, gamma, K=8)
+        for k in range(0, 9):
+            blk = J.block(k)
+            assert blk.shape == (n, n)
+            assert float(np.max(np.abs(blk - blk.T))) == 0.0
+            ref = _block_by_loop(p, gamma, k)
+            np.testing.assert_allclose(blk, ref, rtol=0.0, atol=1e-13 * float(np.max(np.abs(ref))))
+        # cos and sin carry the same quadratic form on every wavenumber
+        for k in range(1, 9):
+            gap = float(np.max(np.abs(J.block(k, parity="cos") - J.block(k, parity="sin"))))
+            assert gap <= 1e-12
 
 
 def test_double_cap_k1_block_and_rotation_mode():
