@@ -34,12 +34,12 @@ from .criticality import (
     continue_gamma,
     gamma_of_z1_3,
     gamma_of_z1_4,
-    gap_diagnostics,
     initial_guess,
     lambda_spread,
     polar_cap_bound,
     residuals,
     solve_critical,
+    stretched_gap_variance,
     uniform_criticality_check,
 )
 from .energy import total_energy, two_interface_grid
@@ -294,8 +294,7 @@ def _solved_payload(cp) -> dict:
         "damping_events": cp.trace.damping_events,
         "init": cp.trace.init_label,
     }
-    gaps = gap_diagnostics(cp.pattern, cp.gamma)
-    rec["stretched_gap_variance"] = gaps.stretched_gap_variance
+    rec["stretched_gap_variance"] = stretched_gap_variance(cp.pattern)
     return rec
 
 

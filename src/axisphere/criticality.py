@@ -8,8 +8,11 @@ difference system
     k = 1..n-1,
 
 closed by the mean-value constraint R_n = m(z) - m_target.  The system is
-solved by a damped Newton iteration with a central finite-difference
-Jacobian; gamma families are traced by predictor-corrector continuation.
+solved by a damped Newton iteration on validated patterns with the exact
+Jacobian: v' = xi/(1 - z^2) and xi moves with z_i by a step at z_i plus a
+linear term, so every entry is a closed form in the xi nodes, logs and
+atanh differences.  Gamma families are traced by predictor-corrector
+continuation.
 
 Two one-parameter families admit closed-form couplings gamma(z1): the
 symmetric three-interface family {-z1, 0, z1} and the four-interface
@@ -29,17 +32,17 @@ from .errors import (
     BranchLost,
     LeftDomain,
     NoConvergence,
+    NonIncreasing,
     NonPositive,
     OutOfRange,
 )
-from .pattern import AxisymPattern, kappa_g, make_pattern, mass_of_interfaces
+from .pattern import AxisymPattern, kappa_g, make_pattern, xi_profile
 from .potential import v_at_interfaces, v_diff
 
 __all__ = [
     "SolveOptions",
     "SolverTrace",
     "CriticalPoint",
-    "GapReport",
     "UniformCheck",
     "residuals",
     "lambda_values",
@@ -54,7 +57,7 @@ __all__ = [
     "initial_guess",
     "uniform_criticality_check",
     "polar_cap_bound",
-    "gap_diagnostics",
+    "stretched_gap_variance",
     "catalog_record",
 ]
 
@@ -84,7 +87,6 @@ def lambda_spread(p: AxisymPattern, gamma: float) -> float:
 # ------------------------------------------------------------------- solver
 
 
-FD_STEP = 1e-6  # Jacobian step, scaled by max(1, |z_k|), capped by local gaps
 MAX_HALVINGS = 40  # Newton step halvings before a damping failure
 
 
@@ -111,31 +113,29 @@ class CriticalPoint:
     trace: SolverTrace
 
 
-def _in_domain(z: np.ndarray) -> bool:
-    if not (-1.0 < z[0] and z[-1] < 1.0):
-        return False
-    return bool(np.all(np.diff(z) > 0.0))
+def _jacobian(p: AxisymPattern, gamma: float) -> np.ndarray:
+    """Exact derivative of the residual system with respect to z.
 
-
-def _residuals_z(z: np.ndarray, gamma: float, m_target: float) -> np.ndarray:
-    p = AxisymPattern(z=tuple(z), m=mass_of_interfaces(z))
-    return residuals(p, gamma, m_target)
-
-
-def _jacobian(z: np.ndarray, gamma: float, m_target: float) -> np.ndarray:
-    n = z.size
+    Moving z_i changes xi by -2 s_i H(z - z_i) + s_i (z + 1), s_i = (-1)^(i+1),
+    so with v' = xi/(1 - z^2) row k (k = 1..n-1) is
+    [i = k+1] d_{k+1} - [i = k] d_k + 4 gamma s_i (L_k - 2 [i <= k] A_k),
+    where d_i = s_i (1 - z_i^2)^(-3/2) + 4 gamma xi_i / (1 - z_i^2),
+    L_k = log((1 - z_k)/(1 - z_{k+1})) and A_k = atanh z_{k+1} - atanh z_k;
+    the mass row is dm/dz_i = -s_i.
+    """
+    n = p.n
+    z = np.array(p.z)
+    q = 1.0 - z * z
+    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    d = sign / (q * np.sqrt(q)) + 4.0 * gamma * np.array(xi_profile(p).nodes[1:-1]) / q
+    log_gap = np.log((1.0 - z[:-1]) / (1.0 - z[1:]))
+    stretch = np.diff(np.arctanh(z))
     jac = np.empty((n, n))
-    nodes = np.concatenate(([-1.0], z, [1.0]))
-    for i in range(n):
-        h = FD_STEP * max(1.0, abs(z[i]))
-        gap = min(z[i] - nodes[i], nodes[i + 2] - z[i])
-        h = min(h, 0.25 * gap)  # keep both FD states strictly ordered
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h
-        zm[i] -= h
-        jac[:, i] = (_residuals_z(zp, gamma, m_target) - _residuals_z(zm, gamma, m_target)) / (
-            2.0 * h
-        )
+    jac[:-1] = 4.0 * gamma * sign * (log_gap[:, None] - 2.0 * np.tri(n - 1, n) * stretch[:, None])
+    rows = np.arange(n - 1)
+    jac[rows, rows + 1] += d[1:]
+    jac[rows, rows] -= d[:-1]
+    jac[-1] = -sign
     return jac
 
 
@@ -146,22 +146,21 @@ def solve_critical(
     opts: SolveOptions = SolveOptions(),
     init_label: str = "caller",
 ) -> CriticalPoint:
-    """Damped Newton on the residual system from the given start.
+    """Damped Newton with the exact Jacobian on the residual system.
 
-    Steps are halved until the trial iterate keeps strict ordering inside
-    (-1, 1) and reduces the squared residual norm; LeftDomain reports
-    damping that cannot restore ordering at all, NoConvergence an exhausted
-    iteration budget.
+    Every iterate is a validated pattern.  Steps are halved until the
+    trial heights form a valid pattern and reduce the squared residual
+    norm; LeftDomain reports damping that cannot restore ordering at all,
+    NoConvergence an exhausted iteration budget.
     """
     if init.n != n:
         raise OutOfRange(f"initial pattern has {init.n} interfaces, expected {n}")
-    z = np.array(init.z)
-    res = _residuals_z(z, gamma, opts.m_target)
+    pat = make_pattern(init.z)
+    res = residuals(pat, gamma, opts.m_target)
     damping_events = 0
     for it in range(opts.max_iter):
         norm = float(np.max(np.abs(res)))
         if norm <= opts.tol:
-            pat = make_pattern(z)
             lams = lambda_values(pat, gamma)
             return CriticalPoint(
                 pattern=pat,
@@ -170,26 +169,29 @@ def solve_critical(
                 residual_norm=norm,
                 trace=SolverTrace(iterations=it, damping_events=damping_events, init_label=init_label),
             )
-        jac = _jacobian(z, gamma, opts.m_target)
         try:
-            step = np.linalg.solve(jac, -res)
+            step = np.linalg.solve(_jacobian(pat, gamma), -res)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"singular Jacobian at iteration {it}") from exc
+        z = np.array(pat.z)
         scale = 1.0
         old_sq = float(res @ res)
         for halving in range(MAX_HALVINGS + 1):
-            trial = z + scale * step
-            if _in_domain(trial):
-                trial_res = _residuals_z(trial, gamma, opts.m_target)
+            try:
+                trial = make_pattern(z + scale * step)
+            except (OutOfRange, NonIncreasing):  # left (-1, 1) or lost ordering
+                trial = None
+            else:
+                trial_res = residuals(trial, gamma, opts.m_target)
                 if float(trial_res @ trial_res) < old_sq:
                     break
             scale *= 0.5
             damping_events += 1
         else:
-            if not _in_domain(z + scale * 2.0 * step):
+            if trial is None:
                 raise LeftDomain("damping cannot restore interface ordering")
             raise NoConvergence("no residual decrease along the Newton direction")
-        z, res = trial, trial_res
+        pat, res = trial, trial_res
     raise NoConvergence(f"residual {float(np.max(np.abs(res))):.3e} after {opts.max_iter} iterations")
 
 
@@ -455,30 +457,8 @@ def polar_cap_bound(gamma: float) -> float:
     return a / math.sqrt(1.0 + a * a)
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """Spacing diagnostics for a solved pattern."""
-
-    gaps: tuple[float, ...]
-    scaled: tuple[float, ...]  # gap * gamma / max(|z_k|, |z_{k+1}|)
-    stretched_nodes: tuple[float, ...]  # atanh(z_k)
-    stretched_gaps: tuple[float, ...]
-    stretched_gap_variance: float
-
-
-def gap_diagnostics(p: AxisymPattern, gamma: float) -> GapReport:
-    gaps = tuple(b - a for a, b in zip(p.z, p.z[1:]))
-    scaled = tuple(
-        g * gamma / max(abs(a), abs(b)) if max(abs(a), abs(b)) > 0.0 else math.inf
-        for g, a, b in zip(gaps, p.z, p.z[1:])
-    )
-    stretched = tuple(math.atanh(v) for v in p.z)
-    sgaps = tuple(b - a for a, b in zip(stretched, stretched[1:]))
-    var = float(np.var(sgaps)) if sgaps else 0.0
-    return GapReport(
-        gaps=gaps,
-        scaled=scaled,
-        stretched_nodes=stretched,
-        stretched_gaps=sgaps,
-        stretched_gap_variance=var,
-    )
+def stretched_gap_variance(p: AxisymPattern) -> float:
+    """Variance of the gaps between the stretched heights atanh(z_k)."""
+    stretched = [math.atanh(v) for v in p.z]
+    gaps = [b - a for a, b in zip(stretched, stretched[1:])]
+    return float(np.var(gaps)) if gaps else 0.0

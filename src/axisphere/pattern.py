@@ -34,9 +34,6 @@ __all__ = [
     "is_symmetric",
 ]
 
-# Mass recomputation after a rigid pair move stays within this bound.
-MASS_CLOSURE_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class AxisymPattern:

@@ -28,10 +28,9 @@ __all__ = ["PotentialAtInterfaces", "v_diff", "v_at_interfaces", "grad_v_normal"
 
 @dataclass(frozen=True)
 class PotentialAtInterfaces:
-    """Potential values v(z_k), k = 1..n, with their consecutive diffs."""
+    """Potential values v(z_k), k = 1..n."""
 
     values: tuple[float, ...]
-    diffs: tuple[float, ...]  # diffs[k-1] = v(z_{k+1}) - v(z_k), k = 1..n-1
 
 
 def v_diff(p: AxisymPattern, k: int) -> float:
@@ -57,12 +56,9 @@ def v_diff(p: AxisymPattern, k: int) -> float:
 def v_at_interfaces(p: AxisymPattern) -> PotentialAtInterfaces:
     """All interface potentials, accumulated from the south pole."""
     values = [v_diff(p, 0)]
-    diffs = []
     for k in range(1, p.n):
-        d = v_diff(p, k)
-        diffs.append(d)
-        values.append(values[-1] + d)
-    return PotentialAtInterfaces(values=tuple(values), diffs=tuple(diffs))
+        values.append(values[-1] + v_diff(p, k))
+    return PotentialAtInterfaces(values=tuple(values))
 
 
 def grad_v_normal(p: AxisymPattern, k: int) -> float:

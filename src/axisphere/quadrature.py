@@ -28,9 +28,9 @@ class QuadratureSpec:
 
     rel_tol: float = 1e-10
     max_depth: int = 48
-    order: int = 10
 
 
+ORDER = 10  # Gauss-Legendre points of the low rule; the high rule doubles it
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -40,14 +40,12 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _RULES[order]
 
 
-def _panel_estimate(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, order: int
-) -> tuple[float, float]:
+def _panel_estimate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
     """Doubled-order value plus |high - low| error estimate."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    xl, wl = _rule(order)
-    xh, wh = _rule(2 * order)
+    xl, wl = _rule(ORDER)
+    xh, wh = _rule(2 * ORDER)
     lo = half * float(np.dot(wl, np.asarray(f(mid + half * xl), dtype=float)))
     hi = half * float(np.dot(wh, np.asarray(f(mid + half * xh), dtype=float)))
     return hi, abs(hi - lo)
@@ -71,7 +69,7 @@ def integrate_adaptive(
         return -integrate_adaptive(f, b, a, spec, abs_tol)
 
     tiebreak = count()
-    val, err = _panel_estimate(f, a, b, spec.order)
+    val, err = _panel_estimate(f, a, b)
     # heap entries: (-err, seq, a, b, depth, value, err)
     heap = [(-err, next(tiebreak), a, b, 0, val, err)]
     total_val, total_err = val, err
@@ -83,8 +81,8 @@ def integrate_adaptive(
                 f"panel [{pa}, {pb}] still carries error {perr:.3e} at depth {depth}"
             )
         mid = 0.5 * (pa + pb)
-        lval, lerr = _panel_estimate(f, pa, mid, spec.order)
-        rval, rerr = _panel_estimate(f, mid, pb, spec.order)
+        lval, lerr = _panel_estimate(f, pa, mid)
+        rval, rerr = _panel_estimate(f, mid, pb)
         total_val += lval + rval - pval
         total_err += lerr + rerr - perr
         heapq.heappush(heap, (-lerr, next(tiebreak), pa, mid, depth + 1, lval, lerr))

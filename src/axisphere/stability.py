@@ -182,7 +182,7 @@ class StabilityReport:
     gamma: float
     K: int
     min_eig: float
-    mode_circle: int  # 1-based circle carrying the largest component
+    mode_circle: int  # lowest 1-based circle carrying the largest component
     mode_k: int
     mode_parity: str
     single_mode_values: tuple  # certificate per wavenumber 1..CERT_MODES, or ()
@@ -203,12 +203,23 @@ class StabilityReport:
         }
 
 
+def _lead_circle(v: np.ndarray) -> int:
+    """Lowest 1-based circle whose |component| is within 1e-9 (relative) of the largest.
+
+    Components equal in exact arithmetic (a rigid rotation, the double
+    cap's constant mode) then name the same circle whatever the rounding.
+    """
+    mag = np.abs(v)
+    return int(np.flatnonzero(mag >= (1.0 - 1e-9) * mag.max())[0]) + 1
+
+
 def min_eig_constrained(J: JMatrix) -> StabilityReport:
     """Smallest eigenvalue over zero-mean perturbations, with certificates.
 
     The constants block is restricted to the hyperplane w . c = 0 by an
     orthonormal complement of w; oscillatory blocks need no constraint.
-    Degenerate cos/sin pairs are reported with the cos tag.
+    Degenerate cos/sin pairs are reported with the cos tag, and the mode
+    circle is the lowest one among components tied for the largest.
     """
     p = J.pattern
     n = p.n
@@ -220,13 +231,12 @@ def min_eig_constrained(J: JMatrix) -> StabilityReport:
         vals, vecs = np.linalg.eigh(Q.T @ J.const_block @ Q)
         if vals[0] < best:
             best = float(vals[0])
-            v = Q @ vecs[:, 0]
-            best_mode = (int(np.argmax(np.abs(v))) + 1, 0, "constant")
+            best_mode = (_lead_circle(Q @ vecs[:, 0]), 0, "constant")
     for k in range(1, J.K + 1):
         vals, vecs = np.linalg.eigh(J.k_blocks[k - 1])
         if vals[0] < best:
             best = float(vals[0])
-            best_mode = (int(np.argmax(np.abs(vecs[:, 0]))) + 1, k, "cos")
+            best_mode = (_lead_circle(vecs[:, 0]), k, "cos")
 
     single: tuple = ()
     pm = None

@@ -1,15 +1,21 @@
 """End-to-end runs of the command line, including exit codes and determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CLI = [sys.executable, "-m", "axisphere.cli"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(*args, env=None):
+    # the child imports the package from this checkout, installed or not
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env)
 
 
@@ -147,8 +153,6 @@ def test_config_file_merge(tmp_path):
 
 
 def test_out_dir_env(tmp_path):
-    import os
-
     env = dict(os.environ, AXISPHERE_OUT_DIR=str(tmp_path))
     r = run("bounds", "--gamma", "0:1:2", "--out", "tab.csv", env=env)
     assert r.returncode == 0

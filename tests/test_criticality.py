@@ -5,19 +5,20 @@ import pytest
 
 from axisphere.criticality import (
     SolveOptions,
+    _jacobian,
     catalog_record,
     continue_gamma,
     denominator_root_3,
     denominator_root_4,
     gamma_of_z1_3,
     gamma_of_z1_4,
-    gap_diagnostics,
     initial_guess,
     lambda_spread,
     lambda_values,
     polar_cap_bound,
     residuals,
     solve_critical,
+    stretched_gap_variance,
     uniform_criticality_check,
     uniform_pattern,
 )
@@ -184,10 +185,38 @@ def test_catalogued_points_respect_polar_cap_bound():
 
 def test_gap_diagnostics_symmetric_point():
     cp = solve_critical(3, 2.0, initial_guess(3))
-    rep = gap_diagnostics(cp.pattern, 2.0)
-    assert len(rep.gaps) == 2
-    assert rep.stretched_gap_variance <= 1e-20
-    assert rep.stretched_nodes[1] == pytest.approx(0.0, abs=1e-12)
+    assert cp.pattern.z[1] == pytest.approx(0.0, abs=1e-12)
+    assert stretched_gap_variance(cp.pattern) <= 1e-20
+    assert stretched_gap_variance(make_pattern([-0.5, 0.0, 0.9])) > 0.1
+    assert stretched_gap_variance(make_pattern([0.3])) == 0.0
+
+
+def _fd_jacobian(p, gamma: float, m_target: float) -> np.ndarray:
+    """Fourth-order central differences of residuals, step 1% of each local gap."""
+    z = np.array(p.z)
+    nodes = p.nodes()
+    jac = np.empty((p.n, p.n))
+    for i in range(p.n):
+        h = 0.01 * min(nodes[i + 1] - nodes[i], nodes[i + 2] - nodes[i + 1])
+        unit = np.arange(p.n) == i
+
+        def at(t):
+            return residuals(make_pattern(z + t * h * unit), gamma, m_target)
+
+        jac[:, i] = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
+    return jac
+
+
+def test_exact_jacobian_matches_central_differences():
+    rng = np.random.default_rng(20131114)
+    pats = [make_pattern(np.sort(rng.uniform(-0.95, 0.95, n))) for n in (1, 2, 3, 8, 32)]
+    pats.append(make_pattern([-0.3, 0.2, 1.0 - 1e-4]))  # cap close to the north pole
+    pats.append(make_pattern([-0.4, 0.3, 0.3 + 1e-6, 0.7]))  # nearly merged pair
+    for p in pats:
+        exact = _jacobian(p, 7.0)
+        ref = _fd_jacobian(p, 7.0, m_target=0.15)
+        col_scale = np.max(np.abs(ref), axis=0)
+        assert np.all(np.abs(exact - ref) <= 1e-6 * col_scale), p.z
 
 
 def test_solver_options_mass_target():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,6 +184,16 @@ def test_double_cap_verdicts_around_threshold():
     above = stability_report(p, 1.0)
     assert above.verdict == "no-certificate"
     assert abs(above.min_eig) <= 1e-10  # rotation zero mode saturates the bound
+
+
+def test_mode_circle_breaks_ties_toward_the_lowest_circle():
+    # the double cap's constant mode is (1, -1)/sqrt(2): both circles tie
+    rep = stability_report(make_pattern([-0.5, 0.5]), 0.8)
+    assert rep.mode_k == 0 and rep.mode_circle == 1
+    # a clear winner is still reported where it sits
+    J = assemble_J(make_pattern([-0.5, 0.5]), 0.8, K=4)
+    J = replace(J, k_blocks=(np.diag([1.0, -5.0]),) + J.k_blocks[1:])
+    assert min_eig_constrained(J).mode_circle == 2
 
 
 def test_single_cap_marginal_at_zero_coupling():
