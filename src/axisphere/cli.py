@@ -300,7 +300,10 @@ def _solved_payload(cp) -> dict:
 
 def _initial_pattern(args):
     if args.z is not None:
-        return make_pattern(parse_floats(args.z)), "explicit"
+        p = make_pattern(parse_floats(args.z))
+        if args.n is not None and args.n != p.n:
+            raise OutOfRange(f"--n {args.n} contradicts the {p.n} heights of --z")
+        return p, "explicit"
     return initial_guess(args.n, args.init), args.init
 
 
@@ -398,6 +401,8 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_escape(args) -> int:
+    if args.z is not None and args.alpha is not None:
+        raise OutOfRange("escape takes --alpha (pole window) or --z (degenerate pattern), not both")
     if args.z is None:
         if args.alpha is None:
             raise OutOfRange("escape needs --alpha (pole window) or --z (degenerate pattern)")
@@ -501,7 +506,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--gamma-end", type=float)
     sp.add_argument("--steps", type=int, default=20)
     sp.add_argument("--init", choices=["uniform", "stretch"], default="uniform")
-    sp.add_argument("--z", help="explicit initial interfaces (overrides --init)")
+    sp.add_argument("--z", help="explicit initial interfaces (overrides --init; --n must match)")
     sp.add_argument("--m-target", type=float, default=0.0)
     sp.add_argument("--tol", type=float, default=1e-11)
     sp.add_argument("--max-iter", type=int, default=60)

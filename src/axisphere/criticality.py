@@ -74,9 +74,7 @@ def residuals(p: AxisymPattern, gamma: float, m_target: float = 0.0) -> np.ndarr
 def lambda_values(p: AxisymPattern, gamma: float) -> tuple[float, ...]:
     """Per-interface multiplier kappa_g(z_k) + 4*gamma*v(z_k)."""
     pot = v_at_interfaces(p)
-    return tuple(
-        kappa_g(p, k) + 4.0 * gamma * pot.values[k - 1] for k in range(1, p.n + 1)
-    )
+    return tuple(kappa_g(p, k) + 4.0 * gamma * pot[k - 1] for k in range(1, p.n + 1))
 
 
 def lambda_spread(p: AxisymPattern, gamma: float) -> float:

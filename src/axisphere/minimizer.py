@@ -22,10 +22,15 @@ identity against the energy module.  Patterns without the root structure
 the full energy directly.
 
 Cyclic sweeps of the per-frame scalar minimization drive a pattern to a
-fixed point.  Boundary configurations (an interface at a pole, or two
-interfaces merged) are handled by the same move applied from the
-degenerate state; whether the move strictly beats the degenerate limit
-value decides escape.
+fixed point.  Every move builds its result through the validating
+``AxisymPattern`` constructor, so no sweep or escape returns heights that
+are out of order, coincident or on a pole: ``apply_elementary_move``
+reports such a move as OrderingViolated, and a sweep treats it as no move.
+
+Boundary configurations (an interface at a pole, or two interfaces merged)
+are handled by one slide of a strip away from the degenerate state, set up
+in the orientation where the slide goes south; whether the slide strictly
+beats the degenerate limit value decides escape.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyBreakdown, total_energy
-from .errors import CycleLimit, DomainError, NoEscape, OrderingViolated, OutOfRange
+from .errors import CycleLimit, DomainError, NoEscape, NonIncreasing, OrderingViolated, OutOfRange
 from .pattern import AxisymPattern, is_symmetric, make_pattern, mass_of_interfaces, xi_profile
 
 __all__ = [
@@ -54,7 +59,6 @@ __all__ = [
     "triple_frame",
     "apply_elementary_move",
     "move_range",
-    "minimize_triple",
     "local_minimize",
     "trace_to_csv",
     "escape_pole_frame",
@@ -180,17 +184,20 @@ def triple_frame(p: AxisymPattern, k: int) -> MoveFrame:
 
 
 def apply_elementary_move(p: AxisymPattern, k: int, t: float) -> AxisymPattern:
-    """Shift interfaces k+1 and k+2 (1-based) by t; mean carried bit-exact."""
+    """Shift interfaces k+1 and k+2 (1-based) by t; mean carried bit-exact.
+
+    Raises OrderingViolated when the shifted heights are not a valid
+    pattern (out of order, coincident, or outside (-1, 1)).
+    """
     if not 0 <= k <= p.n - 2:
         raise OutOfRange(f"frame index {k} outside 0..{p.n - 2}")
     z = list(p.z)
     z[k] += t
     z[k + 1] += t
-    lo = z[k - 1] if k >= 1 else -1.0
-    hi = z[k + 2] if k + 2 < p.n else 1.0
-    if not (lo < z[k] and z[k + 1] < hi):
-        raise OrderingViolated(f"move t={t!r} on frame {k} breaks interface ordering")
-    return AxisymPattern(z=tuple(z), m=p.m)
+    try:
+        return AxisymPattern(z=tuple(z), m=p.m)
+    except (NonIncreasing, OutOfRange) as exc:
+        raise OrderingViolated(f"move t={t!r} on frame {k} breaks interface ordering") from exc
 
 
 def move_range(p: AxisymPattern, k: int) -> tuple[float, float]:
@@ -223,29 +230,19 @@ class MinimizeResult:
     cycles: tuple[CycleRecord, ...]
 
 
-def _offset_fits(p: AxisymPattern, k: int, t: float) -> bool:
-    """True when shifting the pair by t keeps the pattern strictly interior.
-
-    Near-wall iterates can produce sub-ulp offsets whose application would
-    land an interface exactly on a neighbour or a pole; those count as no
-    move rather than an error.
-    """
-    z1, z2 = p.z[k] + t, p.z[k + 1] + t
-    lo = p.z[k - 1] if k >= 1 else -1.0
-    hi = p.z[k + 2] if k + 2 < p.n else 1.0
-    return lo < z1 < z2 < hi
-
-
-def _frame_offset(p: AxisymPattern, k: int, gamma: float, opts: MinimizeOptions) -> tuple[float, float]:
-    """Best offset for one frame and its energy change (times 1/(2 pi)).
+def _frame_offset(p: AxisymPattern, k: int, gamma: float, opts: MinimizeOptions) -> tuple[float, AxisymPattern] | None:
+    """Best strictly improving move of one frame: (offset, moved pattern).
 
     Uses the window profile when the frame is exact, otherwise the full
-    energy along the move.  A nonnegative change reports offset 0.
+    energy along the move.  Returns None when no offset lowers the energy,
+    and also when the best offset does not give a valid pattern: near-wall
+    iterates can produce sub-ulp offsets that land an interface on a
+    neighbour or a pole, and those count as no move rather than an error.
     """
     fr = triple_frame(p, k)
     if fr.exact:
         if fr.beta - fr.alpha <= max(opts.x_tol, 1e-14):
-            return 0.0, 0.0  # window thinner than the search resolution
+            return None  # window thinner than the search resolution
         e0 = segment_energy(fr.x, fr.alpha, fr.beta, gamma)
         x_star, e_star = golden_min(
             lambda x: segment_energy(x, fr.alpha, fr.beta, gamma),
@@ -254,30 +251,23 @@ def _frame_offset(p: AxisymPattern, k: int, gamma: float, opts: MinimizeOptions)
             tol=opts.x_tol,
         )
         t = 0.5 * (x_star - fr.x)
-        if e_star < e0 and _offset_fits(p, k, t):
-            return t, e_star - e0
-        return 0.0, 0.0
-    t_lo, t_hi = move_range(p, k)
-    pad = 1e-9 * (t_hi - t_lo)
-    if not t_lo + pad < t_hi - pad:
-        return 0.0, 0.0
-    base = total_energy(p, gamma).total
+    else:
+        t_lo, t_hi = move_range(p, k)
+        pad = 1e-9 * (t_hi - t_lo)
+        if not t_lo + pad < t_hi - pad:
+            return None
+        e0 = total_energy(p, gamma).total
 
-    def along(t: float) -> float:
-        return total_energy(apply_elementary_move(p, k, t), gamma).total
+        def along(t: float) -> float:
+            return total_energy(apply_elementary_move(p, k, t), gamma).total
 
-    t_star, e_star = golden_min(along, t_lo + pad, t_hi - pad, tol=opts.x_tol)
-    if e_star < base and _offset_fits(p, k, t_star):
-        return t_star, (e_star - base) / (2.0 * math.pi)
-    return 0.0, 0.0
-
-
-def minimize_triple(p: AxisymPattern, k: int, gamma: float, opts: MinimizeOptions = MinimizeOptions()) -> AxisymPattern:
-    """One-frame descent step; returns the input when no strict improvement."""
-    t, drop = _frame_offset(p, k, gamma, opts)
-    if t == 0.0 or -drop * 2.0 * math.pi < DECREASE_TOL:
-        return p
-    return apply_elementary_move(p, k, t)
+        t, e_star = golden_min(along, t_lo + pad, t_hi - pad, tol=opts.x_tol)
+    if not e_star < e0:
+        return None
+    try:
+        return t, apply_elementary_move(p, k, t)
+    except OrderingViolated:
+        return None
 
 
 def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
@@ -299,20 +289,18 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
         max_move = 0.0
         for k in frames:
             mirror = p.n - 2 - k
-            if opts.symmetric and k > mirror:
+            if opts.symmetric and k >= mirror:
                 continue
-            if opts.symmetric and k == mirror:
+            move = _frame_offset(p, k, gamma, opts)
+            if move is None:
                 continue
-            t, _ = _frame_offset(p, k, gamma, opts)
-            if t == 0.0:
-                continue
+            t, moved = move
             if opts.symmetric:
-                moved = apply_elementary_move(p, k, t)
-                if not _offset_fits(moved, mirror, -t):
+                try:
+                    moved = apply_elementary_move(moved, mirror, -t)
+                except OrderingViolated:
                     continue  # keep the symmetric slice rather than half-move
-                p = apply_elementary_move(moved, mirror, -t)
-            else:
-                p = apply_elementary_move(p, k, t)
+            p = moved
             max_move = max(max_move, abs(t))
         new_energy = total_energy(p, gamma)
         records.append(CycleRecord(cycle=cycle, energy_over_pi=new_energy.total_over_pi, max_move=max_move))
@@ -368,6 +356,11 @@ class BoundaryPattern:
         return BoundaryPattern(z=tuple(-v for v in reversed(self.z)))
 
 
+def _beats(value: float, limit: float) -> bool:
+    """True when value lies strictly below a degenerate limit, by 1e-12 relative."""
+    return value < limit - 1e-12 * max(1.0, abs(limit))
+
+
 @dataclass(frozen=True)
 class EscapeProbe:
     """Lemma-level pole check on a single window (alpha, 1)."""
@@ -380,7 +373,7 @@ class EscapeProbe:
 
     @property
     def escaped(self) -> bool:
-        return self.e_star < self.limit - 1e-12 * max(1.0, abs(self.limit))
+        return _beats(self.e_star, self.limit)
 
 
 def escape_pole_frame(alpha: float, gamma: float, samples: int = 96) -> EscapeProbe:
@@ -393,60 +386,55 @@ def escape_pole_frame(alpha: float, gamma: float, samples: int = 96) -> EscapePr
     return EscapeProbe(alpha=alpha, gamma=gamma, x_star=x_star, e_star=e_star, limit=pole_limit(alpha, gamma))
 
 
-def _escape_pole(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions) -> AxisymPattern:
-    zs = bp.z
-    m_b = bp.mass
-    body = list(zs[:-1])  # the pole entry carries no circle
-    z_top = body[-1]
-    alpha = 2.0 * z_top - 1.0
-    below = body[-2] if len(body) >= 2 else -1.0
-    # the pair slide needs (alpha+x)/2 to stay above both `below` and -1
-    x_lo = max(alpha, 2.0 * below - alpha, -2.0 - alpha)
-    if not x_lo < 1.0:
-        raise DomainError("no room below the pole to slide the pair inward")
-    reduced = make_pattern(body)
-    boundary_value = total_energy(reduced, gamma).total
-    pad = 1e-9 * (1.0 - x_lo)
+def _slide_escape(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions) -> AxisymPattern:
+    """Escape a north-pole contact, or a merged pair with an entry below it.
 
-    def along(x: float) -> float:
-        cand = body[:-1] + [0.5 * (alpha + x), 0.5 * (x + 1.0)]
-        return total_energy(AxisymPattern(z=tuple(cand), m=m_b), gamma).total
-
-    x_star, e_star = golden_min(along, x_lo + pad, 1.0 - pad, tol=opts.x_tol)
-    if not e_star < boundary_value - 1e-12 * max(1.0, abs(boundary_value)):
-        raise NoEscape(f"pole configuration is locally optimal at gamma={gamma!r}")
-    out = tuple(body[:-1] + [0.5 * (alpha + x_star), 0.5 * (x_star + 1.0)])
-    return AxisymPattern(z=out, m=m_b)
-
-
-def _escape_merged(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions) -> AxisymPattern:
+    Both slide one strip south by a scalar s in (lo, hi) and must strictly
+    beat the degenerate limit value.  A pole contact moves the top pair to
+    ((alpha+s)/2, (s+1)/2) against the vanishing-cap limit (continuous
+    there).  A merged pair (y, y) moves the strip (below, y) down by s
+    against the merged limit with both coincident circles counted.
+    """
     zs = list(bp.z)
     m_b = bp.mass
-    j = next(i for i, (a, b) in enumerate(zip(zs, zs[1:])) if a == b)
-    if len(zs) == 2:
-        raise DomainError("merged pair needs a neighboring interface to slide")
-    if j == 0:
-        # nothing below the pair to slide; work on the reflection
-        mirrored = _escape_merged(bp.reflected(), gamma, opts)
-        return AxisymPattern(z=tuple(-v for v in reversed(mirrored.z)), m=m_b)
-    y = zs[j]
-    below = zs[j - 1]
-    floor = zs[j - 2] if j >= 2 else -1.0
-    t_max = below - floor
-    # limit value keeps both merged circles: the inward move must beat it
-    reduced = make_pattern(zs[:j] + zs[j + 2 :])
-    boundary_value = total_energy(reduced, gamma).total + 2.0 * (2.0 * math.pi) * math.sqrt(1.0 - y * y)
-    pad = 1e-9 * t_max
+    if bp.kind == "pole":
+        what = "pole configuration"
+        body = zs[:-1]  # the pole entry carries no circle
+        alpha = 2.0 * body[-1] - 1.0
+        below = body[-2] if len(body) >= 2 else -1.0
+        # the pair slide needs (alpha+s)/2 to stay above both `below` and -1
+        lo, hi = max(alpha, 2.0 * below - alpha, -2.0 - alpha), 1.0
+        if not lo < hi:
+            raise DomainError("no room below the pole to slide the pair inward")
+        limit = total_energy(make_pattern(body), gamma).total
 
-    def along(t: float) -> float:
-        cand = zs[: j - 1] + [below - t, y - t] + zs[j + 1 :]
-        return total_energy(AxisymPattern(z=tuple(cand), m=m_b), gamma).total
+        def slid(s: float) -> tuple[float, ...]:
+            return tuple(body[:-1] + [0.5 * (alpha + s), 0.5 * (s + 1.0)])
 
-    t_star, e_star = golden_min(along, pad, t_max - pad, tol=opts.x_tol)
-    if not e_star < boundary_value - 1e-12 * max(1.0, abs(boundary_value)):
-        raise NoEscape(f"merged pair is locally optimal at gamma={gamma!r}")
-    out = tuple(zs[: j - 1] + [below - t_star, y - t_star] + zs[j + 1 :])
-    return AxisymPattern(z=out, m=m_b)
+    else:
+        what = "merged pair"
+        j = next(i for i, (a, b) in enumerate(zip(zs, zs[1:])) if a == b)
+        if j == 0:
+            raise DomainError("merged pair needs a neighboring interface to slide")
+        y, below = zs[j], zs[j - 1]
+        floor = zs[j - 2] if j >= 2 else -1.0
+        lo, hi = 0.0, below - floor
+        reduced = make_pattern(zs[:j] + zs[j + 2 :])
+        limit = total_energy(reduced, gamma).total + 2.0 * (2.0 * math.pi) * math.sqrt(1.0 - y * y)
+
+        def slid(s: float) -> tuple[float, ...]:
+            return tuple(zs[: j - 1] + [below - s, y - s] + zs[j + 1 :])
+
+    pad = 1e-9 * (hi - lo)
+    s_star, e_star = golden_min(
+        lambda s: total_energy(AxisymPattern(z=slid(s), m=m_b), gamma).total,
+        lo + pad,
+        hi - pad,
+        tol=opts.x_tol,
+    )
+    if not _beats(e_star, limit):
+        raise NoEscape(f"{what} is locally optimal at gamma={gamma!r}")
+    return AxisymPattern(z=slid(s_star), m=m_b)
 
 
 def boundary_escape(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions = MinimizeOptions()) -> AxisymPattern:
@@ -454,14 +442,13 @@ def boundary_escape(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions = M
 
     Pole contact: slide the top pair down from the pole, comparing against
     the vanishing-cap limit (continuous there).  Merged pair: slide the
-    strip below the pair leftward, comparing against the merged limit with
-    both coincident circles counted.  Raises NoEscape when the degenerate
+    strip below the pair downward, comparing against the merged limit with
+    both coincident circles counted.  A south-pole contact, or a merged
+    pair with nothing below it, escapes its reflection through the equator
+    and reflects the result back.  Raises NoEscape when the degenerate
     value cannot be strictly beaten (small gamma).
     """
-    if bp.kind == "pole":
-        if bp.z[0] == -1.0:
-            flipped = _escape_pole(bp.reflected(), gamma, opts)
-            rz = [-v for v in reversed(flipped.z)]
-            return AxisymPattern(z=tuple(rz), m=bp.mass)
-        return _escape_pole(bp, gamma, opts)
-    return _escape_merged(bp, gamma, opts)
+    if bp.z[0] == -1.0 or bp.z[0] == bp.z[1]:
+        mirrored = _slide_escape(bp.reflected(), gamma, opts)
+        return AxisymPattern(z=tuple(-v for v in reversed(mirrored.z)), m=bp.mass)
+    return _slide_escape(bp, gamma, opts)

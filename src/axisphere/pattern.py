@@ -39,13 +39,26 @@ __all__ = [
 class AxisymPattern:
     """Interface heights plus the mean value they induce.
 
-    ``z`` is strictly increasing inside (-1, 1); ``m`` is the mean of the
-    pattern over the sphere, determined by ``z`` (stored to let moves carry
-    it bit-exactly).
+    Construction enforces the invariant: ``z`` is non-empty, lies inside
+    (-1, 1) and is strictly increasing, or OutOfRange / NonIncreasing is
+    raised.  Equal neighbours are a boundary state handled by the minimizer
+    module, not a valid pattern.  ``m`` is the mean of the pattern over the
+    sphere, determined by ``z`` (stored to let moves carry it bit-exactly).
     """
 
     z: tuple[float, ...]
     m: float
+
+    def __post_init__(self):
+        z = self.z
+        if not z:
+            raise OutOfRange("need at least one interface")
+        for v in z:
+            if not -1.0 < v < 1.0:
+                raise OutOfRange(f"interface height {v!r} outside (-1, 1)")
+        for a, b in zip(z, z[1:]):
+            if not a < b:
+                raise NonIncreasing(f"heights not strictly increasing near {a!r}")
 
     @property
     def n(self) -> int:
@@ -105,26 +118,16 @@ def mass_of_interfaces(zs: Sequence[float]) -> float:
 
 
 def make_pattern(zs: Iterable[float], expect_mass: float | None = None) -> AxisymPattern:
-    """Validate interface heights and build a pattern.
+    """Build a pattern from interface heights, computing its mean.
 
-    Heights must lie strictly inside (-1, 1) and be strictly increasing;
-    equal neighbours are a boundary state handled by the minimizer module,
-    not a valid pattern here.  ``expect_mass`` cross-checks the induced
-    mean to 1e-12.
+    The heights are validated by the ``AxisymPattern`` constructor before
+    ``expect_mass`` cross-checks the induced mean to 1e-12.
     """
     z = tuple(float(v) for v in zs)
-    if not z:
-        raise OutOfRange("need at least one interface")
-    for v in z:
-        if not -1.0 < v < 1.0:
-            raise OutOfRange(f"interface height {v!r} outside (-1, 1)")
-    for a, b in zip(z, z[1:]):
-        if not a < b:
-            raise NonIncreasing(f"heights not strictly increasing near {a!r}")
-    m = mass_of_interfaces(z)
-    if expect_mass is not None and abs(m - expect_mass) > 1e-12:
-        raise MassMismatch(f"mean {m!r} differs from expected {expect_mass!r}")
-    return AxisymPattern(z=z, m=m)
+    p = AxisymPattern(z=z, m=mass_of_interfaces(z))
+    if expect_mass is not None and abs(p.m - expect_mass) > 1e-12:
+        raise MassMismatch(f"mean {p.m!r} differs from expected {expect_mass!r}")
+    return p
 
 
 def kappa_g(p: AxisymPattern, k: int) -> float:

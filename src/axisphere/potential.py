@@ -18,19 +18,11 @@ difference, so every reported value equals the integral of xi/(1-z^2) from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import IndexOutOfRange
 from .pattern import AxisymPattern, xi_profile
 
-__all__ = ["PotentialAtInterfaces", "v_diff", "v_at_interfaces", "grad_v_normal"]
-
-
-@dataclass(frozen=True)
-class PotentialAtInterfaces:
-    """Potential values v(z_k), k = 1..n."""
-
-    values: tuple[float, ...]
+__all__ = ["v_diff", "v_at_interfaces", "grad_v_normal"]
 
 
 def v_diff(p: AxisymPattern, k: int) -> float:
@@ -53,12 +45,12 @@ def v_diff(p: AxisymPattern, k: int) -> float:
     return out
 
 
-def v_at_interfaces(p: AxisymPattern) -> PotentialAtInterfaces:
-    """All interface potentials, accumulated from the south pole."""
+def v_at_interfaces(p: AxisymPattern) -> tuple[float, ...]:
+    """Potential values v(z_k), k = 1..n, accumulated from the south pole."""
     values = [v_diff(p, 0)]
     for k in range(1, p.n):
         values.append(values[-1] + v_diff(p, k))
-    return PotentialAtInterfaces(values=tuple(values))
+    return tuple(values)
 
 
 def grad_v_normal(p: AxisymPattern, k: int) -> float:

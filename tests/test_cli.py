@@ -41,6 +41,10 @@ def test_usage_errors_exit_one():
     assert run("no-such-command").returncode == 1
     assert run("energy", "--gamma", "1").returncode == 1  # missing --z
     assert run("critical", "solve", "--gamma", "2").returncode == 1  # missing size
+    # contradictory flags are refused, not silently resolved
+    assert run("critical", "solve", "--n", "5", "--z", "-0.5,0.5", "--gamma", "2").returncode == 1
+    assert run("critical", "continue", "--n", "3", "--z", "-0.5,0.5", "--gamma-start", "1", "--gamma-end", "2").returncode == 1
+    assert run("escape", "--alpha", "0.6", "--z", "-0.3,0.1,0.1,0.8", "--gamma", "20").returncode == 1
 
 
 def test_numerical_failures_exit_two():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axisphere.criticality import residuals
 from axisphere.energy import total_energy
@@ -15,7 +17,6 @@ from axisphere.minimizer import (
     escape_pole_frame,
     golden_min,
     local_minimize,
-    minimize_triple,
     move_range,
     pole_limit,
     profile_f,
@@ -98,22 +99,10 @@ def test_elementary_move_bookkeeping():
         apply_elementary_move(p, 1, lo - 1e-6)
     # just inside the open range is fine
     apply_elementary_move(p, 1, hi - 1e-6)
-
-
-def test_minimize_triple_never_increases():
-    rng = np.random.default_rng(8)
-    for _ in range(12):
-        p = random_tent_pattern(int(rng.integers(2, 6)), rng)
-        g = float(rng.uniform(0.2, 8.0))
-        e0 = total_energy(p, g).total
-        k = int(rng.integers(0, p.n - 1))
-        q = minimize_triple(p, k, g)
-        assert total_energy(q, g).total <= e0 + 1e-12
-
-
-def test_minimize_triple_fixed_point_returns_input():
-    p = make_pattern([-0.5, 0.5])
-    assert minimize_triple(p, 0, 3.0) is p
+    # a pair one ulp apart collapses onto one height when shifted
+    tight = make_pattern([-0.5, 0.3, math.nextafter(0.3, 1.0), 0.9])
+    with pytest.raises(OrderingViolated):
+        apply_elementary_move(tight, 1, 0.1)
 
 
 def test_local_minimize_reaches_double_cap():
@@ -232,3 +221,63 @@ def test_merged_escape():
         2.0 * math.pi
     ) * math.sqrt(1.0 - 0.1**2)
     assert total_energy(out, 20.0).total < kept
+
+
+def _seeded_heights(n: int, rng: np.random.Generator) -> list[float]:
+    """Sorted heights in (-0.95, 0.95) with every gap above 0.02."""
+    while True:
+        z = np.sort(rng.uniform(-0.95, 0.95, size=n))
+        if n == 1 or float(np.min(np.diff(z))) > 0.02:
+            return [float(v) for v in z]
+
+
+def _assert_valid(p, m_start: float) -> None:
+    assert all(-1.0 < v < 1.0 for v in p.z)
+    assert all(a < b for a, b in zip(p.z, p.z[1:]))
+    assert abs(p.m - m_start) <= 1e-12
+    assert abs(mass_of_interfaces(p.z) - m_start) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    gamma=st.floats(0.5, 50.0),
+    tent=st.booleans(),
+)
+def test_descent_returns_valid_patterns(seed, n, gamma, tent):
+    """A descent returns a strictly ordered interior pattern of the start's mass, or raises."""
+    rng = np.random.default_rng(seed)
+    p = random_tent_pattern(n, rng) if tent else make_pattern(_seeded_heights(n, rng))
+    try:
+        res = local_minimize(p, gamma, MinimizeOptions(max_cycles=40))
+    except CycleLimit:
+        return  # slow descents end in an error, never in a half-valid pattern
+    _assert_valid(res.pattern, p.m)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    gamma=st.floats(0.5, 50.0),
+    kind=st.sampled_from(["north", "south", "merged"]),
+)
+def test_boundary_escape_returns_valid_patterns(seed, n, gamma, kind):
+    """An escape from a pole contact or a merged pair returns a valid pattern, or raises."""
+    rng = np.random.default_rng(seed)
+    z = _seeded_heights(n, rng)
+    if kind == "north":
+        z = z + [1.0]
+    elif kind == "south":
+        z = [-1.0] + z
+    else:
+        j = int(rng.integers(0, n))
+        z = z[: j + 1] + z[j:]
+    bp = BoundaryPattern(z=tuple(z))
+    try:
+        out = boundary_escape(bp, gamma)
+    except (NoEscape, DomainError):
+        return
+    assert len(out.z) == len(z)
+    _assert_valid(out, bp.mass)

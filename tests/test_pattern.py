@@ -38,14 +38,23 @@ def test_mass_matches_band_sum():
 
 
 def test_make_pattern_rejections():
-    with pytest.raises(NonIncreasing):
-        make_pattern([0.5, -0.5])
-    with pytest.raises(OutOfRange):
-        make_pattern([])
-    with pytest.raises(OutOfRange):
-        make_pattern([-1.0, 0.2])
+    bad = [
+        ((0.5, -0.5), NonIncreasing),
+        ((-0.2, -0.2, 0.4), NonIncreasing),
+        ((), OutOfRange),
+        ((-1.0, 0.2), OutOfRange),
+        ((-0.2, 1.0), OutOfRange),
+    ]
+    for z, err in bad:
+        # the constructor enforces the same invariant as make_pattern
+        with pytest.raises(err):
+            make_pattern(z)
+        with pytest.raises(err):
+            AxisymPattern(z=z, m=0.0)
     with pytest.raises(MassMismatch):
         make_pattern([-0.5, 0.5], expect_mass=0.3)
+    with pytest.raises(OutOfRange):
+        make_pattern([-0.5, 1.5], expect_mass=0.3)  # heights are checked before the mass
 
 
 def test_xi_profile_closure_and_slopes():

@@ -50,9 +50,9 @@ def test_band_index_bounds():
 def test_accumulated_values_match_diffs():
     p = make_pattern([-0.6, -0.2, 0.3, 0.7])
     at = v_at_interfaces(p)
-    assert len(at.values) == p.n
+    assert len(at) == p.n
     for k in range(1, p.n):
-        assert at.values[k] - at.values[k - 1] == pytest.approx(v_diff(p, k), abs=1e-13)
+        assert at[k] - at[k - 1] == pytest.approx(v_diff(p, k), abs=1e-13)
 
 
 def test_double_cap_potential_is_symmetric():
