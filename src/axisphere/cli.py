@@ -311,6 +311,9 @@ def cmd_critical(args) -> int:
     if args.action == "check-uniform":
         if args.count is None:
             raise OutOfRange("check-uniform needs --count")
+        ignored = [flag for flag in ("n", "z", "gamma") if getattr(args, flag) is not None]
+        if ignored:
+            raise OutOfRange(f"check-uniform takes no --{', --'.join(ignored)}")
         chk = uniform_criticality_check(args.count, args.gamma_max)
         _emit_json(
             args,

@@ -17,9 +17,15 @@ constant,
 
 with f(s) = (1-s)log(1-s) + (1+s)log(1+s).  Differences of e equal
 differences of the full energy divided by 2*pi; the test suite pins that
-identity against the energy module.  Patterns without the root structure
-(or with nonzero mean) are minimized along the same moves by evaluating
-the full energy directly.
+identity against the energy module.
+
+Frames without the root structure (nonzero mean, or a band where xi does
+not cross zero) are searched on a three-band energy that holds for every
+pattern.  Bands k and k+2, on either side of the moved strip, have the
+same slope s_k = s_{k+2}, so xi at nodes k and k+3 does not move: bands k
+and k+2 keep their xi lines, band k+1's line shifts by (s_k - s_{k+1}) t,
+and only the two moved circles and those three bands depend on t.  Each
+evaluation is a few square roots and logarithms, independent of n.
 
 Cyclic sweeps of the per-frame scalar minimization drive a pattern to a
 fixed point.  Every move builds its result through the validating
@@ -230,14 +236,65 @@ class MinimizeResult:
     cycles: tuple[CycleRecord, ...]
 
 
+def _move_energy(p: AxisymPattern, k: int, gamma: float):
+    """Energy along the move of frame k, as a function of the offset t.
+
+    Returns E(t)/(2*pi) up to a t-independent constant, exact for any mean.
+    With a = z_{k+1} + t and b = z_{k+2} + t (1-based) the moved heights,
+    each band log of ``nonlocal_closed`` splits into the logs of its two
+    endpoints; dropping those of the fixed nodes k and k+3 leaves
+
+        sqrt(1 - a^2) + sqrt(1 - b^2)
+          + gamma/2 * [ (C1^2 - c1_k^2) log(1-a) + (c2_k^2 - C2^2) log(1+a)
+                        + (c1_{k+2}^2 - C1^2) log(1-b) + (C2^2 - c2_{k+2}^2) log(1+b) ]
+
+    where (c1_j, c2_j) are band j's xi line at z = 1 and z = -1, and
+    (C1, C2) those of band k+1 shifted by (s_k - s_{k+1}) t.  The -s^2 dz
+    terms of bands k and k+2 sum to a constant because s_k = s_{k+2}.  Same pole rule as
+    ``nonlocal_closed``: band 0 has no c2 log, band n no c1 log.
+    """
+    prof = xi_profile(p)
+    nd = p.nodes()
+
+    def line(j: int) -> tuple[float, float]:
+        s, x0, z0 = prof.slopes[j], prof.nodes[j], nd[j]
+        return x0 + s * (1.0 - z0), x0 - s * (1.0 + z0)
+
+    c1_lo, c2_lo = line(k)
+    c1_mid, c2_mid = line(k + 1)
+    c1_hi, c2_hi = line(k + 2)
+    lo1, lo2 = c1_lo * c1_lo, (0.0 if k == 0 else c2_lo * c2_lo)
+    hi1, hi2 = (0.0 if k + 2 == p.n else c1_hi * c1_hi), c2_hi * c2_hi
+    shift = prof.slopes[k] - prof.slopes[k + 1]
+    za, zb = nd[k + 1], nd[k + 2]
+    half_gamma = 0.5 * gamma
+    sqrt, log1p = math.sqrt, math.log1p
+
+    def energy(t: float) -> float:
+        a, b = za + t, zb + t
+        mid1 = c1_mid + shift * t
+        mid2 = c2_mid + shift * t
+        q1, q2 = mid1 * mid1, mid2 * mid2
+        logs = (
+            (q1 - lo1) * log1p(-a)
+            + (lo2 - q2) * log1p(a)
+            + (hi1 - q1) * log1p(-b)
+            + (q2 - hi2) * log1p(b)
+        )
+        return sqrt(1.0 - a * a) + sqrt(1.0 - b * b) + half_gamma * logs
+
+    return energy
+
+
 def _frame_offset(p: AxisymPattern, k: int, gamma: float, opts: MinimizeOptions) -> tuple[float, AxisymPattern] | None:
     """Best strictly improving move of one frame: (offset, moved pattern).
 
-    Uses the window profile when the frame is exact, otherwise the full
-    energy along the move.  Returns None when no offset lowers the energy,
-    and also when the best offset does not give a valid pattern: near-wall
-    iterates can produce sub-ulp offsets that land an interface on a
-    neighbour or a pole, and those count as no move rather than an error.
+    Uses the window profile when the frame is exact, otherwise the
+    three-band energy of ``_move_energy``; neither builds a pattern inside
+    the search.  Returns None when no offset lowers the energy, and also
+    when the best offset does not give a valid pattern: near-wall iterates
+    can produce sub-ulp offsets that land an interface on a neighbour or a
+    pole, and those count as no move rather than an error.
     """
     fr = triple_frame(p, k)
     if fr.exact:
@@ -256,11 +313,8 @@ def _frame_offset(p: AxisymPattern, k: int, gamma: float, opts: MinimizeOptions)
         pad = 1e-9 * (t_hi - t_lo)
         if not t_lo + pad < t_hi - pad:
             return None
-        e0 = total_energy(p, gamma).total
-
-        def along(t: float) -> float:
-            return total_energy(apply_elementary_move(p, k, t), gamma).total
-
+        along = _move_energy(p, k, gamma)
+        e0 = along(0.0)
         t, e_star = golden_min(along, t_lo + pad, t_hi - pad, tol=opts.x_tol)
     if not e_star < e0:
         return None

@@ -45,6 +45,9 @@ def test_usage_errors_exit_one():
     assert run("critical", "solve", "--n", "5", "--z", "-0.5,0.5", "--gamma", "2").returncode == 1
     assert run("critical", "continue", "--n", "3", "--z", "-0.5,0.5", "--gamma-start", "1", "--gamma-end", "2").returncode == 1
     assert run("escape", "--alpha", "0.6", "--z", "-0.3,0.1,0.1,0.8", "--gamma", "20").returncode == 1
+    # check-uniform acts on --count and --gamma-max only
+    for flag, value in (("--n", "7"), ("--z", "0.1,0.2"), ("--gamma", "3")):
+        assert run("critical", "check-uniform", "--count", "4", flag, value).returncode == 1
 
 
 def test_numerical_failures_exit_two():

@@ -10,8 +10,10 @@ from axisphere.criticality import residuals
 from axisphere.energy import total_energy
 from axisphere.errors import CycleLimit, DomainError, NoEscape, OrderingViolated, OutOfRange
 from axisphere.minimizer import (
+    MASS_ZERO_TOL,
     BoundaryPattern,
     MinimizeOptions,
+    _move_energy,
     apply_elementary_move,
     boundary_escape,
     escape_pole_frame,
@@ -83,6 +85,26 @@ def test_window_profile_localizes_the_energy():
         rhs = (total_energy(q, 1.75).total - total_energy(p, 1.75).total) / (2.0 * math.pi)
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-10, f"localization gap {worst:.3e}"
+
+
+def test_move_energy_localizes_for_any_mean():
+    """Differences of the three-band line-search energy are full-energy differences."""
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for n in range(2, 9):
+        for _ in range(12):
+            p = make_pattern(_seeded_heights(n, rng))
+            assert abs(p.m) > MASS_ZERO_TOL
+            gamma = float(10.0 ** rng.uniform(-1.0, 3.0))
+            for k in sorted({0, n - 2, int(rng.integers(0, n - 1))}):
+                lo, hi = move_range(p, k)
+                along = _move_energy(p, k, gamma)
+                t0, t1 = (float(t) for t in rng.uniform(0.9 * lo, 0.9 * hi, size=2))
+                e0 = total_energy(apply_elementary_move(p, k, t0), gamma).total
+                e1 = total_energy(apply_elementary_move(p, k, t1), gamma).total
+                gap = abs(2.0 * math.pi * (along(t1) - along(t0)) - (e1 - e0))
+                worst = max(worst, gap / max(abs(e0), abs(e1)))
+    assert worst <= 1e-12, f"localization gap {worst:.3e}"
 
 
 def test_elementary_move_bookkeeping():
@@ -281,3 +303,21 @@ def test_boundary_escape_returns_valid_patterns(seed, n, gamma, kind):
         return
     assert len(out.z) == len(z)
     _assert_valid(out, bp.mass)
+
+
+@pytest.mark.parametrize("seed, n, gamma", [(1, 3, 300.0), (2, 4, 500.0), (3, 5, 800.0)])
+def test_nonzero_mean_descent_ends_stationary(seed, n, gamma):
+    """Along every elementary move the result is a minimum of the full energy."""
+    p = make_pattern(_seeded_heights(n, np.random.default_rng(seed)))
+    assert abs(p.m) > MASS_ZERO_TOL
+    q = local_minimize(p, gamma).pattern
+    e0 = total_energy(q, gamma).total
+    slack = 1e-12 * abs(e0)
+    for k in range(q.n - 1):
+        lo, hi = move_range(q, k)
+        h = min(1e-5, 0.25 * min(-lo, hi))
+        e_up = total_energy(apply_elementary_move(q, k, h), gamma).total
+        e_down = total_energy(apply_elementary_move(q, k, -h), gamma).total
+        assert e_up >= e0 - slack and e_down >= e0 - slack, f"frame {k} still descends"
+        slope = (e_up - e_down) / (2.0 * h)
+        assert abs(slope) <= 1e-5 * abs(e0), f"frame {k} slope {slope:.3e}"
