@@ -49,27 +49,31 @@ class OrderingViolated(AxisphereError):
 # ------------------------------------------------------------------- numerics
 
 
-class ToleranceNotMet(AxisphereError):
+class NumericalFailure(AxisphereError):
+    """A numerical method gave up; the command line exits 2 on these."""
+
+
+class ToleranceNotMet(NumericalFailure):
     """Adaptive quadrature exhausted its panel depth."""
 
 
-class NoConvergence(AxisphereError):
+class NoConvergence(NumericalFailure):
     """Iteration limit reached before the residual tolerance."""
 
 
-class LeftDomain(AxisphereError):
+class LeftDomain(NumericalFailure):
     """Damping could not keep the Newton iterate inside the domain."""
 
 
-class BranchLost(AxisphereError):
+class BranchLost(NumericalFailure):
     """Continuation failed twice in a row after halving the step."""
 
 
-class Asymptote(AxisphereError):
+class Asymptote(NumericalFailure):
     """Closed-form curve denominator vanishes at this abscissa."""
 
 
-class CycleLimit(AxisphereError):
+class CycleLimit(NumericalFailure):
     """Coordinate-sweep minimization hit its cycle cap."""
 
 

@@ -128,7 +128,9 @@ def golden_min(f, lo: float, hi: float, tol: float = 1e-12, samples: int = SCAN_
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    # also stop once rounding keeps c and d from lying strictly inside (a, b):
+    # a tol below the bracket's float spacing would never be reached
+    while b - a > tol and a < c < d < b:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

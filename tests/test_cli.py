@@ -1,4 +1,8 @@
-"""End-to-end runs of the command line, including exit codes and determinism."""
+"""Runs of the command line through ``cli.main``, including exit codes and determinism.
+
+All tests but one call ``main`` in this process; ``test_module_entry_point``
+starts ``python -m axisphere.cli`` as a child process.
+"""
 
 import json
 import os
@@ -8,18 +12,44 @@ from pathlib import Path
 
 import pytest
 
-CLI = [sys.executable, "-m", "axisphere.cli"]
+from axisphere import cli
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run(*args, env=None):
+@pytest.fixture
+def run(capsys):
+    """Call ``cli.main``; argparse's exits arrive as SystemExit and count as exit codes."""
+
+    def call(*args):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out, err)
+
+    return call
+
+
+def test_module_entry_point():
     # the child imports the package from this checkout, installed or not
-    env = dict(os.environ if env is None else env)
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env)
+
+    def spawn(*args):
+        return subprocess.run([sys.executable, "-m", "axisphere.cli", *args], capture_output=True, text=True, env=env)
+
+    a = spawn("energy", "--z", "-0.5,0.5", "--gamma", "1")
+    b = spawn("energy", "--z", "-0.5,0.5", "--gamma", "1")
+    assert a.returncode == 0
+    assert a.stdout == b.stdout  # byte-identical across processes
+    assert spawn("energy", "--gamma", "1").returncode == 1
+    failed = spawn("critical", "solve", "--n", "3", "--gamma", "2", "--max-iter", "1")
+    assert failed.returncode == 2 and "numerical failure" in failed.stderr
 
 
-def test_energy_json_and_determinism():
+def test_energy_json_and_determinism(run):
     a = run("energy", "--z", "-0.5,0.5", "--gamma", "1")
     b = run("energy", "--z", "-0.5,0.5", "--gamma", "1")
     assert a.returncode == 0
@@ -30,13 +60,59 @@ def test_energy_json_and_determinism():
     assert len(doc["meta"]["config_sha256"]) == 64
 
 
-def test_negative_values_after_flags_are_accepted():
+# One default invocation per subcommand and the config_sha256 of its artifact.
+# The hash covers the resolved values of the flags that reach the library
+# (not --config, --out, --catalog or --trace).  `critical` actions hash only
+# their own flags, and escape's --samples is null unless given.
+PINNED_HASHES = [
+    pytest.param(("energy", "--z", "-0.5,0.5", "--gamma", "1"),
+                 "712ced6d1d56a57f2b9fa61e715eba793d95dba6df0f663b73db40ad250094ef", id="energy"),
+    pytest.param(("sweep2", "--z1", "-0.8:-0.2:4", "--gamma", "1:2:2"),
+                 "11c669e8ac2e7290354fa711cbb79e83571cc7fc631c11c435e60e756ad8449e", id="sweep2"),
+    pytest.param(("xi", "--z", "-0.5,0.5", "--samples", "3"),
+                 "8ffa15e386f0eae39655a3056274c7b258ee8c6a4be87ec9abf1a154b6dc309d", id="xi"),
+    pytest.param(("gamma-curve", "--branch", "3", "--z1", "0.5:0.5:1"),
+                 "f07f978aef245509a5e6781c287f8bac0cf35fefe76a715e1f1b6714b9b288bc", id="gamma-curve"),
+    pytest.param(("critical", "solve", "--n", "3", "--gamma", "2"),
+                 "25504ba1250a0ba13a316bf8f9ce70c8752c513e5038fbadfdfa63edd511bb7d", id="critical-solve"),
+    pytest.param(("critical", "continue", "--n", "3", "--gamma-start", "1.05", "--gamma-end", "3", "--steps", "5"),
+                 "10b6ba9994105c8178f1da823dee3d14d97023052a5273449d21df46fada5fdf", id="critical-continue"),
+    pytest.param(("critical", "check-uniform", "--count", "4"),
+                 "d5a843d3f115aca6bbd7ae0a74dc3f9425b89ec066bb879ae79a5c6a7c7ffc90", id="critical-check-uniform"),
+    pytest.param(("minimize", "--z", "-0.4,0.6", "--gamma", "5"),
+                 "45e795df876880e1ada578ca9f5392a3e0b9275f88a1a76c5c8c35183263da1e", id="minimize"),
+    pytest.param(("escape", "--alpha", "0.6", "--gamma", "1e4"),
+                 "de600d687f44d206be8d29ab3bfcab377826718c348741a9d101e5dd71ae9efc", id="escape-alpha"),
+    pytest.param(("escape", "--z", "-0.3,0.1,0.1,0.8", "--gamma", "20"),
+                 "dc45f217add2c0f69d46ef5b15f818ed0b6e230ed4246cad698bc33b0253e87b", id="escape-z"),
+    pytest.param(("stability", "--z", "-0.5,0.5", "--gamma", "0.8"),
+                 "4878de07d99363a4a7b94c82e2ea5feb51cb1443e463fcfc2462031c55d8dbb0", id="stability"),
+    pytest.param(("bounds", "--gamma", "0:1:3"),
+                 "832c4eb3e0aeb1d16ab860c4b8b5b1059eb1b2bd5ce97f5182b766d373e72650", id="bounds"),
+    pytest.param(("verify",),
+                 "cdb86af766cf588049688c3756d6f54ab9d23df1dcc05c293dad7d4228f723bd", id="verify"),
+]
+
+
+@pytest.mark.parametrize("argv, sha", PINNED_HASHES)
+def test_config_hashes_are_pinned(run, argv, sha):
+    r = run(*argv)
+    assert r.returncode == 0, r.stderr
+    assert f"config_sha256={sha}" in r.stdout or f'"config_sha256": "{sha}"' in r.stdout
+
+
+def test_negative_values_after_flags_are_accepted(run):
     # tokens like -0.5,0.5 must not be mistaken for flags
     r = run("energy", "--z", "-0.9,-0.1", "--gamma", "2")
     assert r.returncode == 0, r.stderr
 
 
-def test_usage_errors_exit_one():
+SOLVE = ("critical", "solve", "--n", "3", "--gamma", "2")
+CONTINUE = ("critical", "continue", "--n", "3", "--gamma-start", "1.05", "--gamma-end", "2")
+UNIFORM = ("critical", "check-uniform", "--count", "4")
+
+
+def test_usage_errors_exit_one(run):
     assert run("energy", "--z", "0.5,-0.5", "--gamma", "1").returncode == 1
     assert run("no-such-command").returncode == 1
     assert run("energy", "--gamma", "1").returncode == 1  # missing --z
@@ -45,18 +121,47 @@ def test_usage_errors_exit_one():
     assert run("critical", "solve", "--n", "5", "--z", "-0.5,0.5", "--gamma", "2").returncode == 1
     assert run("critical", "continue", "--n", "3", "--z", "-0.5,0.5", "--gamma-start", "1", "--gamma-end", "2").returncode == 1
     assert run("escape", "--alpha", "0.6", "--z", "-0.3,0.1,0.1,0.8", "--gamma", "20").returncode == 1
-    # check-uniform acts on --count and --gamma-max only
-    for flag, value in (("--n", "7"), ("--z", "0.1,0.2"), ("--gamma", "3")):
-        assert run("critical", "check-uniform", "--count", "4", flag, value).returncode == 1
+    assert run("escape", "--gamma", "20").returncode == 1  # neither --alpha nor --z
+    # each critical action takes only its own flags
+    ignored = {
+        UNIFORM: [("--n", "7"), ("--z", "0.1,0.2"), ("--gamma", "3"), ("--tol", "1e-9"), ("--max-iter", "5"),
+                  ("--init", "stretch"), ("--m-target", "0.1"), ("--steps", "4"), ("--gamma-start", "1"),
+                  ("--gamma-end", "2"), ("--catalog", "u.jsonl")],
+        SOLVE: [("--steps", "4"), ("--gamma-start", "1"), ("--gamma-end", "2"), ("--count", "4"),
+                ("--gamma-max", "10"), ("--catalog", "s.jsonl")],
+        CONTINUE: [("--gamma", "3"), ("--count", "4"), ("--gamma-max", "10")],
+    }
+    for base, extras in ignored.items():
+        for flag, value in extras:
+            r = run(*base, flag, value)
+            assert r.returncode == 1 and "error:" in r.stderr, (base, flag)
+    assert run(*CONTINUE, "--catalog", "a.jsonl", "--out", "b.jsonl").returncode == 1
+    # --init only picks the guess for --n
+    for base in (SOLVE, CONTINUE):
+        assert run(*base[:2], "--z", "-0.5,0,0.5", "--init", "stretch", *base[4:]).returncode == 1
+    assert run("escape", "--z", "-0.3,0.1,0.1,0.8", "--gamma", "20", "--samples", "5").returncode == 1
+    # values from outside the program are range-checked before they reach the library
+    for argv in (
+        ("escape", "--alpha", "0.6", "--gamma", "1", "--samples", "0"),
+        ("xi", "--z", "-0.5,0.5", "--samples", "-3"),
+        ("verify", "--seed", "-1"),
+        ("energy", "--z", "-0.5,0.5", "--gamma", "nan"),
+        ("critical", "check-uniform", "--count", "6", "--gamma-max", "-1"),
+    ):
+        r = run(*argv)
+        assert r.returncode == 1 and f"argument {argv[-2]}:" in r.stderr, argv
+    # no abbreviated flags
+    assert run("minimize", "--z", "-0.4,0.6", "--gamma", "5", "--max", "3").returncode == 1
+    assert run("energy", "--z", "-0.5,0.5", "--gam", "1").returncode == 1
 
 
-def test_numerical_failures_exit_two():
+def test_numerical_failures_exit_two(run):
     r = run("critical", "continue", "--n", "3", "--gamma-start", "1.05", "--gamma-end", "1e9", "--steps", "4")
     assert r.returncode == 2
     assert "numerical failure" in r.stderr
 
 
-def test_sweep_csv(tmp_path):
+def test_sweep_csv(run, tmp_path):
     out = tmp_path / "grid.csv"
     r = run("sweep2", "--z1", "-0.8:-0.2:4", "--gamma", "1:2:2", "--out", str(out))
     assert r.returncode == 0
@@ -67,7 +172,7 @@ def test_sweep_csv(tmp_path):
     assert len(lines) == 3 + 4 * 2
 
 
-def test_gamma_curve_branches():
+def test_gamma_curve_branches(run):
     r3 = run("gamma-curve", "--branch", "3", "--z1", "0.5:0.5:1")
     row = r3.stdout.splitlines()[-1].split(",")
     assert float(row[1]) == pytest.approx(1.0034519430931814, rel=1e-12)
@@ -76,7 +181,7 @@ def test_gamma_curve_branches():
     assert float(r4.stdout.splitlines()[-1].split(",")[1]) == pytest.approx(15.607189587574723, rel=1e-12)
 
 
-def test_critical_solve_and_uniform_check():
+def test_critical_solve_and_uniform_check(run):
     r = run("critical", "solve", "--n", "3", "--gamma", "2")
     doc = json.loads(r.stdout)
     assert doc["residual"] <= 1e-11
@@ -87,7 +192,7 @@ def test_critical_solve_and_uniform_check():
     assert u6["critical_gamma"] is None and u6["residual_floor"] >= 1e-3
 
 
-def test_catalog_jsonl(tmp_path):
+def test_catalog_jsonl(run, tmp_path):
     cat = tmp_path / "branch.jsonl"
     r = run(
         "critical", "continue", "--n", "3",
@@ -102,9 +207,13 @@ def test_catalog_jsonl(tmp_path):
     for rec in recs:
         assert rec["min_gap"] >= 1e-4
         assert rec["residual"] <= 1e-11
+    # --out writes the same catalog
+    out = tmp_path / "same.jsonl"
+    assert run(*r.args[:-2], "--out", str(out)).returncode == 0
+    assert out.read_text() == cat.read_text()
 
 
-def test_minimize_with_trace(tmp_path):
+def test_minimize_with_trace(run, tmp_path):
     trace = tmp_path / "descent.csv"
     r = run("minimize", "--z", "-0.4,0.6", "--gamma", "5", "--trace", str(trace))
     doc = json.loads(r.stdout)
@@ -116,7 +225,7 @@ def test_minimize_with_trace(tmp_path):
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 
 
-def test_escape_modes():
+def test_escape_modes(run):
     strong = json.loads(run("escape", "--alpha", "0.6", "--gamma", "1e4").stdout)
     assert strong["escaped"] is True and strong["mode"] == "pole-window"
     weak = json.loads(run("escape", "--alpha", "0.6", "--gamma", "0.1").stdout)
@@ -127,27 +236,27 @@ def test_escape_modes():
     assert stuck.returncode == 0 and json.loads(stuck.stdout)["escaped"] is False
 
 
-def test_stability_report_fields():
+def test_stability_report_fields(run):
     doc = json.loads(run("stability", "--z", "-0.5,0.5", "--gamma", "0.8").stdout)
     assert doc["verdict"] == "certified-unstable"
     assert doc["mode"]["k"] == 0
 
 
-def test_bounds_table():
+def test_bounds_table(run):
     r = run("bounds", "--gamma", "0:1:3")
     rows = [ln for ln in r.stdout.splitlines() if not ln.startswith("#")]
     assert rows[0] == "gamma,z1_bound"
     assert rows[1] == "0.0,-0.5"  # zero-coupling limit is exact
 
 
-def test_verify_subcommand():
+def test_verify_subcommand(run):
     r = run("verify")
     assert r.returncode == 0
     assert "checks passed" in r.stdout
     assert "FAIL" not in r.stdout
 
 
-def test_config_file_merge(tmp_path):
+def test_config_file_merge(run, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"z": "-0.5,0.5", "gamma": 2.5}))
     base = json.loads(run("energy", "--config", str(cfg)).stdout)
@@ -157,16 +266,22 @@ def test_config_file_merge(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
     assert run("energy", "--config", str(bad)).returncode == 1
+    # a nested command takes the file's values after its whole path
+    solve = tmp_path / "solve.json"
+    solve.write_text(json.dumps({"n": 3, "gamma": 2.0}))
+    from_file = run("critical", "solve", "--config", str(solve))
+    assert from_file.returncode == 0, from_file.stderr
+    assert from_file.stdout == run("critical", "solve", "--n", "3", "--gamma", "2").stdout
 
 
-def test_out_dir_env(tmp_path):
-    env = dict(os.environ, AXISPHERE_OUT_DIR=str(tmp_path))
-    r = run("bounds", "--gamma", "0:1:2", "--out", "tab.csv", env=env)
+def test_out_dir_env(run, tmp_path, monkeypatch):
+    monkeypatch.setenv("AXISPHERE_OUT_DIR", str(tmp_path))
+    r = run("bounds", "--gamma", "0:1:2", "--out", "tab.csv")
     assert r.returncode == 0
     assert (tmp_path / "tab.csv").exists()
 
 
-def test_xi_dump():
+def test_xi_dump(run):
     doc = json.loads(run("xi", "--z", "-0.5,0.5", "--samples", "3").stdout)
     assert doc["xi_nodes"][0] == 0.0 and doc["xi_nodes"][-1] == 0.0
     assert doc["slopes"] == [-1.0, 1.0, -1.0]

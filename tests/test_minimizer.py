@@ -45,6 +45,13 @@ def test_golden_min_quartic():
     assert abs(x2 - 0.3) <= 1e-7
 
 
+def test_golden_min_stops_at_rounding_floor():
+    # tol=0 lies below any bracket's float spacing; the search ends when the
+    # interior points stop moving strictly inside the bracket
+    x, fx = golden_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0, tol=0.0)
+    assert abs(x - 0.3) <= 1e-7 and fx <= 1e-14
+
+
 def test_triple_frame_midpoint_structure():
     rng = np.random.default_rng(62)
     for _ in range(15):
