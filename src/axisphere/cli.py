@@ -80,11 +80,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_floats(text: str) -> tuple[float, ...]:
-    """Comma-separated float list."""
+    """Comma-separated list of finite floats."""
     try:
-        return tuple(float(tok) for tok in text.split(","))
+        values = tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise OutOfRange(f"not a comma-separated float list: {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise OutOfRange(f"values must be finite, got {text!r}")
+    return values
 
 
 def parse_range(text: str) -> tuple[float, ...]:
@@ -96,6 +99,8 @@ def parse_range(text: str) -> tuple[float, ...]:
         start, end, count = float(start), float(end), int(count)
     except ValueError:
         raise OutOfRange(f"range must be start:end:count, got {text!r}") from None
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise OutOfRange(f"range ends must be finite, got {text!r}")
     if count < 1:
         raise OutOfRange("range count must be positive")
     if count == 1 and start != end:
@@ -340,7 +345,7 @@ _START = [
 _NEWTON = (
     ("--m-target", dict(type=FINITE, default=0.0)),
     ("--tol", dict(type=FINITE, default=1e-11)),
-    ("--max-iter", dict(type=int, default=60)),
+    ("--max-iter", dict(type=POSITIVE_INT, default=60)),
 )
 
 COMMANDS = (
@@ -373,7 +378,7 @@ COMMANDS = (
         _GAMMA,
         ("--m-target", dict(type=FINITE)),
         ("--symmetric", dict(action="store_true")),
-        ("--max-cycles", dict(type=int, default=200)),
+        ("--max-cycles", dict(type=POSITIVE_INT, default=200)),
         ("--x-tol", dict(type=FINITE, default=1e-12)),
         ("--trace", dict(help="per-cycle CSV path")))),
     (("escape",), "boundary-escape probe", cmd_escape, (

@@ -74,11 +74,6 @@ class AxisymPattern:
             raise IndexOutOfRange(f"band index {j} outside 0..{self.n}")
         return -1 if j % 2 == 0 else 1
 
-    def radius(self, k: int) -> float:
-        """Circle radius sqrt(1 - z_k^2) of the k-th interface (1-based)."""
-        zk = self.z[_check_interface_index(self, k) - 1]
-        return math.sqrt(1.0 - zk * zk)
-
     def min_gap(self) -> float:
         """Smallest spacing among interfaces and to the poles."""
         nodes = self.nodes()

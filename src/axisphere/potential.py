@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import IndexOutOfRange
 from .pattern import AxisymPattern, xi_profile
 
@@ -53,18 +55,15 @@ def v_at_interfaces(p: AxisymPattern) -> tuple[float, ...]:
     return tuple(values)
 
 
-def grad_v_normal(p: AxisymPattern, k: int) -> float:
-    """Normal derivative of v on the k-th circle, signed by the upper phase.
+def grad_v_normal(p: AxisymPattern) -> np.ndarray:
+    """Normal derivatives of v on the n circles, each signed by its upper phase.
 
-    Equals u(z_k+) * xi(z_k) / sqrt(1 - z_k^2).  The sign convention is
-    pinned by two facts checked in the stability tests: the single-circle
-    mode expansion reproduces its closed form term by term, and the rigid
-    rotation generator lies in the kernel of the assembled second
-    variation.
+    Entry k-1 equals u(z_k+) * xi(z_k) / sqrt(1 - z_k^2); all n come from
+    one xi profile.  The sign convention is pinned by two facts checked in
+    the stability tests: the single-circle mode expansion reproduces its
+    closed form term by term, and the rigid rotation generator lies in the
+    kernel of the assembled second variation.
     """
-    if not 1 <= k <= p.n:
-        raise IndexOutOfRange(f"interface index {k} outside 1..{p.n}")
-    xi_k = xi_profile(p).nodes[k]
-    zk = p.z[k - 1]
-    sign = 1.0 if k % 2 == 1 else -1.0
-    return sign * xi_k / math.sqrt(1.0 - zk * zk)
+    z = np.array(p.z)
+    sign = np.where(np.arange(p.n) % 2 == 0, 1.0, -1.0)
+    return sign * np.array(xi_profile(p).nodes[1:-1]) / np.sqrt(1.0 - z * z)

@@ -18,12 +18,15 @@ squared chord distance a - b cos u between points of the two circles.
 The q form keeps full precision in the self-interaction case a = b,
 where q = 1 and the integrand has a log singularity.
 
-fourier_log_integral evaluates this closed form elementwise on arrays,
-so one call gives the whole n x n kernel matrix of a wavenumber, and the
-assembly, the two-cap identity and the self-verification all share it.
-Every block k = 0..K is -2 gamma (r_i r_j) F_k(a, b) plus the diagonal
-pi (k^2 - 1)/r_i + 4 pi gamma g_i r_i; the constants block is the k = 0
-block doubled, because the constant mode has norm 2 pi instead of pi.
+fourier_log_integral evaluates this closed form elementwise on arrays
+and, given a sequence of wavenumbers, stacks them: one call gives every
+n x n kernel matrix k = 0..K as one (K+1, n, n) array, and the assembly,
+the two-cap identity and the self-verification all share it.  Every
+block is -2 gamma (r_i r_j) F_k(a, b) plus the diagonal
+pi (k^2 - 1)/r_i + 4 pi gamma g_i r_i, applied to the whole stack at
+once; the constants block is the k = 0 block doubled, because the
+constant mode has norm 2 pi instead of pi.  The k >= 1 blocks stay one
+stack, and one batched eigh finds all their smallest eigenvalues.
 """
 
 from __future__ import annotations
@@ -54,24 +57,34 @@ CRITICAL_TOL = 1e-8
 CERT_MODES = 6
 
 
-def fourier_log_integral(a, b, k: int):
+def fourier_log_integral(a, b, k):
     """Fourier coefficient of log(a - b cos u) over a full period.
 
     Elementwise in ``a`` and ``b`` (scalars or broadcastable arrays); one
-    entry outside a >= b >= 0, a > 0 rejects the whole call.
+    entry outside a >= b >= 0, a > 0 rejects the whole call.  ``k`` is a
+    wavenumber or a sequence of them; a sequence stacks the coefficients
+    along a new leading axis, sharing one domain check and one sqrt.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     bad = np.flatnonzero((a <= 0.0) | (b < 0.0) | (b > a))
     if bad.size:
         i = bad[0]
         raise DomainError(f"need a >= b >= 0 with a > 0, got a={float(a.flat[i])!r}, b={float(b.flat[i])!r}")
-    if k < 0:
+    stacked = np.ndim(k) > 0
+    ks = [int(v) for v in k] if stacked else [k]
+    if min(ks, default=0) < 0:
         raise OutOfRange("wavenumber must be nonnegative")
     s = np.sqrt((a - b) * (a + b))
-    if k == 0:
-        return 2.0 * math.pi * np.log(0.5 * (a + s))
     q = b / (a + s)
-    return -(2.0 * math.pi / k) * q**k
+    out = np.empty((len(ks), *a.shape))
+    for i, kk in enumerate(ks):
+        if kk == 0:
+            out[i] = 2.0 * math.pi * np.log(0.5 * (a + s))
+        else:
+            # a scalar exponent keeps numpy's exact fast paths (q**2 is q*q)
+            out[i] = q**kk
+            out[i] *= -(2.0 * math.pi / kk)
+    return out if stacked else out[0]
 
 
 def doublecap_kernel_integral(k: int) -> float:
@@ -120,13 +133,18 @@ def axisym_pm_bound(z_n: float, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class JMatrix:
-    """Assembled second-variation blocks for one critical pattern."""
+    """Assembled second-variation blocks for one critical pattern.
+
+    ``k_blocks`` is one (K, n, n) stack, the k = 1..K slices of the array
+    that assemble_J fills, so min_eig_constrained solves it with one
+    batched eigh; ``block(k)`` reads a single wavenumber.
+    """
 
     pattern: AxisymPattern
     gamma: float
     K: int
     const_block: np.ndarray
-    k_blocks: tuple  # index k-1 -> shared cos/sin block, ndarray (n, n)
+    k_blocks: np.ndarray  # (K, n, n); index k-1 -> shared cos/sin block
     weights: np.ndarray  # zero-mean constraint on constants: w . c = 0
 
     def block(self, k: int, parity: str = "cos") -> np.ndarray:
@@ -145,7 +163,8 @@ def assemble_J(p: AxisymPattern, gamma: float, K: int = 32) -> JMatrix:
     Diagonal carries the curvature part ((k^2-1)/r_i weighted by the mode
     norm) and the normal derivative of the screened potential; every pair
     of circles couples through the log-kernel Fourier coefficient at its
-    chord geometry.  r_i r_j is formed before scaling by gamma, so every
+    chord geometry.  All K+1 blocks are built in one stack, scaled and
+    shifted in place.  r_i r_j is formed before scaling by gamma, so every
     block is exactly symmetric.
     """
     if K < 1:
@@ -153,26 +172,24 @@ def assemble_J(p: AxisymPattern, gamma: float, K: int = 32) -> JMatrix:
     res = residuals(p, gamma, m_target=p.m)
     if float(np.max(np.abs(res))) > CRITICAL_TOL:
         raise NotCritical(f"pattern residual {float(np.max(np.abs(res))):.3e} exceeds {CRITICAL_TOL}")
-    n = p.n
-    r = np.array([p.radius(i) for i in range(1, n + 1)])
     z = np.array(p.z)
-    g = np.array([grad_v_normal(p, i) for i in range(1, n + 1)])
+    r = np.sqrt(1.0 - z * z)
+    g = grad_v_normal(p)
     rr = r[:, None] * r[None, :]
     a = r[:, None] ** 2 + r[None, :] ** 2 + (z[:, None] - z[None, :]) ** 2
-    b = 2.0 * rr
+    ks = np.arange(K + 1.0)
 
-    blocks = []
-    for k in range(K + 1):
-        blk = -2.0 * gamma * rr * fourier_log_integral(a, b, k)
-        blk[np.diag_indices(n)] += math.pi * (k * k - 1.0) / r + 4.0 * gamma * g * math.pi * r
-        blocks.append(blk)
+    blocks = fourier_log_integral(a, 2.0 * rr, range(K + 1))
+    blocks *= -2.0 * gamma * rr
+    diag = np.arange(p.n)
+    blocks[:, diag, diag] += math.pi * (ks * ks - 1.0)[:, None] / r + 4.0 * gamma * g * math.pi * r
 
     return JMatrix(
         pattern=p,
         gamma=gamma,
         K=K,
         const_block=2.0 * blocks[0],  # the constant mode has norm 2 pi, not pi
-        k_blocks=tuple(blocks[1:]),
+        k_blocks=blocks[1:],
         weights=2.0 * math.pi * r,
     )
 
@@ -217,9 +234,11 @@ def min_eig_constrained(J: JMatrix) -> StabilityReport:
     """Smallest eigenvalue over zero-mean perturbations, with certificates.
 
     The constants block is restricted to the hyperplane w . c = 0 by an
-    orthonormal complement of w; oscillatory blocks need no constraint.
-    Degenerate cos/sin pairs are reported with the cos tag, and the mode
-    circle is the lowest one among components tied for the largest.
+    orthonormal complement of w; oscillatory blocks need no constraint and
+    go through one batched eigh, ties going to the constants block and then
+    to the lowest wavenumber.  Degenerate cos/sin pairs are reported with
+    the cos tag, and the mode circle is the lowest one among components
+    tied for the largest.
     """
     p = J.pattern
     n = p.n
@@ -232,11 +251,11 @@ def min_eig_constrained(J: JMatrix) -> StabilityReport:
         if vals[0] < best:
             best = float(vals[0])
             best_mode = (_lead_circle(Q @ vecs[:, 0]), 0, "constant")
-    for k in range(1, J.K + 1):
-        vals, vecs = np.linalg.eigh(J.k_blocks[k - 1])
-        if vals[0] < best:
-            best = float(vals[0])
-            best_mode = (_lead_circle(vecs[:, 0]), k, "cos")
+    vals, vecs = np.linalg.eigh(J.k_blocks)
+    i = int(np.argmin(vals[:, 0]))  # first occurrence: the lowest wavenumber wins a tie
+    if vals[i, 0] < best:
+        best = float(vals[i, 0])
+        best_mode = (_lead_circle(vecs[i, :, 0]), i + 1, "cos")
 
     single: tuple = ()
     pm = None

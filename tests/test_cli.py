@@ -147,9 +147,19 @@ def test_usage_errors_exit_one(run):
         ("verify", "--seed", "-1"),
         ("energy", "--z", "-0.5,0.5", "--gamma", "nan"),
         ("critical", "check-uniform", "--count", "6", "--gamma-max", "-1"),
+        ("critical", "solve", "--n", "3", "--gamma", "2", "--max-iter", "0"),
+        ("minimize", "--z", "-0.4,0.6", "--gamma", "5", "--max-cycles", "0"),
     ):
         r = run(*argv)
         assert r.returncode == 1 and f"argument {argv[-2]}:" in r.stderr, argv
+    # list and range values must be finite too
+    for argv in (
+        ("bounds", "--gamma", "nan,1"),
+        ("bounds", "--gamma", "0:inf:3"),
+        ("sweep2", "--z1", "-0.5:-0.2:2", "--gamma", "nan"),
+    ):
+        r = run(*argv)
+        assert r.returncode == 1 and "finite" in r.stderr and not r.stdout, argv
     # no abbreviated flags
     assert run("minimize", "--z", "-0.4,0.6", "--gamma", "5", "--max", "3").returncode == 1
     assert run("energy", "--z", "-0.5,0.5", "--gam", "1").returncode == 1

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from axisphere.criticality import SolveOptions, initial_guess, solve_critical
-from axisphere.errors import DomainError
+from axisphere.energy import total_energy
+from axisphere.errors import DomainError, OutOfRange
 from axisphere.pattern import make_pattern
 from axisphere.potential import grad_v_normal
 from axisphere.quadrature import QuadratureSpec, integrate_adaptive
@@ -37,13 +38,14 @@ def _fourier_log_quad(a: float, b: float, k: int) -> float:
 def _block_by_loop(p, gamma: float, k: int) -> np.ndarray:
     """Block k of the second variation, one circle pair at a time."""
     n = p.n
-    r = [p.radius(i) for i in range(1, n + 1)]
+    r = [math.sqrt(1.0 - zi * zi) for zi in p.z]
+    g = grad_v_normal(p)
     blk = np.empty((n, n))
     for i in range(n):
         for j in range(n):
             a = r[i] ** 2 + r[j] ** 2 + (p.z[i] - p.z[j]) ** 2
             blk[i, j] = -2.0 * gamma * r[i] * r[j] * fourier_log_integral(a, 2.0 * r[i] * r[j], k)
-        blk[i, i] += math.pi * (k * k - 1.0) / r[i] + 4.0 * gamma * grad_v_normal(p, i + 1) * math.pi * r[i]
+        blk[i, i] += math.pi * (k * k - 1.0) / r[i] + 4.0 * gamma * g[i] * math.pi * r[i]
     return blk if k else 2.0 * blk  # the constant mode has norm 2 pi
 
 
@@ -75,6 +77,26 @@ def test_fourier_log_integral_property():
         a_bad[i, j], b_bad[i, j] = bad_a, bad_b
         with pytest.raises(DomainError):
             fourier_log_integral(a_bad, b_bad, 3)
+
+
+def test_fourier_log_integral_stacks_wavenumbers():
+    """A wavenumber sequence stacks exactly the scalar-k results, k = 2 included."""
+    rng = np.random.default_rng(8)
+    b = rng.uniform(0.05, 4.0, size=(12, 12))
+    a = b + rng.uniform(1e-6, 5.0, size=(12, 12))
+    np.fill_diagonal(a, np.diag(b))
+    stack = fourier_log_integral(a, b, range(131))
+    assert stack.shape == (131, 12, 12)
+    for k in range(131):
+        assert np.array_equal(stack[k], fourier_log_integral(a, b, k)), k
+    assert np.array_equal(fourier_log_integral(5.0, 3.0, [2, 0, 7]),
+                          [fourier_log_integral(5.0, 3.0, k) for k in (2, 0, 7)])
+    with pytest.raises(OutOfRange):
+        fourier_log_integral(a, b, [0, 3, -1])
+    a_bad = a.copy()
+    a_bad[3, 4] = 0.5 * b[3, 4]
+    with pytest.raises(DomainError):
+        fourier_log_integral(a_bad, b, range(4))
 
 
 def test_fourier_log_closed_values():
@@ -192,7 +214,7 @@ def test_mode_circle_breaks_ties_toward_the_lowest_circle():
     assert rep.mode_k == 0 and rep.mode_circle == 1
     # a clear winner is still reported where it sits
     J = assemble_J(make_pattern([-0.5, 0.5]), 0.8, K=4)
-    J = replace(J, k_blocks=(np.diag([1.0, -5.0]),) + J.k_blocks[1:])
+    J = replace(J, k_blocks=np.concatenate(([np.diag([1.0, -5.0])], J.k_blocks[1:])))
     assert min_eig_constrained(J).mode_circle == 2
 
 
@@ -220,3 +242,70 @@ def test_eigen_residual_small():
         i = int(np.argmin(w))
         res = float(np.max(np.abs(blk @ V[:, i] - w[i] * V[:, i])))
         assert res <= 1e-10
+
+
+def _report_by_loop(J):
+    """(min_eig, mode_k, mode_circle) from one eigh per block, the first strict minimum kept."""
+
+    def lead(v):
+        mag = np.abs(v)
+        return int(np.flatnonzero(mag >= (1.0 - 1e-9) * mag.max())[0]) + 1
+
+    n = J.pattern.n
+    best, mode = math.inf, None
+    if n >= 2:
+        q_full, _ = np.linalg.qr(J.weights.reshape(n, 1), mode="complete")
+        Q = q_full[:, 1:]
+        vals, vecs = np.linalg.eigh(Q.T @ J.const_block @ Q)
+        best, mode = float(vals[0]), (0, lead(Q @ vecs[:, 0]))
+    for k in range(1, J.K + 1):
+        vals, vecs = np.linalg.eigh(J.block(k))
+        if vals[0] < best:
+            best, mode = float(vals[0]), (k, lead(vecs[:, 0]))
+    return best, *mode
+
+
+def test_batched_eigensolve_matches_loop_over_blocks():
+    cases = [
+        (make_pattern([0.3]), 3.0),
+        (make_pattern([-0.5, 0.5]), 0.8),
+        (solve_critical(5, 20.0, initial_guess(5), SolveOptions(m_target=-0.2)).pattern, 20.0),
+    ]
+    for p, gamma in cases:
+        for K in (8, 32, 128):
+            J = assemble_J(p, gamma, K=K)
+            assert J.k_blocks.shape == (K, p.n, p.n)
+            rep = min_eig_constrained(J)
+            assert (rep.min_eig, rep.mode_k, rep.mode_circle) == _report_by_loop(J), (p.n, K)
+
+
+def test_constants_block_is_the_constrained_energy_hessian():
+    """const_block, mapped by c_i = sigma_i dz_i / r_i, is the Hessian of total_energy(., +gamma)
+    on mass-preserving moves (fourth-order central differences)."""
+    cases = [
+        (3, 2.0, SolveOptions()),
+        (4, 3.0, SolveOptions()),
+        (5, 20.0, SolveOptions(m_target=-0.2)),
+    ]
+    for n, gamma, opts in cases:
+        p = solve_critical(n, gamma, initial_guess(n), opts).pattern
+        z = np.array(p.z)
+        sigma = (-1.0) ** np.arange(n)  # (-1)^(i+1), 1-based
+        S = np.diag(sigma / np.sqrt(1.0 - z * z))
+        q_full, _ = np.linalg.qr(sigma.reshape(n, 1), mode="complete")
+        T = q_full[:, 1:]  # orthonormal basis of sigma . dz = 0: the mass stays put
+        want = T.T @ S @ assemble_J(p, gamma, K=4).const_block @ S @ T
+
+        h = 1e-3 * p.min_gap()
+
+        def curvature(v):
+            e = [total_energy(make_pattern(z + t * h * v), gamma).total for t in (-2, -1, 0, 1, 2)]
+            return (-e[0] + 16.0 * e[1] - 30.0 * e[2] + 16.0 * e[3] - e[4]) / (12.0 * h * h)
+
+        m = n - 1
+        got = np.empty((m, m))
+        for i in range(m):
+            for j in range(m):
+                got[i, j] = 0.25 * (curvature(T[:, i] + T[:, j]) - curvature(T[:, i] - T[:, j]))
+        mismatch = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+        assert mismatch <= 1e-6, (n, gamma, mismatch)
