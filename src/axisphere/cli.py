@@ -9,8 +9,8 @@ byte-identical artifacts.
 Each subcommand, and each `critical` action, takes only the flags it acts
 on; flags shown as `A | B` in its usage exclude each other.  Unknown,
 ignored or abbreviated flags exit 1, and so do values out of range:
-couplings and tolerances must be finite, --gamma-max positive, --seed and
-xi's --samples at least 0, escape's --samples at least 1.
+couplings must be finite, --tol and --gamma-max positive, --x-tol, --seed
+and xi's --samples at least 0, escape's --samples at least 1.
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure
 (no convergence, tolerance not met, lost branch, asymptote hit),
@@ -123,6 +123,7 @@ def _checked(kind, ok, what: str):
 
 FINITE = _checked(float, math.isfinite, "must be finite")
 POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
+NONNEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "must be at least 0 and finite")
 NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, "must be at least 0")
 POSITIVE_INT = _checked(int, lambda v: v >= 1, "must be at least 1")
 
@@ -344,7 +345,7 @@ _START = [
 ]
 _NEWTON = (
     ("--m-target", dict(type=FINITE, default=0.0)),
-    ("--tol", dict(type=FINITE, default=1e-11)),
+    ("--tol", dict(type=POSITIVE, default=1e-11)),
     ("--max-iter", dict(type=POSITIVE_INT, default=60)),
 )
 
@@ -379,7 +380,7 @@ COMMANDS = (
         ("--m-target", dict(type=FINITE)),
         ("--symmetric", dict(action="store_true")),
         ("--max-cycles", dict(type=POSITIVE_INT, default=200)),
-        ("--x-tol", dict(type=FINITE, default=1e-12)),
+        ("--x-tol", dict(type=NONNEGATIVE, default=1e-12)),
         ("--trace", dict(help="per-cycle CSV path")))),
     (("escape",), "boundary-escape probe", cmd_escape, (
         [("--alpha", dict(type=FINITE, required=True, help="pole-window left root")),

@@ -19,13 +19,16 @@ with f(s) = (1-s)log(1-s) + (1+s)log(1+s).  Differences of e equal
 differences of the full energy divided by 2*pi; the test suite pins that
 identity against the energy module.
 
-Frames without the root structure (nonzero mean, or a band where xi does
-not cross zero) are searched on a three-band energy that holds for every
-pattern.  Bands k and k+2, on either side of the moved strip, have the
-same slope s_k = s_{k+2}, so xi at nodes k and k+3 does not move: bands k
-and k+2 keep their xi lines, band k+1's line shifts by (s_k - s_{k+1}) t,
-and only the two moved circles and those three bands depend on t.  Each
-evaluation is a few square roots and logarithms, independent of n.
+The descent searches every frame on a three-band energy that holds for
+every pattern, whatever its mean or the zeros of xi.  Bands k and k+2, on
+either side of the moved strip, have the same slope s_k = s_{k+2}, so xi
+at nodes k and k+3 does not move: bands k and k+2 keep their xi lines,
+band k+1's line shifts by (s_k - s_{k+1}) t, and only the two moved
+circles and those three bands depend on t.  Each evaluation is a few
+square roots and logarithms, independent of n, and its closed-form slope
+ends every frame's line search on a root (``_slope_min``).  The window
+profile serves the pole escape probe and the localization check of
+``verify``; the escapes keep golden section (``golden_min``).
 
 Cyclic sweeps of the per-frame scalar minimization drive a pattern to a
 fixed point.  Every move builds its result through the validating
@@ -73,7 +76,7 @@ __all__ = [
 
 MASS_ZERO_TOL = 1e-12  # mean values below this count as zero for the profile
 DECREASE_TOL = 1e-13  # energy drops below this end a move or a sweep
-SCAN_SAMPLES = 48  # grid points of the pre-scan before golden section
+SCAN_SAMPLES = 48  # grid points of the pre-scan of every line search
 
 
 def profile_f(x: float) -> float:
@@ -108,23 +111,34 @@ def pole_limit(alpha: float, gamma: float) -> float:
     return math.sqrt(1.0 - mid * mid) + gamma * (alpha - 1.0) * profile_f(mid)
 
 
+def _prescan(f, lo: float, hi: float, samples: int):
+    """(x_i, f(x_i), i, a, b): the best of samples grid points lo + i*step, and its bracket.
+
+    The grid is bit-identical to np.linspace(lo, hi, samples + 2)[1:-1]; a and b
+    are x_i's neighbours, or the ends padded by 1e-13 of the width.
+    """
+    if not hi > lo:
+        raise DomainError(f"empty bracket ({lo!r}, {hi!r})")
+    step = (hi - lo) / (samples + 1)
+    xs = [lo + i * step for i in range(1, samples + 1)]
+    vals = [f(x) for x in xs]
+    i = int(np.argmin(vals))
+    a = xs[i - 1] if i > 0 else lo + 1e-13 * (hi - lo)
+    b = xs[i + 1] if i < samples - 1 else hi - 1e-13 * (hi - lo)
+    return xs[i], vals[i], i, a, b
+
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def golden_min(f, lo: float, hi: float, tol: float = 1e-12, samples: int = SCAN_SAMPLES):
     """Grid pre-scan followed by golden-section refinement on (lo, hi).
 
-    The pre-scan guards against the double-well shapes the window profile
-    develops near the poles; golden section then converges on the best
-    bracket.  Returns (x, f(x)).
+    Serves the escapes, which compare an absolute value with a degenerate
+    limit.  The pre-scan guards against the double-well shapes the window
+    profile develops near the poles.  Returns (x, f(x)).
     """
-    if not hi > lo:
-        raise DomainError(f"empty bracket ({lo!r}, {hi!r})")
-    xs = np.linspace(lo, hi, samples + 2)[1:-1]
-    vals = [f(float(x)) for x in xs]
-    i = int(np.argmin(vals))
-    a = float(xs[i - 1]) if i > 0 else lo + 1e-13 * (hi - lo)
-    b = float(xs[i + 1]) if i < len(xs) - 1 else hi - 1e-13 * (hi - lo)
+    _, _, _, a, b = _prescan(f, lo, hi, samples)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
@@ -140,6 +154,37 @@ def golden_min(f, lo: float, hi: float, tol: float = 1e-12, samples: int = SCAN_
             d = a + _INVPHI * (b - a)
             fd = f(d)
     return (c, fc) if fc <= fd else (d, fd)
+
+
+def _slope_min(f, df, lo: float, hi: float, tol: float):
+    """Grid pre-scan of f on (lo, hi), then the root of its slope df in the best bracket.
+
+    Illinois regula falsi, bisecting while an end has no usable slope: a padded
+    end (never evaluated) or a grid end whose slope has the wrong sign.  Stops
+    at the rounding floor, or at width tol once both ends are usable.  Returns
+    (x, f(x)), never worse than the best grid sample.
+    """
+    x0, f0, i, a, b = _prescan(f, lo, hi, SCAN_SAMPLES)
+    da = min(df(a), 0.0) if i > 0 else 0.0  # 0.0: no usable slope
+    db = max(df(b), 0.0) if i < SCAN_SAMPLES - 1 else 0.0
+    x, side = None, 0
+    while b - a > tol or not da < 0.0 < db:
+        t = 0.5 * (a + b)
+        if da < 0.0 < db:  # regula falsi, kept tol/2 inside the bracket
+            r = min(max(a - da * (b - a) / (db - da), a + 0.5 * tol), b - 0.5 * tol)
+            t = r if a < r < b else t
+        if not a < t < b:
+            break
+        x, d = t, df(t)
+        if d < 0.0:  # Illinois: an end kept twice in a row has its slope halved
+            a, da, db, side = x, d, db * (0.5 if side < 0 else 1.0), -1
+        elif d > 0.0:
+            b, db, da, side = x, d, da * (0.5 if side > 0 else 1.0), 1
+        else:
+            break  # a root, or nan
+    if x is not None and (fx := f(x)) <= f0:
+        return x, fx
+    return x0, f0
 
 
 # -------------------------------------------------------------------- frames
@@ -219,6 +264,7 @@ def move_range(p: AxisymPattern, k: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MinimizeOptions:
+    # bracket width that ends a line search (in the offset t or an escape's slide); 0: the rounding floor
     x_tol: float = 1e-12
     max_cycles: int = 200
     symmetric: bool = False
@@ -239,10 +285,10 @@ class MinimizeResult:
 
 
 def _move_energy(p: AxisymPattern, k: int, gamma: float):
-    """Energy along the move of frame k, as a function of the offset t.
+    """Energy along the move of frame k, and its slope, as functions of the offset t.
 
-    Returns E(t)/(2*pi) up to a t-independent constant, exact for any mean.
-    With a = z_{k+1} + t and b = z_{k+2} + t (1-based) the moved heights,
+    Returns (E(t)/(2*pi) up to a t-independent constant, exact for any mean;
+    its derivative in t, term by term).  With a = z_{k+1} + t and b = z_{k+2} + t (1-based) the moved heights,
     each band log of ``nonlocal_closed`` splits into the logs of its two
     endpoints; dropping those of the fixed nodes k and k+3 leaves
 
@@ -274,51 +320,54 @@ def _move_energy(p: AxisymPattern, k: int, gamma: float):
 
     def energy(t: float) -> float:
         a, b = za + t, zb + t
-        mid1 = c1_mid + shift * t
-        mid2 = c2_mid + shift * t
+        mid1, mid2 = c1_mid + shift * t, c2_mid + shift * t
         q1, q2 = mid1 * mid1, mid2 * mid2
-        logs = (
-            (q1 - lo1) * log1p(-a)
-            + (lo2 - q2) * log1p(a)
-            + (hi1 - q1) * log1p(-b)
-            + (q2 - hi2) * log1p(b)
-        )
+        logs = (q1 - lo1) * log1p(-a) + (lo2 - q2) * log1p(a) + (hi1 - q1) * log1p(-b) + (q2 - hi2) * log1p(b)
         return sqrt(1.0 - a * a) + sqrt(1.0 - b * b) + half_gamma * logs
 
-    return energy
+    def slope(t: float) -> float:
+        a, b = za + t, zb + t
+        mid1, mid2 = c1_mid + shift * t, c2_mid + shift * t
+        q1, q2 = mid1 * mid1, mid2 * mid2
+        d_logs = 2.0 * shift * (mid1 * (log1p(-a) - log1p(-b)) + mid2 * (log1p(b) - log1p(a)))
+        d_logs += (lo1 - q1) / (1.0 - a) + (lo2 - q2) / (1.0 + a) + (q1 - hi1) / (1.0 - b) + (q2 - hi2) / (1.0 + b)
+        return -a / sqrt(1.0 - a * a) - b / sqrt(1.0 - b * b) + half_gamma * d_logs
+
+    return energy, slope
+
+
+def _search_range(p: AxisymPattern, k: int) -> tuple[float, float]:
+    """``move_range`` of frame k padded by 1e-9 of its width, ends kept off the poles.
+
+    A padded end that would round a moved interface onto a pole is raised to
+    the nearest offset that does not; such a range is below about 1e-7 wide,
+    so the moved interface lies within [-1, -0.5] (or [0.5, 1]) and the
+    subtraction is exact.
+    """
+    t_lo, t_hi = move_range(p, k)
+    pad = 1e-9 * (t_hi - t_lo)
+    t_lo, t_hi = t_lo + pad, t_hi - pad
+    if not -1.0 < p.z[k] + t_lo:
+        t_lo = math.nextafter(-1.0, 0.0) - p.z[k]
+    if not p.z[k + 1] + t_hi < 1.0:
+        t_hi = math.nextafter(1.0, 0.0) - p.z[k + 1]
+    return t_lo, t_hi
 
 
 def _frame_offset(p: AxisymPattern, k: int, gamma: float, opts: MinimizeOptions) -> tuple[float, AxisymPattern] | None:
     """Best strictly improving move of one frame: (offset, moved pattern).
 
-    Uses the window profile when the frame is exact, otherwise the
-    three-band energy of ``_move_energy``; neither builds a pattern inside
-    the search.  Returns None when no offset lowers the energy, and also
-    when the best offset does not give a valid pattern: near-wall iterates
-    can produce sub-ulp offsets that land an interface on a neighbour or a
-    pole, and those count as no move rather than an error.
+    Searches the three-band energy of ``_move_energy`` over ``_search_range``
+    without building a pattern.  Returns None when no offset lowers the
+    energy, and also near walls, where sub-ulp offsets can land an interface
+    on a neighbour: no move rather than an error.
     """
-    fr = triple_frame(p, k)
-    if fr.exact:
-        if fr.beta - fr.alpha <= max(opts.x_tol, 1e-14):
-            return None  # window thinner than the search resolution
-        e0 = segment_energy(fr.x, fr.alpha, fr.beta, gamma)
-        x_star, e_star = golden_min(
-            lambda x: segment_energy(x, fr.alpha, fr.beta, gamma),
-            fr.alpha,
-            fr.beta,
-            tol=opts.x_tol,
-        )
-        t = 0.5 * (x_star - fr.x)
-    else:
-        t_lo, t_hi = move_range(p, k)
-        pad = 1e-9 * (t_hi - t_lo)
-        if not t_lo + pad < t_hi - pad:
-            return None
-        along = _move_energy(p, k, gamma)
-        e0 = along(0.0)
-        t, e_star = golden_min(along, t_lo + pad, t_hi - pad, tol=opts.x_tol)
-    if not e_star < e0:
+    t_lo, t_hi = _search_range(p, k)
+    if not t_lo < t_hi:
+        return None
+    along, slope = _move_energy(p, k, gamma)
+    t, e_star = _slope_min(along, slope, t_lo, t_hi, opts.x_tol)
+    if not e_star < along(0.0):
         return None
     try:
         return t, apply_elementary_move(p, k, t)

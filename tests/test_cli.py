@@ -149,6 +149,9 @@ def test_usage_errors_exit_one(run):
         ("critical", "check-uniform", "--count", "6", "--gamma-max", "-1"),
         ("critical", "solve", "--n", "3", "--gamma", "2", "--max-iter", "0"),
         ("minimize", "--z", "-0.4,0.6", "--gamma", "5", "--max-cycles", "0"),
+        ("critical", "solve", "--n", "3", "--gamma", "2", "--tol", "-1"),
+        ("critical", "continue", "--n", "3", "--gamma-start", "1", "--gamma-end", "2", "--tol", "0"),
+        ("minimize", "--z", "-0.4,0.6", "--gamma", "5", "--x-tol", "-1"),
     ):
         r = run(*argv)
         assert r.returncode == 1 and f"argument {argv[-2]}:" in r.stderr, argv

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axisphere.criticality import residuals
@@ -11,9 +11,13 @@ from axisphere.energy import total_energy
 from axisphere.errors import CycleLimit, DomainError, NoEscape, OrderingViolated, OutOfRange
 from axisphere.minimizer import (
     MASS_ZERO_TOL,
+    SCAN_SAMPLES,
     BoundaryPattern,
     MinimizeOptions,
+    _frame_offset,
     _move_energy,
+    _search_range,
+    _slope_min,
     apply_elementary_move,
     boundary_escape,
     escape_pole_frame,
@@ -50,6 +54,16 @@ def test_golden_min_stops_at_rounding_floor():
     # interior points stop moving strictly inside the bracket
     x, fx = golden_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0, tol=0.0)
     assert abs(x - 0.3) <= 1e-7 and fx <= 1e-14
+
+
+def test_prescan_grid_is_linspace():
+    """The pre-scan grid lo + i*step reproduces np.linspace bit for bit."""
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        lo, hi = sorted(float(v) for v in rng.uniform(-1.0, 1.0, size=2))
+        seen = []
+        golden_min(lambda x: seen.append(x) or (x - 0.1) ** 2, lo, hi)
+        assert seen[:SCAN_SAMPLES] == list(np.linspace(lo, hi, SCAN_SAMPLES + 2)[1:-1])
 
 
 def test_triple_frame_midpoint_structure():
@@ -105,13 +119,96 @@ def test_move_energy_localizes_for_any_mean():
             gamma = float(10.0 ** rng.uniform(-1.0, 3.0))
             for k in sorted({0, n - 2, int(rng.integers(0, n - 1))}):
                 lo, hi = move_range(p, k)
-                along = _move_energy(p, k, gamma)
+                along, _ = _move_energy(p, k, gamma)
                 t0, t1 = (float(t) for t in rng.uniform(0.9 * lo, 0.9 * hi, size=2))
                 e0 = total_energy(apply_elementary_move(p, k, t0), gamma).total
                 e1 = total_energy(apply_elementary_move(p, k, t1), gamma).total
                 gap = abs(2.0 * math.pi * (along(t1) - along(t0)) - (e1 - e0))
                 worst = max(worst, gap / max(abs(e0), abs(e1)))
     assert worst <= 1e-12, f"localization gap {worst:.3e}"
+
+
+def _central_slope(f, x: float, h: float) -> float:
+    """Fourth-order central difference."""
+    return (f(x - 2.0 * h) - 8.0 * f(x - h) + 8.0 * f(x + h) - f(x + 2.0 * h)) / (12.0 * h)
+
+
+def test_move_energy_slope_matches_central_differences():
+    """The line-search slope is the derivative of the three-band energy."""
+    rng = np.random.default_rng(73)
+    patterns = [make_pattern(_seeded_heights(n, rng)) for n in range(2, 8) for _ in range(5)]
+    patterns += [random_tent_pattern(n, rng) for n in range(2, 8) for _ in range(2)]
+    patterns.append(make_pattern([-1.0 + 1e-4, -1.0 + 3e-4, 0.2, 1.0 - 2e-4]))  # near-pole frames
+    patterns.append(make_pattern([-0.3, 0.2, 0.2 + 1e-7, 0.7]))  # near-merged pair, moved and beside the move
+    worst = 0.0
+    for p in patterns:
+        gamma = float(10.0 ** rng.uniform(-1.0, 3.0))
+        for k in range(p.n - 1):
+            along, slope = _move_energy(p, k, gamma)
+            lo, hi = move_range(p, k)
+            t = float(rng.uniform(0.5 * lo, 0.5 * hi))
+            fd = _central_slope(along, t, 1e-3 * min(t - lo, hi - t))
+            worst = max(worst, abs(slope(t) - fd) / max(1.0, abs(slope(t))))
+    assert worst <= 1e-7, f"slope mismatch {worst:.3e}"
+
+
+def _frame_objective(p, k: int, gamma: float):
+    """(f, df, lo, hi) of the line search ``local_minimize`` runs on frame k."""
+    return (*_move_energy(p, k, gamma), *_search_range(p, k))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    gamma=st.floats(0.5, 1000.0),
+    tent=st.booleans(),
+)
+@example(seed=0, n=5, gamma=1.0, tent=False)
+def test_slope_min_matches_golden_section(seed, n, gamma, tent):
+    """The slope search ends no worse than the best grid sample, or than golden section."""
+    rng = np.random.default_rng(seed)
+    p = random_tent_pattern(n, rng) if tent else make_pattern(_seeded_heights(n, rng))
+    for k in range(p.n - 1):
+        f, df, lo, hi = _frame_objective(p, k, gamma)
+        if not lo < hi:
+            continue  # ``_frame_offset`` does not search this frame
+        best = min(f(float(x)) for x in np.linspace(lo, hi, SCAN_SAMPLES + 2)[1:-1])
+        _, f_golden = golden_min(f, lo, hi)
+        padded_ends = {lo + 1e-13 * (hi - lo), hi - 1e-13 * (hi - lo)}
+        for tol in (1e-12, 0.0):  # tol=0 runs to the rounding floor and still ends
+            seen = []
+            x, fx = _slope_min(f, lambda x: seen.append(x) or df(x), lo, hi, tol)
+            assert lo < x < hi and fx == f(x)
+            assert fx <= best
+            assert fx <= f_golden + 1e-12 * max(1.0, abs(f_golden))
+            assert not padded_ends & set(seen), "slope taken at a padded bracket end"
+
+
+def test_slope_min_keeps_the_best_grid_sample():
+    """Whatever the slope says, the result is no worse than the best grid sample."""
+    x, fx = _slope_min(lambda x: (x - 3.3) ** 2, lambda x: 2.0 * (x - 30.0), 0.0, 49.0, 1e-12)
+    assert (x, fx) == (3.0, (3.0 - 3.3) ** 2)
+
+
+def test_pole_frames_are_still_searched():
+    """A padded end that rounds onto a pole is raised off it, and the frame still moves."""
+    z = [-0.9999999994838008, -0.9999999987396467, -0.9999999978884276, 0.14886618347189373, 0.9999999988510189]
+    for p, k in ((make_pattern(z), 0), (make_pattern([-v for v in reversed(z)]), 3)):
+        lo, hi = move_range(p, k)
+        pad = 1e-9 * (hi - lo)
+        t_lo, t_hi = _search_range(p, k)
+        if k == 0:  # the padded end alone would put the moved interface on the pole
+            assert p.z[0] + (lo + pad) == -1.0
+            assert (p.z[0] + t_lo, t_hi) == (math.nextafter(-1.0, 0.0), hi - pad)
+        else:
+            assert p.z[-1] + (hi - pad) == 1.0
+            assert (t_lo, p.z[-1] + t_hi) == (lo + pad, math.nextafter(1.0, 0.0))
+        along, _ = _move_energy(p, k, 1.0)
+        _, e_golden = golden_min(along, t_lo, t_hi)
+        t, moved = _frame_offset(p, k, 1.0, MinimizeOptions())
+        assert t_lo < t < t_hi and along(t) <= e_golden + 1e-12 * abs(e_golden)
+        assert total_energy(moved, 1.0).total < total_energy(p, 1.0).total
 
 
 def test_elementary_move_bookkeeping():
@@ -274,6 +371,7 @@ def _assert_valid(p, m_start: float) -> None:
     gamma=st.floats(0.5, 50.0),
     tent=st.booleans(),
 )
+@example(seed=0, n=5, gamma=1.0, tent=False)  # a slope taken at an unsampled bracket end left the domain
 def test_descent_returns_valid_patterns(seed, n, gamma, tent):
     """A descent returns a strictly ordered interior pattern of the start's mass, or raises."""
     rng = np.random.default_rng(seed)
