@@ -26,9 +26,11 @@ at nodes k and k+3 does not move: bands k and k+2 keep their xi lines,
 band k+1's line shifts by (s_k - s_{k+1}) t, and only the two moved
 circles and those three bands depend on t.  Each evaluation is a few
 square roots and logarithms, independent of n, and its closed-form slope
-ends every frame's line search on a root (``_slope_min``).  The window
-profile serves the pole escape probe and the localization check of
-``verify``; the escapes keep golden section (``golden_min``).
+ends every frame's line search on a root (``_slope_min``).  The escapes
+run the same search: a slide off a pole or a merged pair is one strip move
+on that energy, and the pole escape probe searches the window profile on
+its own closed-form slope.  The window profile also serves the
+localization check of ``verify``.
 
 Cyclic sweeps of the per-frame scalar minimization drive a pattern to a
 fixed point.  Every move builds its result through the validating
@@ -54,8 +56,6 @@ from .errors import CycleLimit, DomainError, NoEscape, NonIncreasing, OrderingVi
 from .pattern import AxisymPattern, is_symmetric, make_pattern, mass_of_interfaces, xi_profile
 
 __all__ = [
-    "MASS_ZERO_TOL",
-    "MoveFrame",
     "MinimizeOptions",
     "CycleRecord",
     "MinimizeResult",
@@ -64,8 +64,6 @@ __all__ = [
     "profile_f",
     "segment_energy",
     "pole_limit",
-    "golden_min",
-    "triple_frame",
     "apply_elementary_move",
     "move_range",
     "local_minimize",
@@ -74,7 +72,6 @@ __all__ = [
     "boundary_escape",
 ]
 
-MASS_ZERO_TOL = 1e-12  # mean values below this count as zero for the profile
 DECREASE_TOL = 1e-13  # energy drops below this end a move or a sweep
 SCAN_SAMPLES = 48  # grid points of the pre-scan of every line search
 
@@ -88,6 +85,11 @@ def profile_f(x: float) -> float:
     return (1.0 - x) * math.log1p(-x) + (1.0 + x) * math.log1p(x)
 
 
+def _mid(a: float, b: float) -> tuple[float, float, float]:
+    """(s, 1 - s, 1 + s) for s = (a+b)/2, with 1 -+ s summed from 1 -+ a and 1 -+ b to stay accurate near a pole."""
+    return 0.5 * (a + b), 0.5 * ((1.0 - a) + (1.0 - b)), 0.5 * ((1.0 + a) + (1.0 + b))
+
+
 def segment_energy(x: float, alpha: float, beta: float, gamma: float) -> float:
     """Window energy profile e(x; alpha, beta, gamma), constant omitted.
 
@@ -96,19 +98,28 @@ def segment_energy(x: float, alpha: float, beta: float, gamma: float) -> float:
     """
     if not (-1.0 <= alpha < x < beta <= 1.0):
         raise DomainError(f"need -1 <= alpha < x < beta <= 1, got {(alpha, x, beta)!r}")
-    lo_mid = 0.5 * (alpha + x)
-    hi_mid = 0.5 * (x + beta)
-    e_p = math.sqrt(1.0 - lo_mid * lo_mid) + math.sqrt(1.0 - hi_mid * hi_mid)
-    e_nl = (alpha - x) * profile_f(lo_mid) + (x - beta) * profile_f(hi_mid)
+    lo, lo_m, lo_p = _mid(alpha, x)
+    hi, hi_m, hi_p = _mid(x, beta)
+    e_p = math.sqrt(lo_m * lo_p) + math.sqrt(hi_m * hi_p)
+    e_nl = (alpha - x) * profile_f(lo) + (x - beta) * profile_f(hi)
     return e_p + gamma * e_nl
+
+
+def _segment_slope(x: float, alpha: float, beta: float, gamma: float) -> float:
+    """Derivative in x of ``segment_energy``, with f'(s) = log(1+s) - log(1-s)."""
+    lo, lo_m, lo_p = _mid(alpha, x)
+    hi, hi_m, hi_p = _mid(x, beta)
+    d_p = -0.5 * (lo / math.sqrt(lo_m * lo_p) + hi / math.sqrt(hi_m * hi_p))
+    d_f = (alpha - x) * math.log(lo_p / lo_m) + (x - beta) * math.log(hi_p / hi_m)
+    return d_p + gamma * (profile_f(hi) - profile_f(lo) + 0.5 * d_f)
 
 
 def pole_limit(alpha: float, gamma: float) -> float:
     """Limit of e(x; alpha, 1, gamma) as the moved strip vanishes at the pole."""
     if not -1.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha!r} outside (-1, 1)")
-    mid = 0.5 * (1.0 + alpha)
-    return math.sqrt(1.0 - mid * mid) + gamma * (alpha - 1.0) * profile_f(mid)
+    mid, mid_m, mid_p = _mid(alpha, 1.0)
+    return math.sqrt(mid_m * mid_p) + gamma * (alpha - 1.0) * profile_f(mid)
 
 
 def _prescan(f, lo: float, hi: float, samples: int):
@@ -128,45 +139,18 @@ def _prescan(f, lo: float, hi: float, samples: int):
     return xs[i], vals[i], i, a, b
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_min(f, lo: float, hi: float, tol: float = 1e-12, samples: int = SCAN_SAMPLES):
-    """Grid pre-scan followed by golden-section refinement on (lo, hi).
-
-    Serves the escapes, which compare an absolute value with a degenerate
-    limit.  The pre-scan guards against the double-well shapes the window
-    profile develops near the poles.  Returns (x, f(x)).
-    """
-    _, _, _, a, b = _prescan(f, lo, hi, samples)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    # also stop once rounding keeps c and d from lying strictly inside (a, b):
-    # a tol below the bracket's float spacing would never be reached
-    while b - a > tol and a < c < d < b:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-def _slope_min(f, df, lo: float, hi: float, tol: float):
+def _slope_min(f, df, lo: float, hi: float, tol: float, samples: int = SCAN_SAMPLES):
     """Grid pre-scan of f on (lo, hi), then the root of its slope df in the best bracket.
 
+    The module's one line search: strip moves, slides and the pole window.
     Illinois regula falsi, bisecting while an end has no usable slope: a padded
     end (never evaluated) or a grid end whose slope has the wrong sign.  Stops
     at the rounding floor, or at width tol once both ends are usable.  Returns
     (x, f(x)), never worse than the best grid sample.
     """
-    x0, f0, i, a, b = _prescan(f, lo, hi, SCAN_SAMPLES)
+    x0, f0, i, a, b = _prescan(f, lo, hi, samples)
     da = min(df(a), 0.0) if i > 0 else 0.0  # 0.0: no usable slope
-    db = max(df(b), 0.0) if i < SCAN_SAMPLES - 1 else 0.0
+    db = max(df(b), 0.0) if i < samples - 1 else 0.0
     x, side = None, 0
     while b - a > tol or not da < 0.0 < db:
         t = 0.5 * (a + b)
@@ -188,52 +172,6 @@ def _slope_min(f, df, lo: float, hi: float, tol: float):
 
 
 # -------------------------------------------------------------------- frames
-
-
-@dataclass(frozen=True)
-class MoveFrame:
-    """Window for the elementary move of interfaces (k+1, k+2), 1-based.
-
-    alpha, x, beta are the xi roots bounding and splitting the moved strip
-    when they exist (poles are always roots for zero-mean patterns).
-    exact marks frames where the window profile reproduces the energy:
-    zero mean and a sign change of xi in each of the three bands involved.
-    """
-
-    k: int
-    alpha: float | None
-    x: float | None
-    beta: float | None
-    exact: bool
-
-
-def _band_roots(p: AxisymPattern) -> list[float | None]:
-    """Root of xi inside each sentinel band, None where xi does not cross."""
-    prof = xi_profile(p)
-    nd = p.nodes()
-    out: list[float | None] = []
-    for j in range(p.n + 1):
-        a, b = prof.nodes[j], prof.nodes[j + 1]
-        if a == 0.0:
-            out.append(nd[j])
-        elif a * b < 0.0:
-            out.append(nd[j] - a / prof.slopes[j])
-        else:
-            out.append(None)
-    return out
-
-
-def triple_frame(p: AxisymPattern, k: int) -> MoveFrame:
-    if not 0 <= k <= p.n - 2:
-        raise OutOfRange(f"frame index {k} outside 0..{p.n - 2}")
-    roots = _band_roots(p)
-    alpha = -1.0 if k == 0 else roots[k]
-    beta = 1.0 if k + 2 == p.n else roots[k + 2]
-    x = roots[k + 1]
-    exact = abs(p.m) <= MASS_ZERO_TOL and None not in (alpha, x, beta)
-    if exact and not alpha < x < beta:
-        exact = False  # sub-ulp bands collapse the window
-    return MoveFrame(k=k, alpha=alpha, x=x, beta=beta, exact=exact)
 
 
 def apply_elementary_move(p: AxisymPattern, k: int, t: float) -> AxisymPattern:
@@ -264,7 +202,7 @@ def move_range(p: AxisymPattern, k: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    # bracket width that ends a line search (in the offset t or an escape's slide); 0: the rounding floor
+    # bracket width in the strip offset t that ends a descent or slide line search; 0: the rounding floor
     x_tol: float = 1e-12
     max_cycles: int = 200
     symmetric: bool = False
@@ -482,11 +420,16 @@ class EscapeProbe:
 
 
 def escape_pole_frame(alpha: float, gamma: float, samples: int = 96) -> EscapeProbe:
-    """Minimize the pole window profile and compare with its x -> 1 limit."""
+    """Minimize the pole window profile on its slope and compare with its x -> 1 limit.
+
+    The grid is twice the descent's: at (alpha, gamma) = (0.12, 7.49894) 48
+    samples find the well inside and miss the deeper one at the pole.
+    """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1)")
-    x_star, e_star = golden_min(
-        lambda x: segment_energy(x, alpha, 1.0, gamma), alpha, 1.0, samples=samples
+    x_star, e_star = _slope_min(
+        lambda x: segment_energy(x, alpha, 1.0, gamma), lambda x: _segment_slope(x, alpha, 1.0, gamma),
+        alpha, 1.0, 1e-12, samples,
     )
     return EscapeProbe(alpha=alpha, gamma=gamma, x_star=x_star, e_star=e_star, limit=pole_limit(alpha, gamma))
 
@@ -499,6 +442,10 @@ def _slide_escape(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions) -> A
     ((alpha+s)/2, (s+1)/2) against the vanishing-cap limit (continuous
     there).  A merged pair (y, y) moves the strip (below, y) down by s
     against the merged limit with both coincident circles counted.
+
+    Either slide is the strip move of frame k by dt = ds/2 (pole) or -ds
+    (merged).  It is searched on the ``_move_energy`` of an anchor at the
+    middle of (lo, hi), over the padded range, which is symmetric in t.
     """
     zs = list(bp.z)
     m_b = bp.mass
@@ -512,6 +459,7 @@ def _slide_escape(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions) -> A
         if not lo < hi:
             raise DomainError("no room below the pole to slide the pair inward")
         limit = total_energy(make_pattern(body), gamma).total
+        k, dt_ds = len(zs) - 2, 0.5  # |dt/ds|
 
         def slid(s: float) -> tuple[float, ...]:
             return tuple(body[:-1] + [0.5 * (alpha + s), 0.5 * (s + 1.0)])
@@ -526,20 +474,19 @@ def _slide_escape(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions) -> A
         lo, hi = 0.0, below - floor
         reduced = make_pattern(zs[:j] + zs[j + 2 :])
         limit = total_energy(reduced, gamma).total + 2.0 * (2.0 * math.pi) * math.sqrt(1.0 - y * y)
+        k, dt_ds = j - 1, 1.0
 
         def slid(s: float) -> tuple[float, ...]:
             return tuple(zs[: j - 1] + [below - s, y - s] + zs[j + 1 :])
 
-    pad = 1e-9 * (hi - lo)
-    s_star, e_star = golden_min(
-        lambda s: total_energy(AxisymPattern(z=slid(s), m=m_b), gamma).total,
-        lo + pad,
-        hi - pad,
-        tol=opts.x_tol,
-    )
-    if not _beats(e_star, limit):
+    anchor = AxisymPattern(z=slid(0.5 * (lo + hi)), m=m_b)
+    reach = dt_ds * (0.5 - 1e-9) * (hi - lo)  # each end padded by 1e-9 of the width
+    along, slope = _move_energy(anchor, k, gamma)
+    t, _ = _slope_min(along, slope, -reach, reach, opts.x_tol)
+    moved = apply_elementary_move(anchor, k, t)
+    if not _beats(total_energy(moved, gamma).total, limit):
         raise NoEscape(f"{what} is locally optimal at gamma={gamma!r}")
-    return AxisymPattern(z=slid(s_star), m=m_b)
+    return moved
 
 
 def boundary_escape(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions = MinimizeOptions()) -> AxisymPattern:

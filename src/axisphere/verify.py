@@ -26,7 +26,6 @@ from .minimizer import (
     apply_elementary_move,
     escape_pole_frame,
     segment_energy,
-    triple_frame,
 )
 from .pattern import AxisymPattern, make_pattern, xi_profile
 from .potential import v_diff
@@ -55,6 +54,14 @@ def random_tent_pattern(count: int, rng: np.random.Generator) -> AxisymPattern:
             break
     full = np.concatenate(([-1.0], roots, [1.0]))
     return make_pattern(0.5 * (full[:-1] + full[1:]))
+
+
+def _tent_roots(p: AxisymPattern) -> list[float]:
+    """Zeros -1 = r_0 < ... < r_n = 1 of xi of a ``random_tent_pattern``: r_{i+1} = 2 z_i - r_i."""
+    roots = [-1.0]
+    for z in p.z[:-1]:
+        roots.append(2.0 * z - roots[-1])
+    return roots + [1.0]
 
 
 def _xi_interp(p: AxisymPattern):
@@ -123,13 +130,11 @@ def run_verify(seed: int = 20240817) -> list[VerifyCheck]:
         p = random_tent_pattern(int(rng.integers(2, 6)), rng)
         gamma = float(rng.uniform(0.2, 5.0))
         k = int(rng.integers(0, p.n - 1))
-        fr = triple_frame(p, k)
-        span = min(fr.x - fr.alpha, fr.beta - fr.x)
+        alpha, x, beta = _tent_roots(p)[k : k + 3]
+        span = min(x - alpha, beta - x)
         t = float(rng.uniform(-0.2, 0.2)) * 0.5 * span
         moved = apply_elementary_move(p, k, t)
-        de_profile = segment_energy(fr.x + 2.0 * t, fr.alpha, fr.beta, gamma) - segment_energy(
-            fr.x, fr.alpha, fr.beta, gamma
-        )
+        de_profile = segment_energy(x + 2.0 * t, alpha, beta, gamma) - segment_energy(x, alpha, beta, gamma)
         de_full = (total_energy(moved, gamma).total - total_energy(p, gamma).total) / (2.0 * math.pi)
         worst = max(worst, abs(de_profile - de_full))
     checks.append(_check("move-profile-localization", worst <= 1e-10, f"worst abs {worst:.2e}"))

@@ -1,6 +1,7 @@
 import io
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,28 +11,51 @@ from axisphere.criticality import residuals
 from axisphere.energy import total_energy
 from axisphere.errors import CycleLimit, DomainError, NoEscape, OrderingViolated, OutOfRange
 from axisphere.minimizer import (
-    MASS_ZERO_TOL,
     SCAN_SAMPLES,
     BoundaryPattern,
     MinimizeOptions,
+    _beats,
     _frame_offset,
     _move_energy,
+    _prescan,
     _search_range,
+    _segment_slope,
     _slope_min,
     apply_elementary_move,
     boundary_escape,
     escape_pole_frame,
-    golden_min,
     local_minimize,
     move_range,
     pole_limit,
     profile_f,
     segment_energy,
     trace_to_csv,
-    triple_frame,
 )
-from axisphere.pattern import make_pattern, mass_of_interfaces
-from axisphere.verify import random_tent_pattern
+from axisphere.pattern import AxisymPattern, make_pattern, mass_of_interfaces
+from axisphere.verify import _tent_roots, random_tent_pattern
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, lo: float, hi: float, tol: float = 1e-12, samples: int = SCAN_SAMPLES):
+    """Reference line search: the same grid pre-scan, then golden section in the best bracket.
+
+    Returns (x, f(x)); the slope search is checked against it.
+    """
+    _, _, _, a, b = _prescan(f, lo, hi, samples)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol and a < c < d < b:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def test_profile_f_basics():
@@ -41,49 +65,15 @@ def test_profile_f_basics():
     assert profile_f(0.5) > 0.0
 
 
-def test_golden_min_quartic():
-    x, fx = golden_min(lambda x: (x - 0.3) ** 4 + 1.0, -1.0, 1.0, tol=1e-14)
-    assert abs(x - 0.3) <= 1e-3  # quartic floor limits the bracket, not the driver
-    assert fx == pytest.approx(1.0, abs=1e-12)
-    x2, _ = golden_min(lambda x: (x - 0.3) ** 2, -1.0, 1.0, tol=1e-14)
-    assert abs(x2 - 0.3) <= 1e-7
-
-
-def test_golden_min_stops_at_rounding_floor():
-    # tol=0 lies below any bracket's float spacing; the search ends when the
-    # interior points stop moving strictly inside the bracket
-    x, fx = golden_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0, tol=0.0)
-    assert abs(x - 0.3) <= 1e-7 and fx <= 1e-14
-
-
 def test_prescan_grid_is_linspace():
     """The pre-scan grid lo + i*step reproduces np.linspace bit for bit."""
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        lo, hi = sorted(float(v) for v in rng.uniform(-1.0, 1.0, size=2))
-        seen = []
-        golden_min(lambda x: seen.append(x) or (x - 0.1) ** 2, lo, hi)
-        assert seen[:SCAN_SAMPLES] == list(np.linspace(lo, hi, SCAN_SAMPLES + 2)[1:-1])
-
-
-def test_triple_frame_midpoint_structure():
-    rng = np.random.default_rng(62)
-    for _ in range(15):
-        p = random_tent_pattern(int(rng.integers(2, 7)), rng)
-        for k in range(p.n - 1):
-            fr = triple_frame(p, k)
-            assert fr.exact
-            assert p.z[k] == pytest.approx(0.5 * (fr.alpha + fr.x), abs=1e-12)
-            assert p.z[k + 1] == pytest.approx(0.5 * (fr.x + fr.beta), abs=1e-12)
-    with pytest.raises(OutOfRange):
-        triple_frame(make_pattern([-0.5, 0.5]), 1)
-
-
-def test_frame_not_exact_for_skew_mass():
-    # nonzero mean: xi never returns to zero between some circles
-    p = make_pattern([-0.2, 0.3])
-    assert abs(p.m) > 0.1
-    assert not triple_frame(p, 0).exact
+    for samples in (SCAN_SAMPLES, 96):
+        for _ in range(25):
+            lo, hi = sorted(float(v) for v in rng.uniform(-1.0, 1.0, size=2))
+            seen = []
+            _slope_min(lambda x: seen.append(x) or (x - 0.1) ** 2, lambda x: 2.0 * (x - 0.1), lo, hi, 1e-12, samples)
+            assert seen[:samples] == list(np.linspace(lo, hi, samples + 2)[1:-1])
 
 
 def test_window_profile_localizes_the_energy():
@@ -93,16 +83,14 @@ def test_window_profile_localizes_the_energy():
     for _ in range(12):
         p = random_tent_pattern(int(rng.integers(2, 6)), rng)
         k = int(rng.integers(0, p.n - 1))
-        fr = triple_frame(p, k)
+        alpha, x, beta = _tent_roots(p)[k : k + 3]
         lo, hi = move_range(p, k)
         # stay inside both the collision range and the root window
-        t_lo = max(lo, 0.5 * (fr.alpha - fr.x))
-        t_hi = min(hi, 0.5 * (fr.beta - fr.x))
+        t_lo = max(lo, 0.5 * (alpha - x))
+        t_hi = min(hi, 0.5 * (beta - x))
         t = float(rng.uniform(0.35 * t_lo, 0.35 * t_hi))
         q = apply_elementary_move(p, k, t)
-        lhs = segment_energy(fr.x + 2.0 * t, fr.alpha, fr.beta, 1.75) - segment_energy(
-            fr.x, fr.alpha, fr.beta, 1.75
-        )
+        lhs = segment_energy(x + 2.0 * t, alpha, beta, 1.75) - segment_energy(x, alpha, beta, 1.75)
         rhs = (total_energy(q, 1.75).total - total_energy(p, 1.75).total) / (2.0 * math.pi)
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-10, f"localization gap {worst:.3e}"
@@ -115,7 +103,7 @@ def test_move_energy_localizes_for_any_mean():
     for n in range(2, 9):
         for _ in range(12):
             p = make_pattern(_seeded_heights(n, rng))
-            assert abs(p.m) > MASS_ZERO_TOL
+            assert abs(p.m) > 1e-12
             gamma = float(10.0 ** rng.uniform(-1.0, 3.0))
             for k in sorted({0, n - 2, int(rng.integers(0, n - 1))}):
                 lo, hi = move_range(p, k)
@@ -152,6 +140,23 @@ def test_move_energy_slope_matches_central_differences():
     assert worst <= 1e-7, f"slope mismatch {worst:.3e}"
 
 
+def test_segment_slope_matches_central_differences():
+    """The pole window's slope is the derivative of the window profile."""
+    rng = np.random.default_rng(29)
+    windows = [tuple(sorted(float(v) for v in rng.uniform(-1.0, 1.0, size=3))) for _ in range(40)]
+    windows += [(-1.0, float(x), float(b)) for x, b in (sorted(rng.uniform(-1.0, 1.0, size=2)) for _ in range(10))]
+    windows += [(float(a), float(x), 1.0) for a, x in (sorted(rng.uniform(0.0, 1.0, size=2)) for _ in range(10))]
+    windows += [(0.6, 1.0 - 1e-6, 1.0), (-1.0, -0.999999, -0.999997)]  # mids near a pole
+    worst = 0.0
+    for alpha, x, beta in windows:
+        gamma = float(10.0 ** rng.uniform(-2.0, 4.0))
+        along = lambda s: segment_energy(s, alpha, beta, gamma)  # noqa: E731
+        slope = _segment_slope(x, alpha, beta, gamma)
+        fd = _central_slope(along, x, 1e-3 * min(x - alpha, beta - x))
+        worst = max(worst, abs(slope - fd) / max(1.0, abs(slope)))
+    assert worst <= 1e-7, f"slope mismatch {worst:.3e}"
+
+
 def _frame_objective(p, k: int, gamma: float):
     """(f, df, lo, hi) of the line search ``local_minimize`` runs on frame k."""
     return (*_move_energy(p, k, gamma), *_search_range(p, k))
@@ -174,7 +179,7 @@ def test_slope_min_matches_golden_section(seed, n, gamma, tent):
         if not lo < hi:
             continue  # ``_frame_offset`` does not search this frame
         best = min(f(float(x)) for x in np.linspace(lo, hi, SCAN_SAMPLES + 2)[1:-1])
-        _, f_golden = golden_min(f, lo, hi)
+        _, f_golden = _golden_min(f, lo, hi)
         padded_ends = {lo + 1e-13 * (hi - lo), hi - 1e-13 * (hi - lo)}
         for tol in (1e-12, 0.0):  # tol=0 runs to the rounding floor and still ends
             seen = []
@@ -189,6 +194,10 @@ def test_slope_min_keeps_the_best_grid_sample():
     """Whatever the slope says, the result is no worse than the best grid sample."""
     x, fx = _slope_min(lambda x: (x - 3.3) ** 2, lambda x: 2.0 * (x - 30.0), 0.0, 49.0, 1e-12)
     assert (x, fx) == (3.0, (3.0 - 3.3) ** 2)
+    # the best sample is the last of a short grid: the bracket ends on the padded end, whose slope is never taken
+    seen = []
+    x, _ = _slope_min(lambda x: (x - 1.0) ** 2, lambda x: seen.append(x) or 2.0 * (x - 1.0), 0.0, 1.0, 1e-12, 8)
+    assert 8.0 / 9.0 < x < 1.0 and 1.0 - 1e-13 not in seen
 
 
 def test_pole_frames_are_still_searched():
@@ -205,7 +214,7 @@ def test_pole_frames_are_still_searched():
             assert p.z[-1] + (hi - pad) == 1.0
             assert (t_lo, p.z[-1] + t_hi) == (lo + pad, math.nextafter(1.0, 0.0))
         along, _ = _move_energy(p, k, 1.0)
-        _, e_golden = golden_min(along, t_lo, t_hi)
+        _, e_golden = _golden_min(along, t_lo, t_hi)
         t, moved = _frame_offset(p, k, 1.0, MinimizeOptions())
         assert t_lo < t < t_hi and along(t) <= e_golden + 1e-12 * abs(e_golden)
         assert total_energy(moved, 1.0).total < total_energy(p, 1.0).total
@@ -292,6 +301,48 @@ def test_pole_window_probe():
     assert not weak.escaped
     with pytest.raises(DomainError):
         escape_pole_frame(1.2, 1.0)
+
+
+def test_pole_window_matches_golden_section():
+    """The slope search decides every pole window as golden section does, and ends no higher."""
+    cases = [(float(a), float(g)) for a in np.linspace(0.05, 0.95, 7) for g in np.logspace(-2.0, 5.0, 15)]
+    for alpha, gamma in cases + [(0.12, 7.49894)]:
+        probe = escape_pole_frame(alpha, gamma)
+        _, e_ref = _golden_min(lambda x: segment_energy(x, alpha, 1.0, gamma), alpha, 1.0, samples=96)
+        assert alpha < probe.x_star < 1.0 and probe.e_star == segment_energy(probe.x_star, alpha, 1.0, gamma)
+        assert probe.escaped == _beats(e_ref, probe.limit), (alpha, gamma)
+        assert probe.e_star <= e_ref + 1e-12 * max(1.0, abs(e_ref)), (alpha, gamma)
+    # a well inside and a deeper one at the pole: 48 samples miss the pole side
+    inner = escape_pole_frame(0.12, 7.49894, samples=SCAN_SAMPLES)
+    assert inner.x_star == pytest.approx(0.866, abs=1e-3) and inner.e_star == pytest.approx(-1.28921, abs=1e-5)
+    pole_side = escape_pole_frame(0.12, 7.49894)
+    assert pole_side.x_star > 0.999 and pole_side.e_star == pytest.approx(-1.36555, abs=1e-5)
+
+
+def test_window_terms_near_the_poles_match_mpmath():
+    """Window energy, slope and pole limit keep 1e-12 relative accuracy with mids near a pole."""
+
+    def f(s):
+        return (1 - s) * mp.log(1 - s) + (1 + s) * mp.log(1 + s)
+
+    def energy(x, alpha, beta, gamma):
+        lo, hi = (alpha + x) / 2, (x + beta) / 2
+        return mp.sqrt(1 - lo * lo) + mp.sqrt(1 - hi * hi) + gamma * ((alpha - x) * f(lo) + (x - beta) * f(hi))
+
+    def rel(got, ref):
+        return float(abs(mp.mpf(got) - ref) / abs(ref))
+
+    with mp.workdps(50):
+        for alpha, x, beta in ((0.6, 1.0 - 1e-9, 1.0), (0.6, 1.0 - 1e-12, 1.0), (-1.0, -0.999999, -0.999997)):
+            for gamma in (1.0, 30.0):
+                a, xm, b = (mp.mpf(v) for v in (alpha, x, beta))
+                slope = mp.diff(lambda s: energy(s, a, b, gamma), xm)
+                assert rel(_segment_slope(x, alpha, beta, gamma), slope) <= 1e-12, (alpha, x, beta, gamma)
+                assert rel(segment_energy(x, alpha, beta, gamma), energy(xm, a, b, gamma)) <= 1e-12
+        for alpha in (0.6, 1.0 - 1e-9, -1.0 + 1e-9):
+            mid = (1 + mp.mpf(alpha)) / 2
+            limit = mp.sqrt(1 - mid * mid) + 2.0 * (mp.mpf(alpha) - 1) * f(mid)
+            assert rel(pole_limit(alpha, 2.0), limit) <= 1e-12, alpha
 
 
 def test_window_profile_continuous_at_vanishing_cap():
@@ -383,6 +434,41 @@ def test_descent_returns_valid_patterns(seed, n, gamma, tent):
     _assert_valid(res.pattern, p.m)
 
 
+def _golden_slide(bp: BoundaryPattern, gamma: float) -> tuple[float, float]:
+    """Reference escape: golden section on the full energy along the slide, in the slide's own s.
+
+    Takes the slide ``boundary_escape`` takes, reflected as it does; returns
+    (the best full energy found, the degenerate limit value).
+    """
+    if bp.z[0] == -1.0 or bp.z[0] == bp.z[1]:
+        bp = bp.reflected()
+    zs = list(bp.z)
+    if bp.kind == "pole":
+        body = zs[:-1]
+        alpha = 2.0 * body[-1] - 1.0
+        below = body[-2] if len(body) >= 2 else -1.0
+        lo, hi = max(alpha, 2.0 * below - alpha, -2.0 - alpha), 1.0
+        limit = total_energy(make_pattern(body), gamma).total
+
+        def slid(s):
+            return body[:-1] + [0.5 * (alpha + s), 0.5 * (s + 1.0)]
+
+    else:
+        j = next(i for i, (a, b) in enumerate(zip(zs, zs[1:])) if a == b)
+        y, below = zs[j], zs[j - 1]
+        lo, hi = 0.0, below - (zs[j - 2] if j >= 2 else -1.0)
+        limit = total_energy(make_pattern(zs[:j] + zs[j + 2 :]), gamma).total + 4.0 * math.pi * math.sqrt(1.0 - y * y)
+
+        def slid(s):
+            return zs[: j - 1] + [below - s, y - s] + zs[j + 1 :]
+
+    pad = 1e-9 * (hi - lo)
+    _, e_ref = _golden_min(
+        lambda s: total_energy(AxisymPattern(z=tuple(slid(s)), m=bp.mass), gamma).total, lo + pad, hi - pad
+    )
+    return e_ref, limit
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -391,7 +477,11 @@ def test_descent_returns_valid_patterns(seed, n, gamma, tent):
     kind=st.sampled_from(["north", "south", "merged"]),
 )
 def test_boundary_escape_returns_valid_patterns(seed, n, gamma, kind):
-    """An escape from a pole contact or a merged pair returns a valid pattern, or raises."""
+    """An escape from a pole contact or a merged pair returns a valid pattern, or raises.
+
+    It escapes exactly when golden section along the slide beats the limit,
+    and ends no higher than golden section.
+    """
     rng = np.random.default_rng(seed)
     z = _seeded_heights(n, rng)
     if kind == "north":
@@ -404,17 +494,24 @@ def test_boundary_escape_returns_valid_patterns(seed, n, gamma, kind):
     bp = BoundaryPattern(z=tuple(z))
     try:
         out = boundary_escape(bp, gamma)
-    except (NoEscape, DomainError):
+    except DomainError:
+        return
+    except NoEscape:
+        e_ref, limit = _golden_slide(bp, gamma)
+        assert not _beats(e_ref, limit)
         return
     assert len(out.z) == len(z)
     _assert_valid(out, bp.mass)
+    e_ref, limit = _golden_slide(bp, gamma)
+    assert _beats(e_ref, limit)
+    assert total_energy(out, gamma).total <= e_ref + 1e-12 * abs(e_ref)
 
 
 @pytest.mark.parametrize("seed, n, gamma", [(1, 3, 300.0), (2, 4, 500.0), (3, 5, 800.0)])
 def test_nonzero_mean_descent_ends_stationary(seed, n, gamma):
     """Along every elementary move the result is a minimum of the full energy."""
     p = make_pattern(_seeded_heights(n, np.random.default_rng(seed)))
-    assert abs(p.m) > MASS_ZERO_TOL
+    assert abs(p.m) > 1e-12
     q = local_minimize(p, gamma).pattern
     e0 = total_energy(q, gamma).total
     slack = 1e-12 * abs(e0)
