@@ -202,7 +202,7 @@ def move_range(p: AxisymPattern, k: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    # bracket width in the strip offset t that ends a descent or slide line search; 0: the rounding floor
+    # bracket width that ends a line search (in the offset t, or an escape's slide parameter s); 0: the rounding floor
     x_tol: float = 1e-12
     max_cycles: int = 200
     symmetric: bool = False
@@ -274,22 +274,26 @@ def _move_energy(p: AxisymPattern, k: int, gamma: float):
     return energy, slope
 
 
-def _search_range(p: AxisymPattern, k: int) -> tuple[float, float]:
-    """``move_range`` of frame k padded by 1e-9 of its width, ends kept off the poles.
+def _off_poles(p: AxisymPattern, k: int, t_lo: float, t_hi: float) -> tuple[float, float]:
+    """Offsets (t_lo, t_hi) of frame k with each end kept off the poles.
 
-    A padded end that would round a moved interface onto a pole is raised to
-    the nearest offset that does not; such a range is below about 1e-7 wide,
-    so the moved interface lies within [-1, -0.5] (or [0.5, 1]) and the
-    subtraction is exact.
+    An end padded by 1e-9 of the range's width that would still round a
+    moved interface onto a pole is raised to the nearest offset that does
+    not; such a range is below about 1e-7 wide, so the moved interface lies
+    within [-1, -0.5] (or [0.5, 1]) and the subtraction is exact.
     """
-    t_lo, t_hi = move_range(p, k)
-    pad = 1e-9 * (t_hi - t_lo)
-    t_lo, t_hi = t_lo + pad, t_hi - pad
     if not -1.0 < p.z[k] + t_lo:
         t_lo = math.nextafter(-1.0, 0.0) - p.z[k]
     if not p.z[k + 1] + t_hi < 1.0:
         t_hi = math.nextafter(1.0, 0.0) - p.z[k + 1]
     return t_lo, t_hi
+
+
+def _search_range(p: AxisymPattern, k: int) -> tuple[float, float]:
+    """``move_range`` of frame k padded by 1e-9 of its width, ends kept off the poles."""
+    t_lo, t_hi = move_range(p, k)
+    pad = 1e-9 * (t_hi - t_lo)
+    return _off_poles(p, k, t_lo + pad, t_hi - pad)
 
 
 def _frame_offset(p: AxisymPattern, k: int, gamma: float, opts: MinimizeOptions) -> tuple[float, AxisymPattern] | None:
@@ -445,7 +449,8 @@ def _slide_escape(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions) -> A
 
     Either slide is the strip move of frame k by dt = ds/2 (pole) or -ds
     (merged).  It is searched on the ``_move_energy`` of an anchor at the
-    middle of (lo, hi), over the padded range, which is symmetric in t.
+    middle of (lo, hi), over the padded range kept off the poles, with
+    ``x_tol`` scaled to t so that it still bounds the width in s.
     """
     zs = list(bp.z)
     m_b = bp.mass
@@ -482,7 +487,7 @@ def _slide_escape(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions) -> A
     anchor = AxisymPattern(z=slid(0.5 * (lo + hi)), m=m_b)
     reach = dt_ds * (0.5 - 1e-9) * (hi - lo)  # each end padded by 1e-9 of the width
     along, slope = _move_energy(anchor, k, gamma)
-    t, _ = _slope_min(along, slope, -reach, reach, opts.x_tol)
+    t, _ = _slope_min(along, slope, *_off_poles(anchor, k, -reach, reach), opts.x_tol * dt_ds)
     moved = apply_elementary_move(anchor, k, t)
     if not _beats(total_energy(moved, gamma).total, limit):
         raise NoEscape(f"{what} is locally optimal at gamma={gamma!r}")

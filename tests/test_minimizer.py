@@ -1,7 +1,6 @@
 import io
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -321,6 +320,7 @@ def test_pole_window_matches_golden_section():
 
 def test_window_terms_near_the_poles_match_mpmath():
     """Window energy, slope and pole limit keep 1e-12 relative accuracy with mids near a pole."""
+    import mpmath as mp
 
     def f(s):
         return (1 - s) * mp.log(1 - s) + (1 + s) * mp.log(1 + s)
@@ -505,6 +505,33 @@ def test_boundary_escape_returns_valid_patterns(seed, n, gamma, kind):
     e_ref, limit = _golden_slide(bp, gamma)
     assert _beats(e_ref, limit)
     assert total_energy(out, gamma).total <= e_ref + 1e-12 * abs(e_ref)
+
+
+@pytest.mark.parametrize(
+    "z, escapes",
+    [
+        ((-0.5, 1.0 - 1e-8, 1.0), False),
+        ((-1.0, -1.0 + 1e-8, 0.5), False),
+        ((-1.0 + 1e-8, 0.3, 0.3), True),
+        ((-0.3, -0.3, 1.0 - 1e-8), True),
+    ],
+)
+def test_slides_next_to_a_pole_stay_off_it(z, escapes):
+    """A slide whose moved interface ends within 1e-8 of a pole never evaluates on the pole.
+
+    The pole slides slope downhill all the way to the pole, and the merged
+    slides with nothing below the strip run down to the south pole.
+    """
+    bp = BoundaryPattern(z=z)
+    e_ref, limit = _golden_slide(bp, 0.5)
+    assert _beats(e_ref, limit) == escapes
+    if not escapes:
+        with pytest.raises(NoEscape):
+            boundary_escape(bp, 0.5)
+        return
+    out = boundary_escape(bp, 0.5)
+    _assert_valid(out, bp.mass)
+    assert total_energy(out, 0.5).total <= e_ref + 1e-12 * abs(e_ref)
 
 
 @pytest.mark.parametrize("seed, n, gamma", [(1, 3, 300.0), (2, 4, 500.0), (3, 5, 800.0)])
