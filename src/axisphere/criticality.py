@@ -10,9 +10,8 @@ difference system
 closed by the mean-value constraint R_n = m(z) - m_target.  The system is
 solved by a damped Newton iteration on validated patterns with the exact
 Jacobian: v' = xi/(1 - z^2) and xi moves with z_i by a step at z_i plus a
-linear term, so every entry is a closed form in the xi nodes, logs and
-atanh differences.  Gamma families are traced by predictor-corrector
-continuation.
+linear term, so every entry is a closed form in the xi nodes and the band
+logs.  Gamma families are traced by predictor-corrector continuation.
 
 Two one-parameter families admit closed-form couplings gamma(z1): the
 symmetric three-interface family {-z1, 0, z1} and the four-interface
@@ -36,7 +35,7 @@ from .errors import (
     NonPositive,
     OutOfRange,
 )
-from .pattern import AxisymPattern, kappa_g, make_pattern, xi_profile
+from .pattern import AxisymPattern, _band_terms, kappa_g, make_pattern, xi_profile
 from .potential import v_at_interfaces, v_diff
 
 __all__ = [
@@ -116,18 +115,20 @@ def _jacobian(p: AxisymPattern, gamma: float) -> np.ndarray:
 
     Moving z_i changes xi by -2 s_i H(z - z_i) + s_i (z + 1), s_i = (-1)^(i+1),
     so with v' = xi/(1 - z^2) row k (k = 1..n-1) is
-    [i = k+1] d_{k+1} - [i = k] d_k + 4 gamma s_i (L_k - 2 [i <= k] A_k),
-    where d_i = s_i (1 - z_i^2)^(-3/2) + 4 gamma xi_i / (1 - z_i^2),
-    L_k = log((1 - z_k)/(1 - z_{k+1})) and A_k = atanh z_{k+1} - atanh z_k;
-    the mass row is dm/dz_i = -s_i.
+    [i = k+1] d_{k+1} - [i = k] d_k + 4 gamma s_i (L1_k - 2 [i <= k] A_k),
+    where d_i = s_i (1 - z_i^2)^(-3/2) + 4 gamma xi_i / (1 - z_i^2), L1_k and
+    L2_k are band k's logs from ``_band_terms`` and
+    A_k = (L1_k + L2_k)/2 = atanh z_{k+1} - atanh z_k; the mass row is
+    dm/dz_i = -s_i.
     """
     n = p.n
     z = np.array(p.z)
     q = 1.0 - z * z
     sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    d = sign / (q * np.sqrt(q)) + 4.0 * gamma * np.array(xi_profile(p).nodes[1:-1]) / q
-    log_gap = np.log((1.0 - z[:-1]) / (1.0 - z[1:]))
-    stretch = np.diff(np.arctanh(z))
+    prof = xi_profile(p)
+    d = sign / (q * np.sqrt(q)) + 4.0 * gamma * np.array(prof.nodes[1:-1]) / q
+    logs = np.array([_band_terms(p, prof, k)[2:] for k in range(1, n)]).reshape(n - 1, 2)
+    log_gap, stretch = logs[:, 0], 0.5 * (logs[:, 0] + logs[:, 1])
     jac = np.empty((n, n))
     jac[:-1] = 4.0 * gamma * sign * (log_gap[:, None] - 2.0 * np.tri(n - 1, n) * stretch[:, None])
     rows = np.arange(n - 1)
@@ -253,6 +254,16 @@ def _check_open(z1: float, lo: float, hi: float) -> None:
         raise OutOfRange(f"z1={z1!r} outside ({lo}, {hi})")
 
 
+def _den_3(t: float) -> float:
+    """Bracket of the three-interface coupling, a quarter of its denominator."""
+    return t * math.log1p(t) - (t - 1.0) * math.log1p(-t)
+
+
+def _den_4(t: float) -> float:
+    """Bracket of the four-interface coupling, a quarter of its denominator."""
+    return -t * math.log((1.0 + t) / (0.5 + t)) - (t - 1.0) * math.log((1.5 - t) / (1.0 - t))
+
+
 def gamma_of_z1_3(z1: float) -> float:
     """Coupling at which {-z1, 0, z1} is critical, 0 < z1 < 1.
 
@@ -260,7 +271,7 @@ def gamma_of_z1_3(z1: float) -> float:
     tends to 1/4 as z1 -> 0+ and blows up where the bracket vanishes.
     """
     _check_open(z1, 0.0, 1.0)
-    den = 4.0 * (z1 * math.log1p(z1) - (z1 - 1.0) * math.log1p(-z1))
+    den = 4.0 * _den_3(z1)
     if abs(den) <= 1e-12:
         raise Asymptote(f"three-interface denominator vanishes at z1={z1!r}")
     return -(z1 / math.sqrt(1.0 - z1 * z1)) / den
@@ -271,10 +282,7 @@ def gamma_of_z1_4(z1: float) -> float:
     _check_open(z1, 0.5, 1.0)
     w = z1 - 0.5
     num = z1 / math.sqrt(1.0 - z1 * z1) + w / math.sqrt(1.0 - w * w)
-    den = 4.0 * (
-        -z1 * math.log((1.0 + z1) / (0.5 + z1))
-        - (z1 - 1.0) * math.log((1.5 - z1) / (1.0 - z1))
-    )
+    den = 4.0 * _den_4(z1)
     if abs(den) <= 1e-12:
         raise Asymptote(f"four-interface denominator vanishes at z1={z1!r}")
     return num / den
@@ -302,20 +310,12 @@ def _bisect_root(f, lo: float, hi: float, tol: float = 1e-10) -> float:
 
 def denominator_root_3(tol: float = 1e-10) -> float:
     """Vertical asymptote of the three-interface branch (about 0.69)."""
-    return _bisect_root(
-        lambda t: t * math.log1p(t) - (t - 1.0) * math.log1p(-t), 0.5, 0.8, tol
-    )
+    return _bisect_root(_den_3, 0.5, 0.8, tol)
 
 
 def denominator_root_4(tol: float = 1e-10) -> float:
     """Vertical asymptote of the four-interface branch (about 0.7855)."""
-
-    def den(t: float) -> float:
-        return -t * math.log((1.0 + t) / (0.5 + t)) - (t - 1.0) * math.log(
-            (1.5 - t) / (1.0 - t)
-        )
-
-    return _bisect_root(den, 0.6, 0.99, tol)
+    return _bisect_root(_den_4, 0.6, 0.99, tol)
 
 
 # ------------------------------------------------------- uniform placements
@@ -391,9 +391,9 @@ def uniform_criticality_check(count: int, gamma_max: float = 1e4) -> UniformChec
     # constrains nothing and is recorded as None.
     candidates: list[float | None] = []
     unsatisfiable = False
-    for k in range(1, p.n):
-        dk = kappa_g(p, k + 1) - kappa_g(p, k)
-        dv = v_diff(p, k)
+    dks = [kappa_g(p, k + 1) - kappa_g(p, k) for k in range(1, p.n)]
+    dvs = [v_diff(p, k) for k in range(1, p.n)]
+    for dk, dv in zip(dks, dvs):
         if abs(dv) <= 1e-12:  # equal potentials: rounding noise, not a ratio
             candidates.append(None)
             unsatisfiable = unsatisfiable or abs(dk) > 1e-12
@@ -425,9 +425,9 @@ def uniform_criticality_check(count: int, gamma_max: float = 1e4) -> UniformChec
     else:
         obstruction = "consecutive pairs demand different couplings"
 
-    floor = math.inf
-    for g in np.geomspace(1e-3, gamma_max, 60):
-        floor = min(floor, float(np.max(np.abs(residuals(p, float(g))[:-1]))))
+    # the residual rows dk + 4*gamma*dv over the sweep, as ``residuals`` forms them
+    rows = np.array(dks) + (4.0 * np.geomspace(1e-3, gamma_max, 60))[:, None] * np.array(dvs)
+    floor = float(np.min(np.max(np.abs(rows), axis=1)))
     return UniformCheck(
         count=count,
         all_gamma=False,
@@ -456,7 +456,7 @@ def polar_cap_bound(gamma: float) -> float:
 
 
 def stretched_gap_variance(p: AxisymPattern) -> float:
-    """Variance of the gaps between the stretched heights atanh(z_k)."""
-    stretched = [math.atanh(v) for v in p.z]
-    gaps = [b - a for a, b in zip(stretched, stretched[1:])]
+    """Variance of the gaps atanh(z_{k+1}) - atanh(z_k), each (L1 + L2)/2 of ``_band_terms``."""
+    prof = xi_profile(p)
+    gaps = [0.5 * (l1 + l2) for _, _, l1, l2 in (_band_terms(p, prof, k) for k in range(1, p.n))]
     return float(np.var(gaps)) if gaps else 0.0

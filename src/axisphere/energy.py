@@ -4,15 +4,8 @@ Two ingredients: the interface perimeter 2*pi*sum_k sqrt(1 - z_k^2), and a
 long-range term gamma * 2*pi * integral of xi(z)^2 / (1 - z^2) over [-1, 1],
 where xi is the pattern's antiderivative profile.  The integral has a
 closed form: on each band the integrand is a shifted parabola over 1 - z^2,
-
-    int_{z_j}^{z_{j+1}} (xi_j + s_j (z - z_j))^2 / (1 - z^2) dz
-      = -s_j^2 (z_{j+1} - z_j)
-        + (c1_j^2 / 2) * log((1 - z_j) / (1 - z_{j+1}))
-        + (c2_j^2 / 2) * log((1 + z_{j+1}) / (1 + z_j))
-
-with c1_j = xi_j + s_j (1 - z_j) and c2_j = xi_j - s_j (1 + z_j).  At the
-poles one coefficient vanishes identically because xi(+-1) = 0, so the
-divergent logarithm is dropped analytically rather than evaluated as 0*inf.
+and band j contributes -s_j^2 (z_{j+1} - z_j) + c1^2/2 L1 + c2^2/2 L2 in the
+coefficients, logs and pole rule of ``pattern._band_terms``.
 
 The quadrature route integrates the same band integrands adaptively after
 cancelling the pole factor by hand; it exists purely as an independent
@@ -29,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyRange, OutOfRange
-from .pattern import AxisymPattern, make_pattern, xi_profile
+from .pattern import AxisymPattern, _band_terms, make_pattern, xi_profile
 from .quadrature import QuadratureSpec, integrate_adaptive
 
 __all__ = [
@@ -81,20 +74,14 @@ def nonlocal_closed(p: AxisymPattern, gamma: float) -> tuple[float, tuple[float,
     """Closed-form long-range energy and its per-band split.
 
     Returns (value, per_segment).  Band j contributes
-    2*pi*gamma * [ -s_j^2 dz + c1^2/2 L1 + c2^2/2 L2 ] with the south-pole
-    band dropping its c2 term and the north-pole band its c1 term (the
-    coefficient is exactly zero there, the log infinite).
+    2*pi*gamma * [ -s_j^2 dz + c1^2/2 L1 + c2^2/2 L2 ] over ``_band_terms``.
     """
-    last = p.n
+    prof = xi_profile(p)
+    nodes_z = p.nodes()
     per = []
-    for j, za, zb, s, xa in _band_segments(p):
-        acc = -s * s * (zb - za)
-        if j != last:
-            c1 = xa + s * (1.0 - za)
-            acc += 0.5 * c1 * c1 * math.log((1.0 - za) / (1.0 - zb))
-        if j != 0:
-            c2 = xa - s * (1.0 + za)
-            acc += 0.5 * c2 * c2 * math.log((1.0 + zb) / (1.0 + za))
+    for j, s in enumerate(prof.slopes):
+        c1, c2, l1, l2 = _band_terms(p, prof, j)
+        acc = -s * s * (nodes_z[j + 1] - nodes_z[j]) + 0.5 * c1 * c1 * l1 + 0.5 * c2 * c2 * l2
         per.append(TWO_PI * gamma * acc)
     return sum(per), tuple(per)
 

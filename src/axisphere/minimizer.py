@@ -53,7 +53,7 @@ import numpy as np
 
 from .energy import EnergyBreakdown, total_energy
 from .errors import CycleLimit, DomainError, NoEscape, NonIncreasing, OrderingViolated, OutOfRange
-from .pattern import AxisymPattern, is_symmetric, make_pattern, mass_of_interfaces, xi_profile
+from .pattern import AxisymPattern, _band_terms, is_symmetric, make_pattern, mass_of_interfaces, xi_profile
 
 __all__ = [
     "MinimizeOptions",
@@ -234,25 +234,18 @@ def _move_energy(p: AxisymPattern, k: int, gamma: float):
           + gamma/2 * [ (C1^2 - c1_k^2) log(1-a) + (c2_k^2 - C2^2) log(1+a)
                         + (c1_{k+2}^2 - C1^2) log(1-b) + (C2^2 - c2_{k+2}^2) log(1+b) ]
 
-    where (c1_j, c2_j) are band j's xi line at z = 1 and z = -1, and
-    (C1, C2) those of band k+1 shifted by (s_k - s_{k+1}) t.  The -s^2 dz
-    terms of bands k and k+2 sum to a constant because s_k = s_{k+2}.  Same pole rule as
-    ``nonlocal_closed``: band 0 has no c2 log, band n no c1 log.
+    where (c1_j, c2_j) are band j's coefficients from ``_band_terms``, pole
+    rule included, and (C1, C2) those of band k+1 shifted by
+    (s_k - s_{k+1}) t.  The -s^2 dz terms of bands k and k+2 sum to a
+    constant because s_k = s_{k+2}.
     """
     prof = xi_profile(p)
-    nd = p.nodes()
-
-    def line(j: int) -> tuple[float, float]:
-        s, x0, z0 = prof.slopes[j], prof.nodes[j], nd[j]
-        return x0 + s * (1.0 - z0), x0 - s * (1.0 + z0)
-
-    c1_lo, c2_lo = line(k)
-    c1_mid, c2_mid = line(k + 1)
-    c1_hi, c2_hi = line(k + 2)
-    lo1, lo2 = c1_lo * c1_lo, (0.0 if k == 0 else c2_lo * c2_lo)
-    hi1, hi2 = (0.0 if k + 2 == p.n else c1_hi * c1_hi), c2_hi * c2_hi
+    c1_lo, c2_lo, _, _ = _band_terms(p, prof, k)
+    c1_mid, c2_mid, _, _ = _band_terms(p, prof, k + 1)
+    c1_hi, c2_hi, _, _ = _band_terms(p, prof, k + 2)
+    lo1, lo2, hi1, hi2 = c1_lo * c1_lo, c2_lo * c2_lo, c1_hi * c1_hi, c2_hi * c2_hi
     shift = prof.slopes[k] - prof.slopes[k + 1]
-    za, zb = nd[k + 1], nd[k + 2]
+    za, zb = p.z[k], p.z[k + 1]
     half_gamma = 0.5 * gamma
     sqrt, log1p = math.sqrt, math.log1p
 
@@ -296,8 +289,8 @@ def _search_range(p: AxisymPattern, k: int) -> tuple[float, float]:
     return _off_poles(p, k, t_lo + pad, t_hi - pad)
 
 
-def _frame_offset(p: AxisymPattern, k: int, gamma: float, opts: MinimizeOptions) -> tuple[float, AxisymPattern] | None:
-    """Best strictly improving move of one frame: (offset, moved pattern).
+def _frame_offset(p: AxisymPattern, k: int, gamma: float, opts: MinimizeOptions) -> tuple[float, AxisymPattern, float] | None:
+    """Best strictly improving move of one frame: (offset, moved pattern, energy drop / (2*pi)).
 
     Searches the three-band energy of ``_move_energy`` over ``_search_range``
     without building a pattern.  Returns None when no offset lowers the
@@ -309,10 +302,11 @@ def _frame_offset(p: AxisymPattern, k: int, gamma: float, opts: MinimizeOptions)
         return None
     along, slope = _move_energy(p, k, gamma)
     t, e_star = _slope_min(along, slope, t_lo, t_hi, opts.x_tol)
-    if not e_star < along(0.0):
+    drop = along(0.0) - e_star
+    if not drop > 0.0:
         return None
     try:
-        return t, apply_elementary_move(p, k, t)
+        return t, apply_elementary_move(p, k, t), drop
     except OrderingViolated:
         return None
 
@@ -322,7 +316,9 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
 
     Symmetric mode sweeps the lower half and mirrors each accepted offset
     to the reflected frame, skipping the self-mirrored central frame whose
-    symmetric variation vanishes.
+    symmetric variation vanishes.  The frames of a mirrored pair can share
+    an interface or a band, so the pair is kept only when the mirror move,
+    priced by ``_move_energy`` on the moved pattern, leaves a net drop.
     """
     if opts.symmetric and not is_symmetric(p0):
         raise DomainError("symmetric sweep requested for an asymmetric pattern")
@@ -341,12 +337,16 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
             move = _frame_offset(p, k, gamma, opts)
             if move is None:
                 continue
-            t, moved = move
+            t, moved, drop = move
             if opts.symmetric:
                 try:
-                    moved = apply_elementary_move(moved, mirror, -t)
+                    paired = apply_elementary_move(moved, mirror, -t)
                 except OrderingViolated:
                     continue  # keep the symmetric slice rather than half-move
+                along, _ = _move_energy(moved, mirror, gamma)
+                if not along(-t) - along(0.0) < drop:
+                    continue
+                moved = paired
             p = moved
             max_move = max(max_move, abs(t))
         new_energy = total_energy(p, gamma)

@@ -143,8 +143,8 @@ def xi_profile(p: AxisymPattern) -> XiProfile:
 
     The recursion closes at the north pole up to rounding (the slopes sum
     against the band widths to twice the mean minus itself); the stored
-    endpoint is pinned to 0.0 so downstream closed forms can drop the
-    divergent pole logarithms analytically.
+    endpoint is pinned to 0.0 so ``_band_terms`` can drop the divergent pole
+    logarithms analytically.
     """
     nodes_z = p.nodes()
     slopes = tuple(p.region_sign(j) - p.m for j in range(p.n + 1))
@@ -153,6 +153,30 @@ def xi_profile(p: AxisymPattern) -> XiProfile:
         nodes.append(nodes[-1] + slopes[j] * (nodes_z[j + 1] - nodes_z[j]))
     nodes.append(0.0)
     return XiProfile(nodes=tuple(nodes), slopes=slopes)
+
+
+def _band_terms(p: AxisymPattern, prof: XiProfile, j: int) -> tuple[float, float, float, float]:
+    """Band j's coefficients and logs (c1, c2, L1, L2), j = 0..n, from a built profile.
+
+    c1 = xi(z_j) + s_j (1 - z_j) and c2 = xi(z_j) - s_j (1 + z_j) are band j's
+    xi line at z = 1 and z = -1; L1 = log((1 - z_j)/(1 - z_{j+1})) and
+    L2 = log((1 + z_{j+1})/(1 + z_j)), written with log1p of the band width.
+    The pole rule lives here alone: xi(+-1) = 0, so band 0 has c2 = L2 = 0
+    and band n has c1 = L1 = 0, the divergent log dropped analytically.
+    """
+    z = p.z
+    north = j == len(z)
+    za = z[j - 1] if j else -1.0
+    zb = 1.0 if north else z[j]
+    s, xa, dz = prof.slopes[j], prof.nodes[j], zb - za
+    c1 = c2 = l1 = l2 = 0.0
+    if not north:
+        c1 = xa + s * (1.0 - za)
+        l1 = math.log1p(dz / (1.0 - zb))
+    if j:
+        c2 = xa - s * (1.0 + za)
+        l2 = math.log1p(dz / (1.0 + za))
+    return c1, c2, l1, l2
 
 
 def xi_eval(p: AxisymPattern, z: float) -> float:

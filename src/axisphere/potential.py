@@ -3,12 +3,8 @@
 The potential v solves the sphere Poisson problem for (pattern - mean) and,
 for axisymmetric data, reduces to v'(z) = xi(z) / (1 - z^2).  Differences
 between consecutive interface values then integrate in closed form:
-
-    v(z_{j+1}) - v(z_j) = (c1_j / 2) log((1 - z_j)/(1 - z_{j+1}))
-                        + (c2_j / 2) log((1 + z_{j+1})/(1 + z_j))
-
-with the same band coefficients c1, c2 as the energy module.  Pole bands
-drop the term whose coefficient vanishes identically (xi(+-1) = 0).
+v(z_{j+1}) - v(z_j) = c1/2 L1 + c2/2 L2, in the band coefficients, logs and
+pole rule of ``pattern._band_terms`` that the energy module shares.
 
 Absolute values are anchored at the south pole: v(z_1) is the pole-band
 difference, so every reported value equals the integral of xi/(1-z^2) from
@@ -17,12 +13,10 @@ difference, so every reported value equals the integral of xi/(1-z^2) from
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import IndexOutOfRange
-from .pattern import AxisymPattern, xi_profile
+from .pattern import AxisymPattern, _band_terms, xi_profile
 
 __all__ = ["v_diff", "v_at_interfaces", "grad_v_normal"]
 
@@ -35,16 +29,8 @@ def v_diff(p: AxisymPattern, k: int) -> float:
     """
     if not 0 <= k <= p.n:
         raise IndexOutOfRange(f"band index {k} outside 0..{p.n}")
-    prof = xi_profile(p)
-    nodes_z = p.nodes()
-    za, zb = nodes_z[k], nodes_z[k + 1]
-    s, xa = prof.slopes[k], prof.nodes[k]
-    out = 0.0
-    if k != p.n:
-        out += 0.5 * (xa + s * (1.0 - za)) * math.log((1.0 - za) / (1.0 - zb))
-    if k != 0:
-        out += 0.5 * (xa - s * (1.0 + za)) * math.log((1.0 + zb) / (1.0 + za))
-    return out
+    c1, c2, l1, l2 = _band_terms(p, xi_profile(p), k)
+    return 0.5 * c1 * l1 + 0.5 * c2 * l2
 
 
 def v_at_interfaces(p: AxisymPattern) -> tuple[float, ...]:

@@ -159,6 +159,11 @@ def test_uniform_check_rigidity():
         assert chk.residual_floor == pytest.approx(floor, rel=1e-6)
     assert "sign" in uniform_criticality_check(5).obstruction
     assert "different couplings" in uniform_criticality_check(6).obstruction
+    # the floor is the minimum of the residual sweep, bit for bit
+    for count, gamma_max in ((5, 1e4), (6, 1e4), (9, 50.0), (12, 1e6)):
+        p = uniform_pattern(count)
+        sweep = [float(np.max(np.abs(residuals(p, float(g))[:-1]))) for g in np.geomspace(1e-3, gamma_max, 60)]
+        assert uniform_criticality_check(count, gamma_max).residual_floor == min(sweep)
 
 
 def test_uniform_residuals_confirm_special_gammas():

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from axisphere.criticality import residuals
 from axisphere.energy import (
     nonlocal_closed,
     nonlocal_quadrature,
@@ -12,6 +15,7 @@ from axisphere.energy import (
     two_interface_grid,
 )
 from axisphere.pattern import make_pattern, reflect
+from axisphere.potential import v_diff
 from axisphere.quadrature import QuadratureSpec, integrate_adaptive
 
 
@@ -111,3 +115,74 @@ def test_grid_csv_layout():
     z1, g, e = (float(t) for t in lines[1].split(","))
     assert (z1, g) == (-0.5, 1.0)
     assert e == pytest.approx(total_energy(make_pattern([-0.5, 0.5]), 1.0).total_over_pi, rel=1e-15)
+
+
+def _band_errors(z, gamma):
+    """Errors of nonlocal_closed, v_diff and residuals against the closed form in 50-digit mpmath.
+
+    The reference rebuilds the mean, the xi nodes, the band coefficients and
+    the band logs from the binary heights, with the pole rule.  Returns the
+    energy's (relative, absolute / perimeter) error, the largest v_diff error
+    relative to the largest difference, and the largest residual error
+    relative to the largest sum of term sizes over the rows (the potential
+    differences share one xi profile, so their errors scale with the largest).
+    """
+    import mpmath as mp
+
+    p = make_pattern(z)
+    with mp.workdps(50):
+        nd = [mp.mpf(-1), *(mp.mpf(v) for v in z), mp.mpf(1)]
+        n = len(z)
+        m = sum((nd[k] - nd[k - 1]) * (1 if k % 2 == 0 else -1) for k in range(1, n + 2)) / 2
+        s = [(1 if j % 2 else -1) - m for j in range(n + 1)]
+        xi = [mp.mpf(0)]
+        for j in range(n):
+            xi.append(xi[-1] + s[j] * (nd[j + 1] - nd[j]))
+        nl, dv = mp.mpf(0), []
+        for j in range(n + 1):
+            c1 = xi[j] + s[j] * (1 - nd[j]) if j < n else 0
+            c2 = xi[j] - s[j] * (1 + nd[j]) if j else 0
+            l1 = mp.log((1 - nd[j]) / (1 - nd[j + 1])) if j < n else 0
+            l2 = mp.log((1 + nd[j + 1]) / (1 + nd[j])) if j else 0
+            nl += -s[j] ** 2 * (nd[j + 1] - nd[j]) + c1 * c1 * l1 / 2 + c2 * c2 * l2 / 2
+            dv.append(c1 * l1 / 2 + c2 * l2 / 2)
+        nl *= 2 * mp.pi * gamma
+        kap = [(1 if k % 2 else -1) * nd[k] / mp.sqrt(1 - nd[k] ** 2) for k in range(1, n + 1)]
+        rows = [(kap[k] - kap[k - 1] + 4 * gamma * dv[k], abs(kap[k]) + abs(kap[k - 1]) + 4 * gamma * abs(dv[k])) for k in range(1, n)]
+        rows.append((m, mp.mpf(1)))
+        e_nl = abs(mp.mpf(nonlocal_closed(p, gamma)[0]) - nl)
+        e_v = max(abs(mp.mpf(v_diff(p, k)) - dv[k]) for k in range(n + 1)) / max(abs(v) for v in dv)
+        e_r = max(abs(mp.mpf(float(got)) - ref) for got, (ref, _) in zip(residuals(p, gamma), rows))
+        e_r /= max(scale for _, scale in rows)
+        return float(e_nl / abs(nl)), float(e_nl) / perimeter(p), float(e_v), float(e_r)
+
+
+def test_band_terms_match_mpmath_at_caps_and_merged_pairs():
+    """Small caps and a nearly merged pair, where the band logs used to cancel.
+
+    The caps keep about eps/(1 - z) relative error, from the rounded stored
+    mean and the pole band's own cancellation.
+    """
+    for z in ([1.0 - 1e-6], [-1.0 + 1e-6], [0.999999, 0.9999995], [-0.9999995, -0.999999]):
+        for gamma in (1.0, 40.0):
+            rel, _, e_v, e_r = _band_errors(z, gamma)
+            assert max(rel, e_v, e_r) <= 1e-9, (z, gamma, rel, e_v, e_r)
+    for z in ([0.3, 0.3 + 1e-9], [-0.7, -0.7 + 1e-9], [-0.5, 0.2, 0.2 + 1e-9]):
+        _, per_perimeter, _, e_r = _band_errors(z, 1.0)
+        assert per_perimeter <= 1e-15 and e_r <= 1e-12, (z, per_perimeter, e_r)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    start=st.floats(-0.99, 0.9),
+    gaps=st.lists(st.floats(0.01, 0.6), max_size=7),
+    gamma=st.floats(0.01, 1000.0),
+)
+def test_band_terms_match_mpmath_on_drawn_patterns(start, gaps, gamma):
+    """Heights within 0.99 of the equator, gaps of at least 0.01, mean at most 0.95 in size."""
+    z = [start]
+    for g in gaps:
+        z.append(z[-1] + g)
+    assume(z[-1] <= 0.99 and abs(make_pattern(z).m) <= 0.95)
+    rel, _, e_v, e_r = _band_errors(z, gamma)
+    assert max(rel, e_v, e_r) <= 1e-12, (rel, e_v, e_r)

@@ -30,7 +30,7 @@ from axisphere.minimizer import (
     segment_energy,
     trace_to_csv,
 )
-from axisphere.pattern import AxisymPattern, make_pattern, mass_of_interfaces
+from axisphere.pattern import AxisymPattern, is_symmetric, make_pattern, mass_of_interfaces
 from axisphere.verify import _tent_roots, random_tent_pattern
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -214,7 +214,7 @@ def test_pole_frames_are_still_searched():
             assert (t_lo, p.z[-1] + t_hi) == (lo + pad, math.nextafter(1.0, 0.0))
         along, _ = _move_energy(p, k, 1.0)
         _, e_golden = _golden_min(along, t_lo, t_hi)
-        t, moved = _frame_offset(p, k, 1.0, MinimizeOptions())
+        t, moved, _ = _frame_offset(p, k, 1.0, MinimizeOptions())
         assert t_lo < t < t_hi and along(t) <= e_golden + 1e-12 * abs(e_golden)
         assert total_energy(moved, 1.0).total < total_energy(p, 1.0).total
 
@@ -274,6 +274,26 @@ def test_symmetric_sweep():
     for a, b in zip(res.pattern.z, reversed(res.pattern.z)):
         assert abs(a + b) <= 1e-9
     assert res.energy.total <= total_energy(start, 12.0).total + 1e-12
+
+
+def test_symmetric_sweep_never_raises_the_energy():
+    """A mirrored pair is kept only when the pair, not just its first move, lowers the energy.
+
+    For odd n the central frames share the middle interface: on the seven
+    evenly placed heights at gamma 2 the first frame's move of the central
+    pair lowers the energy by 0.63 pi but the pair raises it by 1.37 pi.
+    """
+    rng = np.random.default_rng(11)
+    starts = [(make_pattern([-0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.6]), 2.0)]
+    for n in (3, 4, 5, 6, 7, 8) * 10:
+        half = list(np.sort(rng.uniform(0.02, 0.98, n // 2)))
+        z = [-v for v in reversed(half)] + [0.0] * (n % 2) + half
+        starts.append((make_pattern(z), float(np.exp(rng.uniform(math.log(0.5), math.log(500.0))))))
+    for p, g in starts:
+        res = local_minimize(p, g, MinimizeOptions(symmetric=True))
+        energies = [total_energy(p, g).total_over_pi] + [c.energy_over_pi for c in res.cycles]
+        assert all(b <= a + 1e-12 * abs(a) for a, b in zip(energies, energies[1:])), (p.z, g, energies)
+        assert is_symmetric(res.pattern)
 
 
 def test_single_interface_is_terminal():
