@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import os
@@ -37,7 +36,6 @@ import numpy as np
 from . import __version__
 from .criticality import (
     SolveOptions,
-    catalog_record,
     continue_gamma,
     gamma_of_z1_3,
     gamma_of_z1_4,
@@ -52,12 +50,12 @@ from .criticality import (
 from .energy import total_energy, two_interface_grid
 from .errors import Asymptote, AxisphereError, NoEscape, NumericalFailure, OutOfRange
 from .minimizer import (
+    X_TOL,
     BoundaryPattern,
     MinimizeOptions,
     boundary_escape,
     escape_pole_frame,
     local_minimize,
-    trace_to_csv,
 )
 from .pattern import make_pattern, xi_eval, xi_profile
 from .stability import stability_report
@@ -183,18 +181,39 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _csv_preamble(args: argparse.Namespace) -> str:
-    return f"# {TOOL} {__version__}\n# config_sha256={_meta(args)['config_sha256']}\n"
+def _csv(args: argparse.Namespace, header: str, rows) -> str:
+    """Version and config-hash preamble, header, rows: str cells as is, every other cell as its repr."""
+    body = "".join(",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n" for row in rows)
+    return f"# {TOOL} {__version__}\n# config_sha256={_meta(args)['config_sha256']}\n{header}\n{body}"
 
 
 # -------------------------------------------------------------- subcommands
 #
 # A handler returns a dict (written as JSON under a meta block), a str (written
-# as is), or an exit code after writing its own output.
+# as is), or an exit code after writing its own output.  Every column and field
+# name of the artifacts is written in this module; the JSON field maps follow.
 
 
 def _energy_fields(br) -> dict:
     return {"perimeter": br.perimeter, "nonlocal": br.nonlocal_, "total": br.total, "total_over_pi": br.total_over_pi}
+
+
+def _catalog_fields(cp) -> dict:
+    """One solved point, as `critical solve` prints it and as one `critical continue` line."""
+    p = cp.pattern
+    return {"n": p.n, "gamma": cp.gamma, "z": list(p.z), "lambda": cp.lam, "residual": cp.residual_norm,
+            "min_gap": p.min_gap()}
+
+
+def _stability_fields(rep) -> dict:
+    return {
+        "gamma": rep.gamma,
+        "K": rep.K,
+        "min_eig": rep.min_eig,
+        "mode": {"circle": rep.mode_circle, "k": rep.mode_k, "parity": rep.mode_parity},
+        "certificates": {"single_mode": list(rep.single_mode_values), "axisym_pm": rep.axisym_pm_value},
+        "verdict": rep.verdict,
+    }
 
 
 def cmd_energy(args):
@@ -204,9 +223,9 @@ def cmd_energy(args):
 
 
 def cmd_sweep2(args):
-    buf = io.StringIO()
-    two_interface_grid(parse_range(args.z1), parse_range(args.gamma)).to_csv(buf)
-    return _csv_preamble(args) + buf.getvalue()
+    grid = two_interface_grid(parse_range(args.z1), parse_range(args.gamma))
+    rows = ((z1, g, e) for z1, row in zip(grid.z1, grid.energy_over_pi) for g, e in zip(grid.gamma, row))
+    return _csv(args, "z1,gamma,energy_over_pi", rows)
 
 
 def cmd_xi(args):
@@ -221,8 +240,8 @@ def cmd_xi(args):
     }
     if args.samples:
         zs = np.linspace(-1.0, 1.0, args.samples)
-        payload["sample_z"] = [float(v) for v in zs]
-        payload["sample_xi"] = [xi_eval(p, float(v)) for v in zs]
+        payload["sample_z"] = zs.tolist()
+        payload["sample_xi"] = xi_eval(p, zs).tolist()
     return payload
 
 
@@ -243,19 +262,20 @@ def _solve(args, gamma: float):
 
 def cmd_solve(args):
     cp = _solve(args, args.gamma)[0]
-    rec = catalog_record(cp)
-    rec["lambda_spread"] = lambda_spread(cp.pattern, cp.gamma)
     trace = cp.trace
-    rec["trace"] = {"iterations": trace.iterations, "damping_events": trace.damping_events, "init": trace.init_label}
-    rec["stretched_gap_variance"] = stretched_gap_variance(cp.pattern)
-    return rec
+    return {
+        **_catalog_fields(cp),
+        "lambda_spread": lambda_spread(cp.pattern, cp.gamma),
+        "trace": {"iterations": trace.iterations, "damping_events": trace.damping_events, "init": trace.init_label},
+        "stretched_gap_variance": stretched_gap_variance(cp.pattern),
+    }
 
 
 def cmd_continue(args):
     """Corrector at the start coupling, then trace the branch as JSON lines."""
     seed, opts = _solve(args, args.gamma_start)
     points = continue_gamma(seed.pattern.n, args.gamma_start, args.gamma_end, args.steps, seed.pattern, opts)
-    return "".join(json.dumps(rec) + "\n" for rec in [{"meta": _meta(args)}, *map(catalog_record, points)])
+    return "".join(json.dumps(rec) + "\n" for rec in [{"meta": _meta(args)}, *map(_catalog_fields, points)])
 
 
 def cmd_gamma_curve(args):
@@ -271,8 +291,8 @@ def cmd_gamma_curve(args):
         if g <= 0.0 or not math.isfinite(g):
             sys.stderr.write(f"skipping z1={z1!r}: coupling {g!r} outside the reported domain\n")
             continue
-        rows.append(f"{z1!r},{g!r},{tag}\n")
-    return _csv_preamble(args) + "z1,gamma,branch\n" + "".join(rows)
+        rows.append((z1, g, tag))
+    return _csv(args, "z1,gamma,branch", rows)
 
 
 def cmd_minimize(args):
@@ -280,9 +300,8 @@ def cmd_minimize(args):
     opts = MinimizeOptions(x_tol=args.x_tol, max_cycles=args.max_cycles, symmetric=args.symmetric)
     result = local_minimize(p0, args.gamma, opts)
     if args.trace:
-        buf = io.StringIO()
-        trace_to_csv(result.cycles, buf)
-        _write_text(args.trace, _csv_preamble(args) + buf.getvalue())
+        rows = ((r.cycle, r.energy_over_pi, r.max_move) for r in result.cycles)
+        _write_text(args.trace, _csv(args, "cycle,energy_over_pi,max_move", rows))
     res = residuals(result.pattern, args.gamma, m_target=result.pattern.m)
     return {
         "start_z": list(p0.z),
@@ -311,8 +330,7 @@ def cmd_escape(args):
 
 
 def cmd_bounds(args):
-    rows = [f"{g!r},{polar_cap_bound(g)!r}\n" for g in parse_range(args.gamma)]
-    return _csv_preamble(args) + "gamma,z1_bound\n" + "".join(rows)
+    return _csv(args, "gamma,z1_bound", ((g, polar_cap_bound(g)) for g in parse_range(args.gamma)))
 
 
 def cmd_verify(args):
@@ -380,7 +398,7 @@ COMMANDS = (
         ("--m-target", dict(type=FINITE)),
         ("--symmetric", dict(action="store_true")),
         ("--max-cycles", dict(type=POSITIVE_INT, default=200)),
-        ("--x-tol", dict(type=NONNEGATIVE, default=1e-12)),
+        ("--x-tol", dict(type=NONNEGATIVE, default=X_TOL)),
         ("--trace", dict(help="per-cycle CSV path")))),
     (("escape",), "boundary-escape probe", cmd_escape, (
         [("--alpha", dict(type=FINITE, required=True, help="pole-window left root")),
@@ -388,7 +406,7 @@ COMMANDS = (
         _GAMMA,
         ("--samples", dict(type=POSITIVE_INT, help="pre-scan grid of the pole window (--alpha only; default 96)")))),
     (("stability",), "second-variation report",
-     lambda args: stability_report(make_pattern(parse_floats(args.z)), args.gamma, K=args.K).to_json(), (
+     lambda args: _stability_fields(stability_report(make_pattern(parse_floats(args.z)), args.gamma, K=args.K)), (
         _Z, _GAMMA, ("--K", dict(type=int, default=32, help="Fourier mode cutoff")))),
     (("bounds",), "polar-cap lower-bound table (CSV)", cmd_bounds, (("--gamma", dict(required=True, help=_RANGE)),)),
     (("verify",), "self-verification suite (exit 3 on failure)", cmd_verify, (

@@ -57,7 +57,6 @@ __all__ = [
     "uniform_criticality_check",
     "polar_cap_bound",
     "stretched_gap_variance",
-    "catalog_record",
 ]
 
 
@@ -232,18 +231,6 @@ def continue_gamma(
         current = cp.pattern
         prev_gamma = float(g)
     return out
-
-
-def catalog_record(cp: CriticalPoint) -> dict:
-    """JSON-lines record for a solved point."""
-    return {
-        "n": cp.pattern.n,
-        "gamma": cp.gamma,
-        "z": list(cp.pattern.z),
-        "lambda": cp.lam,
-        "residual": cp.residual_norm,
-        "min_gap": cp.pattern.min_gap(),
-    }
 
 
 # ----------------------------------------------------- closed-form branches

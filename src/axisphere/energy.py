@@ -14,12 +14,9 @@ cross-check of the closed form and shares no log-term code with it.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import EmptyRange, OutOfRange
 from .pattern import AxisymPattern, _band_terms, make_pattern, xi_profile
@@ -137,13 +134,6 @@ class SweepGrid:
     z1: tuple[float, ...]
     gamma: tuple[float, ...]
     energy_over_pi: tuple[tuple[float, ...], ...]  # row per z1 value
-
-    def to_csv(self, fh: io.TextIOBase) -> None:
-        """Rows ordered z1-major; floats printed with repr precision."""
-        fh.write("z1,gamma,energy_over_pi\n")
-        for i, z1 in enumerate(self.z1):
-            for j, g in enumerate(self.gamma):
-                fh.write(f"{z1!r},{g!r},{self.energy_over_pi[i][j]!r}\n")
 
 
 def _two_interface_pattern(z1: float) -> AxisymPattern:

@@ -73,13 +73,13 @@ __all__ = [
     "apply_elementary_move",
     "move_range",
     "local_minimize",
-    "trace_to_csv",
     "escape_pole_frame",
     "boundary_escape",
 ]
 
 DECREASE_TOL = 1e-15  # a sweep lowering the energy E by less than this times max(1, |E|) ends the descent
 SCAN_SAMPLES = 48  # grid points of the pre-scan of every line search
+X_TOL = 1e-12  # bracket width that ends a line search (in the offset t, or an escape's slide parameter s)
 
 
 def profile_f(x: float) -> float:
@@ -208,8 +208,7 @@ def move_range(p: AxisymPattern, k: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    # bracket width that ends a line search (in the offset t, or an escape's slide parameter s); 0: the rounding floor
-    x_tol: float = 1e-12
+    x_tol: float = X_TOL  # 0: the rounding floor
     max_cycles: int = 200
     symmetric: bool = False
 
@@ -403,12 +402,6 @@ def _extrapolate(p: AxisymPattern, d: list[float], s: float, energy: EnergyBreak
     return p, energy, 0.0
 
 
-def trace_to_csv(records, fh) -> None:
-    fh.write("cycle,energy_over_pi,max_move\n")
-    for r in records:
-        fh.write(f"{r.cycle},{r.energy_over_pi!r},{r.max_move!r}\n")
-
-
 # --------------------------------------------------------- boundary escapes
 
 
@@ -478,12 +471,12 @@ def escape_pole_frame(alpha: float, gamma: float, samples: int = 96) -> EscapePr
         raise DomainError(f"alpha={alpha!r} outside (0, 1)")
     x_star, e_star = _slope_min(
         lambda x: segment_energy(x, alpha, 1.0, gamma), lambda x: _segment_slope(x, alpha, 1.0, gamma),
-        alpha, 1.0, 1e-12, samples,
+        alpha, 1.0, X_TOL, samples,
     )
     return EscapeProbe(alpha=alpha, gamma=gamma, x_star=x_star, e_star=e_star, limit=pole_limit(alpha, gamma))
 
 
-def _slide_escape(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions) -> AxisymPattern:
+def _slide_escape(bp: BoundaryPattern, gamma: float) -> AxisymPattern:
     """Escape a north-pole contact, or a merged pair with an entry below it.
 
     Both slide one strip south by a scalar s in (lo, hi) and must strictly
@@ -495,7 +488,7 @@ def _slide_escape(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions) -> A
     Either slide is the strip move of frame k by dt = ds/2 (pole) or -ds
     (merged).  It is searched on the ``_move_energy`` of an anchor at the
     middle of (lo, hi), over the padded range kept off the poles, with
-    ``x_tol`` scaled to t so that it still bounds the width in s.
+    ``X_TOL`` scaled to t so that it still bounds the width in s.
     """
     zs = list(bp.z)
     m_b = bp.mass
@@ -532,14 +525,14 @@ def _slide_escape(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions) -> A
     anchor = AxisymPattern(z=slid(0.5 * (lo + hi)), m=m_b)
     reach = dt_ds * (0.5 - 1e-9) * (hi - lo)  # each end padded by 1e-9 of the width
     along, slope = _move_energy(anchor, k, gamma)
-    t, _ = _slope_min(along, slope, *_off_poles(anchor, k, -reach, reach), opts.x_tol * dt_ds)
+    t, _ = _slope_min(along, slope, *_off_poles(anchor, k, -reach, reach), X_TOL * dt_ds)
     moved = apply_elementary_move(anchor, k, t)
     if not _beats(total_energy(moved, gamma).total, limit):
         raise NoEscape(f"{what} is locally optimal at gamma={gamma!r}")
     return moved
 
 
-def boundary_escape(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions = MinimizeOptions()) -> AxisymPattern:
+def boundary_escape(bp: BoundaryPattern, gamma: float) -> AxisymPattern:
     """Elementary move off a degenerate configuration, when one helps.
 
     Pole contact: slide the top pair down from the pole, comparing against
@@ -551,6 +544,6 @@ def boundary_escape(bp: BoundaryPattern, gamma: float, opts: MinimizeOptions = M
     value cannot be strictly beaten (small gamma).
     """
     if bp.z[0] == -1.0 or bp.z[0] == bp.z[1]:
-        mirrored = _slide_escape(bp.reflected(), gamma, opts)
+        mirrored = _slide_escape(bp.reflected(), gamma)
         return AxisymPattern(z=tuple(-v for v in reversed(mirrored.z)), m=bp.mass)
-    return _slide_escape(bp, gamma, opts)
+    return _slide_escape(bp, gamma)

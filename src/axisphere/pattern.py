@@ -16,9 +16,10 @@ potential: it is piecewise linear, vanishes at both poles, and has slope
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import IndexOutOfRange, MassMismatch, NonIncreasing, OutOfRange
 
@@ -179,17 +180,17 @@ def _band_terms(p: AxisymPattern, prof: XiProfile, j: int) -> tuple[float, float
     return c1, c2, l1, l2
 
 
-def xi_eval(p: AxisymPattern, z: float) -> float:
-    """Evaluate xi at height z in [-1, 1]."""
-    if not -1.0 <= z <= 1.0:
+def xi_eval(p: AxisymPattern, z):
+    """Evaluate xi at a height z in [-1, 1] (a float), or at an array of them (an array)."""
+    zz = np.asarray(z, dtype=float)
+    if not np.all((-1.0 <= zz) & (zz <= 1.0)):
         raise OutOfRange(f"height {z!r} outside [-1, 1]")
-    if z == -1.0 or z == 1.0:
-        return 0.0
     prof = xi_profile(p)
-    nodes_z = p.nodes()
-    j = bisect_right(nodes_z, z) - 1  # band containing z
-    j = min(j, p.n)
-    return prof.nodes[j] + prof.slopes[j] * (z - nodes_z[j])
+    nodes_z = np.asarray(p.nodes())
+    j = np.minimum(np.searchsorted(nodes_z, zz, side="right") - 1, p.n)  # band containing z
+    xi = np.asarray(prof.nodes)[j] + np.asarray(prof.slopes)[j] * (zz - nodes_z[j])
+    xi = np.where(np.abs(zz) == 1.0, 0.0, xi)  # the poles, exactly
+    return float(xi) if xi.ndim == 0 else xi
 
 
 def reflect(p: AxisymPattern) -> AxisymPattern:

@@ -61,7 +61,8 @@ def integrate_adaptive(
     """Integrate a vectorized integrand over [a, b] to spec.rel_tol.
 
     Raises ToleranceNotMet once the worst remaining panel sits at
-    spec.max_depth and the tolerance is still unmet.
+    spec.max_depth and the tolerance is still unmet, and as soon as the
+    running value or error estimate is not finite.
     """
     if a == b:
         return 0.0
@@ -69,12 +70,14 @@ def integrate_adaptive(
         return -integrate_adaptive(f, b, a, spec, abs_tol)
 
     tiebreak = count()
-    val, err = _panel_estimate(f, a, b)
+    total_val, total_err = _panel_estimate(f, a, b)
     # heap entries: (-err, seq, a, b, depth, value, err)
-    heap = [(-err, next(tiebreak), a, b, 0, val, err)]
-    total_val, total_err = val, err
-
-    while total_err > max(spec.rel_tol * abs(total_val), abs_tol, 5e-16 * abs(total_val)):
+    heap = [(-total_err, next(tiebreak), a, b, 0, total_val, total_err)]
+    while True:
+        if not (math.isfinite(total_val) and math.isfinite(total_err)):
+            raise ToleranceNotMet(f"integrand gave a non-finite value {total_val!r} or error {total_err!r}")
+        if total_err <= max(spec.rel_tol * abs(total_val), abs_tol, 5e-16 * abs(total_val)):
+            return total_val
         neg_err, _, pa, pb, depth, pval, perr = heapq.heappop(heap)
         if depth >= spec.max_depth:
             raise ToleranceNotMet(
@@ -87,7 +90,3 @@ def integrate_adaptive(
         total_err += lerr + rerr - perr
         heapq.heappush(heap, (-lerr, next(tiebreak), pa, mid, depth + 1, lval, lerr))
         heapq.heappush(heap, (-rerr, next(tiebreak), mid, pb, depth + 1, rval, rerr))
-        if math.isnan(total_val):
-            raise ToleranceNotMet("integrand produced NaN")
-
-    return total_val

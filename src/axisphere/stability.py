@@ -206,19 +206,6 @@ class StabilityReport:
     axisym_pm_value: float | None
     verdict: str
 
-    def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "K": self.K,
-            "min_eig": self.min_eig,
-            "mode": {"circle": self.mode_circle, "k": self.mode_k, "parity": self.mode_parity},
-            "certificates": {
-                "single_mode": list(self.single_mode_values),
-                "axisym_pm": self.axisym_pm_value,
-            },
-            "verdict": self.verdict,
-        }
-
 
 def _lead_circle(v: np.ndarray) -> int:
     """Lowest 1-based circle whose |component| is within 1e-9 (relative) of the largest.

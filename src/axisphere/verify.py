@@ -27,7 +27,7 @@ from .minimizer import (
     escape_pole_frame,
     segment_energy,
 )
-from .pattern import AxisymPattern, make_pattern, xi_profile
+from .pattern import AxisymPattern, make_pattern, xi_eval
 from .potential import v_diff
 from .quadrature import QuadratureSpec, integrate_adaptive
 from .stability import assemble_J, doublecap_kernel_integral, fourier_log_integral, single_mode_J
@@ -62,13 +62,6 @@ def _tent_roots(p: AxisymPattern) -> list[float]:
     for z in p.z[:-1]:
         roots.append(2.0 * z - roots[-1])
     return roots + [1.0]
-
-
-def _xi_interp(p: AxisymPattern):
-    """Vectorized xi evaluator (exact: xi is piecewise linear in z)."""
-    nz = np.asarray(p.nodes())
-    nx = np.asarray(xi_profile(p).nodes)
-    return lambda z: np.interp(z, nz, nx)
 
 
 def kernel_integral_2d(k: int, parity: str = "cos", points: int = 384) -> float:
@@ -116,10 +109,9 @@ def run_verify(seed: int = 20240817) -> list[VerifyCheck]:
     worst = 0.0
     for _ in range(10):
         p = random_tent_pattern(int(rng.integers(2, 6)), rng)
-        xi = _xi_interp(p)
         for k in range(1, p.n):
             direct = integrate_adaptive(
-                lambda z: xi(z) / (1.0 - z * z), p.z[k - 1], p.z[k], spec, abs_tol=1e-13
+                lambda z: xi_eval(p, z) / (1.0 - z * z), p.z[k - 1], p.z[k], spec, abs_tol=1e-13
             )
             worst = max(worst, abs(direct - v_diff(p, k)))
     checks.append(_check("potential-diff-vs-quadrature", worst <= 1e-9, f"worst abs {worst:.2e}"))

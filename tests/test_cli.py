@@ -218,6 +218,7 @@ def test_catalog_jsonl(run, tmp_path):
     recs = [json.loads(ln) for ln in lines[1:]]
     assert len(recs) == 5
     for rec in recs:
+        assert set(rec) == {"n", "gamma", "z", "lambda", "residual", "min_gap"}
         assert rec["min_gap"] >= 1e-4
         assert rec["residual"] <= 1e-11
     # --out writes the same catalog

@@ -6,7 +6,6 @@ import pytest
 from axisphere.criticality import (
     SolveOptions,
     _jacobian,
-    catalog_record,
     continue_gamma,
     denominator_root_3,
     denominator_root_4,
@@ -22,7 +21,7 @@ from axisphere.criticality import (
     uniform_criticality_check,
     uniform_pattern,
 )
-from axisphere.errors import Asymptote, BranchLost, OutOfRange
+from axisphere.errors import Asymptote, BranchLost, LeftDomain, NoConvergence, NonPositive, OutOfRange
 from axisphere.pattern import make_pattern
 
 # gamma where the evenly spaced 3- and 4-interface placements are critical
@@ -79,14 +78,28 @@ def test_continuation_monotone_branch():
     assert all(b > a for a, b in zip(outer, outer[1:]))  # circles spread outward
     for cp in pts:
         assert cp.residual_norm <= 1e-11
-        rec = catalog_record(cp)
-        assert rec["min_gap"] >= 1e-4
-        assert set(rec) == {"n", "gamma", "z", "lambda", "residual", "min_gap"}
+        assert cp.pattern.min_gap() >= 1e-4
 
 
 def test_continuation_losing_the_branch():
     with pytest.raises(BranchLost):
         continue_gamma(3, 1.05, 1e9, 4, initial_guess(3))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: continue_gamma(3, -1.0, 2.0, 3, initial_guess(3)), NonPositive, id="negative-gamma"),
+        pytest.param(lambda: uniform_pattern(0), NonPositive, id="no-interfaces"),
+        pytest.param(lambda: solve_critical(3, 2.0, initial_guess(3), SolveOptions(max_iter=1)), NoConvergence,
+                     id="one-iteration"),
+        # damped Newton from the evenly spaced n=12 guess at gamma=20 cannot keep the heights ordered
+        pytest.param(lambda: solve_critical(12, 20.0, initial_guess(12)), LeftDomain, id="n12-gamma20"),
+    ],
+)
+def test_solver_and_input_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_three_interface_curve_anchors():

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from axisphere import cli
 from axisphere.criticality import residuals
 from axisphere.energy import (
     nonlocal_closed,
@@ -14,6 +14,7 @@ from axisphere.energy import (
     total_energy,
     two_interface_grid,
 )
+from axisphere.errors import EmptyRange, ToleranceNotMet
 from axisphere.pattern import make_pattern, reflect
 from axisphere.potential import v_diff
 from axisphere.quadrature import QuadratureSpec, integrate_adaptive
@@ -35,6 +36,20 @@ def test_quadrature_driver_on_smooth_integrand():
     # sanity for the shared adaptive integrator before it backs any oracle
     got = integrate_adaptive(np.exp, 0.0, 1.0, QuadratureSpec(rel_tol=1e-12))
     assert got == pytest.approx(math.e - 1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "f, spec",
+    [
+        pytest.param(lambda z: np.full_like(z, np.nan), QuadratureSpec(), id="nan"),
+        pytest.param(lambda z: np.where(z > 0.9, np.inf, 1.0), QuadratureSpec(), id="inf-near-1"),
+        pytest.param(lambda z: 1.0 / np.sqrt(np.abs(z - 0.3)), QuadratureSpec(rel_tol=1e-14, max_depth=3),
+                     id="depth-limit"),
+    ],
+)
+def test_quadrature_refuses_non_finite_and_unmet(f, spec):
+    with pytest.raises(ToleranceNotMet):
+        integrate_adaptive(f, 0.0, 1.0, spec)
 
 
 def test_perimeter_values():
@@ -104,15 +119,16 @@ def test_two_interface_grid_shape_and_symmetry():
     # the family z2 = z1 + 1 is mirror symmetric about z1 = -1/2
     for j in range(2):
         assert grid.energy_over_pi[0][j] == pytest.approx(grid.energy_over_pi[2][j], rel=1e-12)
+    with pytest.raises(EmptyRange):
+        two_interface_grid([], [1.0])
 
 
-def test_grid_csv_layout():
-    grid = two_interface_grid([-0.5], [1.0])
-    buf = io.StringIO()
-    grid.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "z1,gamma,energy_over_pi"
-    z1, g, e = (float(t) for t in lines[1].split(","))
+def test_grid_csv_layout(capsys):
+    # sweep2 writes the grid: version and config-hash preamble, header, z1-major rows
+    assert cli.main(["sweep2", "--z1", "-0.5", "--gamma", "1.0"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[2] == "z1,gamma,energy_over_pi"
+    z1, g, e = (float(t) for t in lines[3].split(","))
     assert (z1, g) == (-0.5, 1.0)
     assert e == pytest.approx(total_energy(make_pattern([-0.5, 0.5]), 1.0).total_over_pi, rel=1e-15)
 

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from axisphere import cli
 from axisphere.criticality import residuals
 from axisphere.energy import total_energy
 from axisphere.errors import CycleLimit, DomainError, NoEscape, OrderingViolated, OutOfRange
@@ -28,7 +28,6 @@ from axisphere.minimizer import (
     pole_limit,
     profile_f,
     segment_energy,
-    trace_to_csv,
 )
 from axisphere.pattern import AxisymPattern, is_symmetric, make_pattern, mass_of_interfaces
 from axisphere.verify import _tent_roots, random_tent_pattern
@@ -327,14 +326,16 @@ def test_single_interface_is_terminal():
     assert res.pattern is p and len(res.cycles) == 1
 
 
-def test_trace_csv_layout():
+def test_trace_csv_layout(tmp_path, capsys):
+    # minimize --trace writes the per-cycle CSV: preamble, header, one row per cycle
+    trace = tmp_path / "trace.csv"
+    assert cli.main(["minimize", "--z", "-0.4,0.6", "--gamma", "5", "--trace", str(trace)]) == 0
+    capsys.readouterr()
     res = local_minimize(make_pattern([-0.4, 0.6]), 5.0)
-    buf = io.StringIO()
-    trace_to_csv(res.cycles, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "cycle,energy_over_pi,max_move"
-    assert len(lines) == len(res.cycles) + 1
-    assert lines[1].split(",")[0] == "0"
+    lines = trace.read_text().strip().splitlines()
+    assert lines[2] == "cycle,energy_over_pi,max_move"
+    assert len(lines) == len(res.cycles) + 3
+    assert lines[3].split(",")[0] == "0"
 
 
 def test_pole_window_probe():

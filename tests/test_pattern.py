@@ -80,7 +80,14 @@ def test_xi_eval_is_piecewise_linear():
     zz = np.linspace(-1.0, 1.0, 257)
     chord = np.interp(zz, nodes, prof.nodes)
     got = np.array([xi_eval(p, float(z)) for z in zz])
+    assert all(isinstance(xi_eval(p, float(z)), float) for z in zz[:3])
     assert float(np.max(np.abs(got - chord))) <= 1e-15
+    # an array of heights gives the same values, bit for bit, in its own shape
+    assert np.array_equal(xi_eval(p, zz), got)
+    assert xi_eval(p, zz.reshape(1, -1)).shape == (1, zz.size)
+    assert xi_eval(p, np.array([-1.0, 1.0])).tolist() == [0.0, 0.0]
+    with pytest.raises(OutOfRange):
+        xi_eval(p, np.array([0.0, 1.5]))
 
 
 def test_kappa_sign_convention():

@@ -1,12 +1,14 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from axisphere import cli
 from axisphere.criticality import SolveOptions, initial_guess, solve_critical
 from axisphere.energy import total_energy
-from axisphere.errors import DomainError, OutOfRange
+from axisphere.errors import DomainError, NotCritical, OutOfRange
 from axisphere.pattern import make_pattern
 from axisphere.potential import grad_v_normal
 from axisphere.quadrature import QuadratureSpec, integrate_adaptive
@@ -224,13 +226,18 @@ def test_single_cap_marginal_at_zero_coupling():
     assert rep.verdict == "no-certificate"
 
 
-def test_report_json_shape():
-    rep = stability_report(make_pattern([-0.5, 0.5]), 0.8, K=16)
-    d = rep.to_json()
-    assert set(d) == {"gamma", "K", "min_eig", "mode", "certificates", "verdict"}
+def test_report_json_shape(capsys):
+    assert cli.main(["stability", "--z", "-0.5,0.5", "--gamma", "0.8", "--K", "16"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert set(d) == {"meta", "gamma", "K", "min_eig", "mode", "certificates", "verdict"}
     assert set(d["mode"]) == {"circle", "k", "parity"}
     assert len(d["certificates"]["single_mode"]) == CERT_MODES
     assert d["K"] == 16
+
+
+def test_non_critical_pattern_is_refused():
+    with pytest.raises(NotCritical):
+        assemble_J(make_pattern([-0.5, 0.1, 0.6]), 2.0)
 
 
 def test_eigen_residual_small():
