@@ -26,7 +26,7 @@ block is -2 gamma (r_i r_j) F_k(a, b) plus the diagonal
 pi (k^2 - 1)/r_i + 4 pi gamma g_i r_i, applied to the whole stack at
 once; the constants block is the k = 0 block doubled, because the
 constant mode has norm 2 pi instead of pi.  The k >= 1 blocks stay one
-stack, and one batched eigh finds all their smallest eigenvalues.
+stack; one batched eigvalsh finds their smallest eigenvalues.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class JMatrix:
 
     ``k_blocks`` is one (K, n, n) stack, the k = 1..K slices of the array
     that assemble_J fills, so min_eig_constrained solves it with one
-    batched eigh; ``block(k)`` reads a single wavenumber.
+    batched eigvalsh; ``block(k)`` reads a single wavenumber.
     """
 
     pattern: AxisymPattern
@@ -222,10 +222,10 @@ def min_eig_constrained(J: JMatrix) -> StabilityReport:
 
     The constants block is restricted to the hyperplane w . c = 0 by an
     orthonormal complement of w; oscillatory blocks need no constraint and
-    go through one batched eigh, ties going to the constants block and then
-    to the lowest wavenumber.  Degenerate cos/sin pairs are reported with
-    the cos tag, and the mode circle is the lowest one among components
-    tied for the largest.
+    go through one batched eigvalsh (ties to the constants block, then to the
+    lowest wavenumber) and one eigh of the winning block for its mode.
+    Degenerate cos/sin pairs are reported with the cos tag, and the mode
+    circle is the lowest one among components tied for the largest.
     """
     p = J.pattern
     n = p.n
@@ -238,11 +238,11 @@ def min_eig_constrained(J: JMatrix) -> StabilityReport:
         if vals[0] < best:
             best = float(vals[0])
             best_mode = (_lead_circle(Q @ vecs[:, 0]), 0, "constant")
-    vals, vecs = np.linalg.eigh(J.k_blocks)
-    i = int(np.argmin(vals[:, 0]))  # first occurrence: the lowest wavenumber wins a tie
-    if vals[i, 0] < best:
-        best = float(vals[i, 0])
-        best_mode = (_lead_circle(vecs[i, :, 0]), i + 1, "cos")
+    i = int(np.argmin(np.linalg.eigvalsh(J.k_blocks)[:, 0]))  # first occurrence: the lowest wavenumber wins a tie
+    vals, vecs = np.linalg.eigh(J.k_blocks[i])
+    if vals[0] < best:
+        best = float(vals[0])
+        best_mode = (_lead_circle(vecs[:, 0]), i + 1, "cos")
 
     single: tuple = ()
     pm = None
