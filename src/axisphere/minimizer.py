@@ -26,11 +26,11 @@ at nodes k and k+3 does not move: bands k and k+2 keep their xi lines,
 band k+1's line shifts by (s_k - s_{k+1}) t, and only the two moved
 circles and those three bands depend on t.  Each evaluation is a few
 square roots and logarithms, independent of n, and its closed-form slope
-ends every frame's line search on a root (``_slope_min``).  The escapes
-run the same search: a slide off a pole or a merged pair is one strip move
-on that energy, and the pole escape probe searches the window profile on
-its own closed-form slope.  The window profile also serves the
-localization check of ``verify``.
+ends every frame's line search on a root (``_slope_min``).  A frame move
+counts only when its drop exceeds the frame energy's rounding scale, so a
+converged sweep does not drift on rounding noise.  The pole escape probe
+searches the window profile on its own closed-form slope; the window
+profile also serves the localization check of ``verify``.
 
 Cyclic sweeps of the per-frame scalar minimization drive a pattern to a
 fixed point.  The sweeps converge linearly, with a per-cycle contraction
@@ -48,9 +48,10 @@ or on a pole: ``apply_elementary_move`` reports such a move as
 OrderingViolated, and a sweep treats it as no move.
 
 Boundary configurations (an interface at a pole, or two interfaces merged)
-are handled by one slide of a strip away from the degenerate state, set up
-in the orientation where the slide goes south; whether the slide strictly
-beats the degenerate limit value decides escape.
+both hold a zero-width strip.  One slide moves the strip below it south,
+in the orientation where that strip exists, through the sweep's own frame
+search (``_frame_offset``); whether the slide strictly beats the
+degenerate limit value decides escape.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ __all__ = [
     "boundary_escape",
 ]
 
-DECREASE_TOL = 1e-15  # a sweep lowering the energy E by less than this times max(1, |E|) ends the descent
+DECREASE_TOL = 1e-15  # times max(1, |E|): the rounding scale of an energy E, below which a sweep or frame drop does not count
 SCAN_SAMPLES = 48  # grid points of the pre-scan of every line search
-X_TOL = 1e-12  # bracket width that ends a line search (in the offset t, or an escape's slide parameter s)
+X_TOL = 1e-12  # bracket width that ends a line search
 
 
 def profile_f(x: float) -> float:
@@ -297,21 +298,24 @@ def _search_range(p: AxisymPattern, k: int) -> tuple[float, float]:
     return _off_poles(p, k, t_lo + pad, t_hi - pad)
 
 
-def _frame_offset(p: AxisymPattern, k: int, gamma: float, opts: MinimizeOptions) -> tuple[float, AxisymPattern, float] | None:
-    """Best strictly improving move of one frame: (offset, moved pattern, energy drop / (2*pi)).
+def _frame_offset(
+    p: AxisymPattern, k: int, gamma: float, t_lo: float, t_hi: float, x_tol: float
+) -> tuple[float, AxisymPattern, float] | None:
+    """Best strictly improving move of frame k over offsets (t_lo, t_hi): (offset, moved pattern, energy drop / (2*pi)).
 
-    Searches the three-band energy of ``_move_energy`` over ``_search_range``
-    without building a pattern.  Returns None when no offset lowers the
-    energy, and also near walls, where sub-ulp offsets can land an interface
-    on a neighbour: no move rather than an error.
+    Searches the three-band energy E_k of ``_move_energy`` without building
+    a pattern.  A move counts only when its drop exceeds the rounding scale
+    ``DECREASE_TOL * max(1, |E_k(0)|)``; below it, and near walls, where
+    sub-ulp offsets can land an interface on a neighbour, returns None: no
+    move rather than an error.
     """
-    t_lo, t_hi = _search_range(p, k)
     if not t_lo < t_hi:
         return None
     along, slope = _move_energy(p, k, gamma)
-    t, e_star = _slope_min(along, slope, t_lo, t_hi, opts.x_tol)
-    drop = along(0.0) - e_star
-    if not drop > 0.0:
+    t, e_star = _slope_min(along, slope, t_lo, t_hi, x_tol)
+    e_0 = along(0.0)
+    drop = e_0 - e_star
+    if not drop > DECREASE_TOL * max(1.0, abs(e_0)):
         return None
     try:
         return t, apply_elementary_move(p, k, t), drop
@@ -354,7 +358,7 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
             mirror = p.n - 2 - k
             if opts.symmetric and k >= mirror:
                 continue
-            move = _frame_offset(p, k, gamma, opts)
+            move = _frame_offset(p, k, gamma, *_search_range(p, k), opts.x_tol)
             if move is None:
                 continue
             t, moved, drop = move
@@ -545,56 +549,34 @@ def escape_pole_frame(alpha: float, gamma: float, samples: int = 96) -> EscapePr
 def _slide_escape(bp: BoundaryPattern, gamma: float) -> AxisymPattern:
     """Escape a north-pole contact, or a merged pair with an entry below it.
 
-    Both slide one strip south by a scalar s in (lo, hi) and must strictly
-    beat the degenerate limit value.  A pole contact moves the top pair to
-    ((alpha+s)/2, (s+1)/2) against the vanishing-cap limit (continuous
-    there).  A merged pair (y, y) moves the strip (below, y) down by s
-    against the merged limit with both coincident circles counted.
-
-    Either slide is the strip move of frame k by dt = ds/2 (pole) or -ds
-    (merged).  It is searched on the ``_move_energy`` of an anchor at the
-    middle of (lo, hi), over the padded range kept off the poles, with
-    ``X_TOL`` scaled to t so that it still bounds the width in s.
+    Either is a zero-width strip at entry j of (*z, 1), the entry equal to
+    the next one: the pole contact, or the merged pair's lower entry.
+    Frame j-1 slides the strip (z_{j-1}, z_j) south by t in (t_lo, 0),
+    with t_lo reaching the entry below z_{j-1}, or -1.  A pole contact also
+    keeps t above z_{j-1} - 1, so the moved strip's lower root stays in the
+    pole probe's window (2 z_{j-1} - 1, 1).  ``_frame_offset`` searches the
+    slide from an anchor at t_lo/2 over the padded range kept off the
+    poles.  Its pattern, or the anchor when no slide beats it, must
+    strictly beat the degenerate limit: the energy without the strip's
+    entries plus the circles at those entries (none at a pole).
     """
     zs = list(bp.z)
-    m_b = bp.mass
-    if bp.kind == "pole":
-        what = "pole configuration"
-        body = zs[:-1]  # the pole entry carries no circle
-        alpha = 2.0 * body[-1] - 1.0
-        below = body[-2] if len(body) >= 2 else -1.0
-        # the pair slide needs (alpha+s)/2 to stay above both `below` and -1
-        lo, hi = max(alpha, 2.0 * below - alpha, -2.0 - alpha), 1.0
-        if not lo < hi:
-            raise DomainError("no room below the pole to slide the pair inward")
-        limit = total_energy(make_pattern(body), gamma).total
-        k, dt_ds = len(zs) - 2, 0.5  # |dt/ds|
-
-        def slid(s: float) -> tuple[float, ...]:
-            return tuple(body[:-1] + [0.5 * (alpha + s), 0.5 * (s + 1.0)])
-
-    else:
-        what = "merged pair"
-        j = next(i for i, (a, b) in enumerate(zip(zs, zs[1:])) if a == b)
-        if j == 0:
-            raise DomainError("merged pair needs a neighboring interface to slide")
-        y, below = zs[j], zs[j - 1]
-        floor = zs[j - 2] if j >= 2 else -1.0
-        lo, hi = 0.0, below - floor
-        reduced = make_pattern(zs[:j] + zs[j + 2 :])
-        limit = total_energy(reduced, gamma).total + 2.0 * (2.0 * math.pi) * math.sqrt(1.0 - y * y)
-        k, dt_ds = j - 1, 1.0
-
-        def slid(s: float) -> tuple[float, ...]:
-            return tuple(zs[: j - 1] + [below - s, y - s] + zs[j + 1 :])
-
-    anchor = AxisymPattern(z=slid(0.5 * (lo + hi)), m=m_b)
-    reach = dt_ds * (0.5 - 1e-9) * (hi - lo)  # each end padded by 1e-9 of the width
-    along, slope = _move_energy(anchor, k, gamma)
-    t, _ = _slope_min(along, slope, *_off_poles(anchor, k, -reach, reach), X_TOL * dt_ds)
-    moved = apply_elementary_move(anchor, k, t)
+    j = next(i for i, (a, b) in enumerate(zip(zs, [*zs[1:], 1.0])) if a == b)
+    if j == 0:
+        raise DomainError("merged pair needs a neighboring interface to slide")
+    k, pole = j - 1, zs[j] == 1.0
+    circles = 2.0 * math.pi * sum(math.sqrt(1.0 - y * y) for y in zs[j : j + 2])
+    limit = total_energy(make_pattern(zs[:j] + zs[j + 2 :]), gamma).total + circles
+    t_lo = (zs[k - 1] if k else -1.0) - zs[k]
+    if pole:
+        t_lo = max(t_lo, zs[k] - 1.0)
+    zs[k : j + 1] = [zs[k] + 0.5 * t_lo, zs[j] + 0.5 * t_lo]
+    anchor = AxisymPattern(z=tuple(zs), m=bp.mass)
+    reach = -(0.5 - 1e-9) * t_lo  # each end padded by 1e-9 of the width
+    move = _frame_offset(anchor, k, gamma, *_off_poles(anchor, k, -reach, reach), X_TOL)
+    moved = anchor if move is None else move[1]
     if not _beats(total_energy(moved, gamma).total, limit):
-        raise NoEscape(f"{what} is locally optimal at gamma={gamma!r}")
+        raise NoEscape(f"{'pole configuration' if pole else 'merged pair'} is locally optimal at gamma={gamma!r}")
     return moved
 
 

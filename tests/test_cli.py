@@ -5,6 +5,7 @@ starts ``python -m axisphere.cli`` as a child process.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from axisphere import cli
+from axisphere.energy import total_energy
+from axisphere.pattern import make_pattern
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -194,6 +197,34 @@ def test_gamma_curve_branches(run):
     assert float(r4.stdout.splitlines()[-1].split(",")[1]) == pytest.approx(15.607189587574723, rel=1e-12)
 
 
+def test_gamma_curve_skips_points_outside_the_domain(run):
+    """Past z1 ~ 0.69 the three-interface coupling is negative: a stderr line per point, no row, exit 0."""
+    r = run("gamma-curve", "--branch", "3", "--z1", "0.05:0.95:10")
+    assert r.returncode == 0
+    skipped = [ln.split()[1] for ln in r.stderr.splitlines()]
+    assert skipped == ["z1=0.75:", "z1=0.85:", "z1=0.95:"]
+    assert all(ln.endswith("outside the reported domain") for ln in r.stderr.splitlines())
+    rows = [ln.split(",") for ln in r.stdout.splitlines()[3:]]
+    assert [float(z1) for z1, _, _ in rows] == pytest.approx([0.05 + 0.1 * i for i in range(7)], abs=1e-15)
+    assert all(float(g) > 0.0 for _, g, _ in rows)
+
+
+def test_sweep2_reaches_the_single_cap_limit(run):
+    """At z1 = 0 the upper band closes on the pole and the sweep reports the single cap at the equator.
+
+    The vanishing cap's circle has radius sqrt(2 |z1|) to first order, so
+    (E(z1) - E(0)) / pi approaches 2 sqrt(2 |z1|), up to O(gamma |z1|).
+    """
+    r = run("sweep2", "--z1", "-1e-6,-1e-8,0", "--gamma", "1,10")
+    assert r.returncode == 0
+    e = {(z1, g): e for z1, g, e in (map(float, ln.split(",")) for ln in r.stdout.splitlines()[3:])}
+    for g in (1.0, 10.0):
+        assert e[(0.0, g)] == pytest.approx(total_energy(make_pattern([0.0]), g).total_over_pi, rel=1e-14)
+        for z1 in (-1e-6, -1e-8):
+            rate = (e[(z1, g)] - e[(0.0, g)]) / math.sqrt(-z1)
+            assert abs(rate - 2.0 * math.sqrt(2.0)) <= 10.0 * g * math.sqrt(-z1)
+
+
 def test_critical_solve_and_uniform_check(run):
     r = run("critical", "solve", "--n", "3", "--gamma", "2")
     doc = json.loads(r.stdout)
@@ -228,15 +259,20 @@ def test_catalog_jsonl(run, tmp_path):
 
 
 def test_minimize_with_trace(run, tmp_path):
+    """The README example ends exactly on the double cap (-0.5, 0.5), where its Newton step lands.
+
+    A frame drop below the rounding of the frame energy is not a move, so
+    the stopping sweep does not drift off that point or raise the trace.
+    """
     trace = tmp_path / "descent.csv"
     r = run("minimize", "--z", "-0.4,0.6", "--gamma", "5", "--trace", str(trace))
     doc = json.loads(r.stdout)
-    assert doc["pattern"]["z"][0] == pytest.approx(-0.5, abs=1e-6)
-    assert doc["residual_max"] <= 1e-6
+    assert doc["pattern"]["z"] == [-0.5, 0.5]
+    assert doc["residual_max"] == 0.0
     body = trace.read_text().splitlines()
     assert body[2] == "cycle,energy_over_pi,max_move"
     energies = [float(ln.split(",")[1]) for ln in body[3:]]
-    assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
+    assert all(b <= a for a, b in zip(energies, energies[1:]))
 
 
 def test_escape_modes(run):
@@ -286,6 +322,25 @@ def test_config_file_merge(run, tmp_path):
     from_file = run("critical", "solve", "--config", str(solve))
     assert from_file.returncode == 0, from_file.stderr
     assert from_file.stdout == run("critical", "solve", "--n", "3", "--gamma", "2").stdout
+
+
+@pytest.mark.parametrize("text", ["0:1", "0:1:0", "0:1:1", "a,b"])
+def test_malformed_ranges_exit_one(run, text):
+    r = run("bounds", "--gamma", text)
+    assert r.returncode == 1 and "error:" in r.stderr and not r.stdout
+
+
+def test_config_file_shapes(run, tmp_path):
+    """The file holds a JSON object; a list value is a comma list of floats."""
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([["z", "-0.5,0.5"], ["gamma", 2.5]]))
+    r = run("energy", "--config", str(listed))
+    assert r.returncode == 1 and "JSON object" in r.stderr
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"z": [-0.5, 0.5], "gamma": 2.5}))
+    from_file = run("energy", "--config", str(cfg))
+    assert from_file.returncode == 0, from_file.stderr
+    assert from_file.stdout == run("energy", "--z", "-0.5,0.5", "--gamma", "2.5").stdout
 
 
 def test_out_dir_env(run, tmp_path, monkeypatch):

@@ -86,6 +86,12 @@ def test_continuation_losing_the_branch():
         continue_gamma(3, 1.05, 1e9, 4, initial_guess(3))
 
 
+def test_continuation_without_a_start():
+    """A seed the corrector cannot solve at gamma_start has no branch to halve back to."""
+    with pytest.raises(BranchLost, match=r"^no solution at branch start gamma=20\.0$"):
+        continue_gamma(12, 20.0, 30.0, 3, initial_guess(12))
+
+
 @pytest.mark.parametrize(
     "call, error",
     [

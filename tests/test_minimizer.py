@@ -214,7 +214,7 @@ def test_pole_frames_are_still_searched():
             assert (t_lo, p.z[-1] + t_hi) == (lo + pad, math.nextafter(1.0, 0.0))
         along, _ = _move_energy(p, k, 1.0)
         _, e_golden = _golden_min(along, t_lo, t_hi)
-        t, moved, _ = _frame_offset(p, k, 1.0, MinimizeOptions())
+        t, moved, _ = _frame_offset(p, k, 1.0, t_lo, t_hi, MinimizeOptions().x_tol)
         assert t_lo < t < t_hi and along(t) <= e_golden + 1e-12 * abs(e_golden)
         assert total_energy(moved, 1.0).total < total_energy(p, 1.0).total
 
@@ -445,6 +445,32 @@ def test_merged_escape():
         2.0 * math.pi
     ) * math.sqrt(1.0 - 0.1**2)
     assert total_energy(out, 20.0).total < kept
+
+
+def test_pole_escape_stops_at_the_window_edge():
+    """A pole slide keeps the strip's lower root inside the probe's window (2 z - 1, 1).
+
+    From (0.55, 1) at gamma = 10 the energy keeps falling to the window edge,
+    lower entry 0.1; without the window the slide runs on to (-0.225, 0.225).
+    """
+    out = boundary_escape(BoundaryPattern(z=(0.55, 1.0)), 10.0)
+    assert 0.1 < out.z[0] <= 0.1 + 1e-8
+
+
+@pytest.mark.parametrize(
+    "z, kind",
+    [
+        ((-0.5, 1.0), "pole configuration"),
+        ((-1.0, 0.5), "pole configuration"),
+        ((-0.2, 0.0, 0.3, 0.3), "merged pair"),
+        ((-0.3, -0.3, 0.0, 0.2), "merged pair"),
+    ],
+)
+def test_no_escape_names_the_degeneracy(z, kind):
+    """A NoEscape says which degenerate state holds, for either orientation."""
+    with pytest.raises(NoEscape) as exc:
+        boundary_escape(BoundaryPattern(z=z), 0.5)
+    assert str(exc.value) == f"{kind} is locally optimal at gamma=0.5"
 
 
 def _seeded_heights(n: int, rng: np.random.Generator) -> list[float]:
