@@ -7,11 +7,13 @@ difference system
     R_k = kappa_g(z_{k+1}) - kappa_g(z_k) + 4*gamma*(v(z_{k+1}) - v(z_k)),
     k = 1..n-1,
 
-closed by the mean-value constraint R_n = m(z) - m_target.  The system is
-solved by a damped Newton iteration on validated patterns with the exact
-Jacobian: v' = xi/(1 - z^2) and xi moves with z_i by a step at z_i plus a
-linear term, so every entry is a closed form in the xi nodes and the band
-logs.  Gamma families are traced by predictor-corrector continuation.
+closed by the mean-value constraint R_n = m(z) - m_target, which
+``residuals`` evaluates band by band.  Up to alternating signs its rows
+are the energy's slopes at -gamma along the n-1 strip moves
+(``energy._frame_hessian``, O(n), with a tridiagonal Hessian), so a damped
+Newton iteration on validated patterns over the frame offsets, plus one
+move of z_1 for the mass, solves it with one tridiagonal solve per step.
+Gamma families are traced by predictor-corrector continuation.
 
 Two one-parameter families admit closed-form couplings gamma(z1): the
 symmetric three-interface family {-z1, 0, z1} and the four-interface
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .energy import _frame_hessian, _tridiagonal_solve
 from .errors import (
     Asymptote,
     BranchLost,
@@ -109,32 +112,20 @@ class CriticalPoint:
     trace: SolverTrace
 
 
-def _jacobian(p: AxisymPattern, gamma: float) -> np.ndarray:
-    """Exact derivative of the residual system with respect to z.
+def _mass_column(p: AxisymPattern, coupling: float) -> list[float]:
+    """Derivative of ``_frame_hessian``'s slopes g(p, coupling) along z_1 alone, the mean moving with it.
 
-    Moving z_i changes xi by -2 s_i H(z - z_i) + s_i (z + 1), s_i = (-1)^(i+1),
-    so with v' = xi/(1 - z^2) row k (k = 1..n-1) is
-    [i = k+1] d_{k+1} - [i = k] d_k + 4 gamma s_i (L1_k - 2 [i <= k] A_k),
-    where d_i = s_i (1 - z_i^2)^(-3/2) + 4 gamma xi_i / (1 - z_i^2), L1_k and
-    L2_k are band k's logs from ``_band_terms`` and
-    A_k = (L1_k + L2_k)/2 = atanh z_{k+1} - atanh z_k; the mass row is
-    dm/dz_i = -s_i.
+    Moving z_1 changes xi by -2 H(z - z_1) + (z + 1), so entry k is
+    (-1)^k 4 coupling L2 of band k+1 (``_band_terms``), and entry 0 also
+    subtracts d_1 = (1 - z_1^2)^(-3/2) - 4 coupling xi(z_1) / (1 - z_1^2).
     """
-    n = p.n
-    z = np.array(p.z)
-    q = 1.0 - z * z
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    prof = xi_profile(p)
-    d = sign / (q * np.sqrt(q)) + 4.0 * gamma * np.array(prof.nodes[1:-1]) / q
-    logs = np.array([_band_terms(p, prof, k)[2:] for k in range(1, n)]).reshape(n - 1, 2)
-    log_gap, stretch = logs[:, 0], 0.5 * (logs[:, 0] + logs[:, 1])
-    jac = np.empty((n, n))
-    jac[:-1] = 4.0 * gamma * sign * (log_gap[:, None] - 2.0 * np.tri(n - 1, n) * stretch[:, None])
-    rows = np.arange(n - 1)
-    jac[rows, rows + 1] += d[1:]
-    jac[rows, rows] -= d[:-1]
-    jac[-1] = -sign
-    return jac
+    prof, q = xi_profile(p), 1.0 - p.z[0] * p.z[0]
+    d_1 = 1.0 / (q * math.sqrt(q)) - 4.0 * coupling * prof.nodes[1] / q
+    return [4.0 * coupling * (-1.0) ** k * _band_terms(p, prof, k + 1)[3] - (0.0 if k else d_1) for k in range(p.n - 1)]
+
+
+def _stopped(what: str, it: int, r: list[float], p: AxisymPattern) -> str:
+    return f"{what} at iteration {it}: max|r| = {max(map(abs, r)):.3e}, min_gap = {p.min_gap():.3e}"
 
 
 def solve_critical(
@@ -144,53 +135,53 @@ def solve_critical(
     opts: SolveOptions = SolveOptions(),
     init_label: str = "caller",
 ) -> CriticalPoint:
-    """Damped Newton with the exact Jacobian on the residual system.
+    """Damped Newton over the frame offsets on ``_frame_hessian``'s O(n) slopes g and tridiagonal H.
 
-    Every iterate is a validated pattern.  Steps are halved until the
-    trial heights form a valid pattern and reduce the squared residual
-    norm; LeftDomain reports damping that cannot restore ordering at all,
-    NoConvergence an exhausted iteration budget.
+    r = (g(p, -gamma), m - m_target) is ``residuals`` up to signs.  A step
+    moves z_1 alone by delta = m - m_target and the frames by
+    tau = -H^{-1}(g + delta ``_mass_column``), one tridiagonal solve that
+    saddles do not stop, halved until the trial is a valid pattern with a
+    smaller |r|^2.  Once max|r| <= tol, ``residuals`` confirms the point
+    and gives ``residual_norm``, or the iteration goes on.  LeftDomain
+    (damping cannot restore ordering) and NoConvergence name the
+    iteration, max|r| and the smallest gap.
     """
     if init.n != n:
         raise OutOfRange(f"initial pattern has {init.n} interfaces, expected {n}")
+    coupling = -gamma  # the energy's coupling whose frame slopes are the residuals
     pat = make_pattern(init.z)
-    res = residuals(pat, gamma, opts.m_target)
+    g, diag, off = _frame_hessian(pat, coupling)
     damping_events = 0
     for it in range(opts.max_iter):
-        norm = float(np.max(np.abs(res)))
-        if norm <= opts.tol:
-            lams = lambda_values(pat, gamma)
-            return CriticalPoint(
-                pattern=pat,
-                gamma=gamma,
-                lam=float(np.mean(lams)),
-                residual_norm=norm,
-                trace=SolverTrace(iterations=it, damping_events=damping_events, init_label=init_label),
-            )
-        try:
-            step = np.linalg.solve(_jacobian(pat, gamma), -res)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular Jacobian at iteration {it}") from exc
-        z = np.array(pat.z)
-        scale = 1.0
-        old_sq = float(res @ res)
+        r = [*g, pat.m - opts.m_target]
+        if max(map(abs, r)) <= opts.tol:
+            norm = float(np.max(np.abs(residuals(pat, gamma, opts.m_target))))
+            if norm <= opts.tol:
+                lam = float(np.mean(lambda_values(pat, gamma)))
+                trace = SolverTrace(iterations=it, damping_events=damping_events, init_label=init_label)
+                return CriticalPoint(pattern=pat, gamma=gamma, lam=lam, residual_norm=norm, trace=trace)
+        tau = _tridiagonal_solve(diag, off, [-(a + r[-1] * b) for a, b in zip(g, _mass_column(pat, coupling))])
+        if tau is None:
+            raise NoConvergence(_stopped("singular frame Hessian", it, r, pat))
+        step = [a + b for a, b in zip([r[-1], *tau], [*tau, 0.0])]
+        scale, old_sq = 1.0, sum(v * v for v in r)
         for halving in range(MAX_HALVINGS + 1):
             try:
-                trial = make_pattern(z + scale * step)
+                trial = make_pattern([z + scale * dz for z, dz in zip(pat.z, step)])
             except (OutOfRange, NonIncreasing):  # left (-1, 1) or lost ordering
                 trial = None
             else:
-                trial_res = residuals(trial, gamma, opts.m_target)
-                if float(trial_res @ trial_res) < old_sq:
+                trial_h = _frame_hessian(trial, coupling)
+                if sum(v * v for v in [*trial_h[0], trial.m - opts.m_target]) < old_sq:
                     break
             scale *= 0.5
             damping_events += 1
         else:
             if trial is None:
-                raise LeftDomain("damping cannot restore interface ordering")
-            raise NoConvergence("no residual decrease along the Newton direction")
-        pat, res = trial, trial_res
-    raise NoConvergence(f"residual {float(np.max(np.abs(res))):.3e} after {opts.max_iter} iterations")
+                raise LeftDomain(_stopped("damping cannot restore interface ordering", it, r, pat))
+            raise NoConvergence(_stopped("no residual decrease along the Newton direction", it, r, pat))
+        pat, (g, diag, off) = trial, trial_h
+    raise NoConvergence(_stopped("iteration budget spent", opts.max_iter, [*g, pat.m - opts.m_target], pat))
 
 
 def continue_gamma(
@@ -406,8 +397,7 @@ def uniform_criticality_check(count: int, gamma_max: float = 1e4) -> UniformChec
         if abs(a - b) > 1e-9 * max(1.0, abs(a)) or a <= 0.0 or b <= 0.0:
             pair, gap = (a, b), abs(a - b)
             break
-    negs = [c for c in candidates if c is not None and c <= 0.0]
-    if negs:
+    if any(c is not None and c <= 0.0 for c in candidates):
         obstruction = "a pair demands a non-positive coupling (same-sign differences)"
     else:
         obstruction = "consecutive pairs demand different couplings"

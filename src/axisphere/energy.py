@@ -10,6 +10,9 @@ coefficients, logs and pole rule of ``pattern._band_terms``.
 The quadrature route integrates the same band integrands adaptively after
 cancelling the pole factor by hand; it exists purely as an independent
 cross-check of the closed form and shares no log-term code with it.
+``_frame_hessian`` gives the energy's slopes and tridiagonal Hessian over
+the strip moves in O(n), for the descent, the critical-point solver and
+the stability gate.
 """
 
 from __future__ import annotations
@@ -59,14 +62,6 @@ def perimeter(p: AxisymPattern) -> float:
     return TWO_PI * sum(math.sqrt(1.0 - v * v) for v in p.z)
 
 
-def _band_segments(p: AxisymPattern):
-    """Yield (j, z_left, z_right, slope, xi_left) for each band."""
-    prof = xi_profile(p)
-    nodes_z = p.nodes()
-    for j in range(p.n + 1):
-        yield j, nodes_z[j], nodes_z[j + 1], prof.slopes[j], prof.nodes[j]
-
-
 def nonlocal_closed(p: AxisymPattern, gamma: float) -> tuple[float, tuple[float, ...]]:
     """Closed-form long-range energy and its per-band split.
 
@@ -94,15 +89,16 @@ def nonlocal_quadrature(
     """
     if gamma == 0.0:
         return 0.0
-    last = p.n
+    prof, nodes_z = xi_profile(p), p.nodes()
     total = 0.0
-    for j, za, zb, s, xa in _band_segments(p):
+    for j, (s, xa) in enumerate(zip(prof.slopes, prof.nodes)):
+        za, zb = nodes_z[j], nodes_z[j + 1]
         if j == 0:
 
             def f(z, s=s):
                 return s * s * (1.0 + z) / (1.0 - z)
 
-        elif j == last:
+        elif j == p.n:
 
             def f(z, s=s):
                 return s * s * (1.0 - z) / (1.0 + z)
@@ -122,6 +118,60 @@ def total_energy(p: AxisymPattern, gamma: float) -> EnergyBreakdown:
     peri = perimeter(p)
     nl, per = nonlocal_closed(p, gamma)
     return EnergyBreakdown(perimeter=peri, nonlocal_=nl, total=peri + nl, per_segment=per)
+
+
+def _frame_hessian(p: AxisymPattern, gamma: float) -> tuple[list[float], list[float], list[float]]:
+    """Slopes g of the frames' ``minimizer._move_energy`` at t = 0, and their Hessian: (g, diagonal, off-diagonal).
+
+    Up to terms linear in z that strip moves keep fixed, E/(2*pi) sums over
+    interfaces i (0-based, bands i and i+1 below and above) the terms
+
+        sqrt(1 - z_i^2) + gamma/2 [(c1_{i+1}^2 - c1_i^2) log(1 - z_i) + (c2_i^2 - c2_{i+1}^2) log(1 + z_i)]
+
+    of ``_move_energy``'s logs regrouped, pole rule included.  Frame k shifts
+    z_k, z_{k+1} and both c1 and c2 of band k+1 by (1, 1, s_k - s_{k+1}) tau_k,
+    so term i reads tau_{i-1} and tau_i alone: H is tridiagonal, built in O(n).
+
+    The descent calls it at gamma; ``solve_critical`` and ``assemble_J``'s gate
+    at -gamma, as residuals(p, gamma)[k] = (-1)^k g_k(p, -gamma).  The sign of
+    v' in ``potential.py`` is open (ROADMAP); settling it flips that argument.
+    """
+    prof = xi_profile(p)
+    c1, c2, l1, l2 = zip(*(_band_terms(p, prof, j) for j in range(p.n + 1)))
+    gz, dzz, d_below, d_above = [], [], [], []  # per interface: dE/dz, d2E/dz2, d2E/dz dc for the bands below and above
+    for i, z in enumerate(p.z):
+        u, v, r = 1.0 / (1.0 - z), 1.0 / (1.0 + z), math.sqrt(1.0 - z * z)
+        w1, w2 = c1[i + 1] ** 2 - c1[i] ** 2, c2[i] ** 2 - c2[i + 1] ** 2
+        gz.append(-z / r + 0.5 * gamma * (w2 * v - w1 * u))
+        dzz.append(-1.0 / (r * r * r) - 0.5 * gamma * (w1 * u * u + w2 * v * v))
+        d_below.append(gamma * (c1[i] * u + c2[i] * v))
+        d_above.append(-gamma * (c1[i + 1] * u + c2[i + 1] * v))
+    g, diag, off = [], [], []
+    for k in range(p.n - 1):
+        sigma, j = prof.slopes[k] - prof.slopes[k + 1], k + 1  # frame k - 1 shifts its band by exactly -sigma
+        g.append(gz[k] + gz[j] + sigma * gamma * (c1[j] * l1[j] + c2[j] * l2[j]))
+        diag.append(dzz[k] + dzz[j] + 2.0 * sigma * (d_above[k] + d_below[j]) + sigma * sigma * gamma * (l1[j] + l2[j]))
+        if k:
+            off.append(dzz[k] + sigma * (d_above[k] - d_below[k]))
+    return g, diag, off
+
+
+def _tridiagonal_solve(diag: list, off: list, rhs: list, definite: bool = False) -> list[float] | None:
+    """x with H x = rhs for the symmetric tridiagonal H = (diag, off), by one LDL^T pass without pivoting.
+
+    None on a zero or nan pivot, or, when ``definite``, on one that is not positive.
+    """
+    pivots, y = [], []  # H = L D L^T with D = diag(pivots), and y = L^{-1} rhs
+    for k, h in enumerate(diag):
+        pivot = h - off[k - 1] ** 2 / pivots[-1] if k else h
+        if not (pivot > 0.0 if definite else abs(pivot) > 0.0):
+            return None
+        y.append(rhs[k] - off[k - 1] / pivots[-1] * y[-1] if k else rhs[k])
+        pivots.append(pivot)
+    x = [y[-1] / pivots[-1]] if y else []  # back-substituted from the last
+    for k in reversed(range(len(y) - 1)):
+        x.append((y[k] - off[k] * x[-1]) / pivots[k])
+    return x[::-1]
 
 
 # ------------------------------------------------------------------ sweeps
@@ -162,3 +212,4 @@ def two_interface_grid(
         nl_unit, _ = nonlocal_closed(pat, 1.0)  # linear in gamma
         rows.append(tuple((peri + g * nl_unit) / math.pi for g in gammas))
     return SweepGrid(z1=z1s, gamma=gammas, energy_over_pi=tuple(rows))
+

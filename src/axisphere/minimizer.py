@@ -33,19 +33,17 @@ searches the window profile on its own closed-form slope; the window
 profile also serves the localization check of ``verify``.
 
 Cyclic sweeps of the per-frame scalar minimization drive a pattern to a
-fixed point.  The sweeps converge linearly, with a per-cycle contraction
-near 0.9 at n=8, so each improving cycle ends with one second-order step.
-The n-1 strip moves span the tangent space of the mass, which is linear in
-z, and in that basis the energy's Hessian is tridiagonal
-(``_frame_hessian``): the Newton step -H^{-1} g costs O(n) and is tried
-when H is positive definite, otherwise the Aitken limit z + rho/(1 - rho) d
-along the cycle's displacement d, with rho = |d| / |d_prev| in (0, 1).
-Either step, or half of it, is kept only when it strictly lowers the
-energy; both are sums of strip moves, so they carry the mean.  Every move
-builds its result through the validating ``AxisymPattern`` constructor, so
-no sweep, step or escape returns heights that are out of order, coincident
-or on a pole: ``apply_elementary_move`` reports such a move as
-OrderingViolated, and a sweep treats it as no move.
+fixed point, linearly (a per-cycle contraction near 0.9 at n=8), so each
+improving cycle ends with one second-order step: the O(n) Newton step
+-H^{-1} g over the strip moves, which span the tangent space of the mass
+(``energy._frame_hessian``), when H is positive definite, otherwise the
+Aitken limit z + rho/(1 - rho) d along the cycle's displacement d,
+rho = |d| / |d_prev| in (0, 1).  Either step, or half of it, is kept only
+when it strictly lowers the energy; both are sums of strip moves, so they
+carry the mean.  Every move builds its result through the validating
+``AxisymPattern`` constructor, so no sweep, step or escape returns heights
+that are out of order, coincident or on a pole: ``apply_elementary_move``
+reports such a move as OrderingViolated, and a sweep treats it as no move.
 
 Boundary configurations (an interface at a pole, or two interfaces merged)
 both hold a zero-width strip.  One slide moves the strip below it south,
@@ -61,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyBreakdown, total_energy
+from .energy import EnergyBreakdown, _frame_hessian, _tridiagonal_solve, total_energy
 from .errors import CycleLimit, DomainError, NoEscape, NonIncreasing, OrderingViolated, OutOfRange
 from .pattern import AxisymPattern, _band_terms, is_symmetric, make_pattern, mass_of_interfaces, xi_profile
 
@@ -333,7 +331,8 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
     and kept only when ``total_energy`` strictly drops; the cycle's record
     then carries the energy after the step, and its ``max_move`` includes
     the step's largest height change.  The stop rule reads only the sweep's
-    own improvement, so the result is a sweep fixed point.
+    own improvement, so the result is a sweep fixed point; a stopping sweep
+    that raised ``total_energy`` (on rounding) is undone, so no record rises.
 
     Symmetric mode sweeps the lower half and mirrors each accepted offset
     to the reflected frame, skipping the self-mirrored central frame whose
@@ -376,6 +375,8 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
         new_energy = total_energy(p, gamma)
         improved = energy.total - new_energy.total
         done = improved < DECREASE_TOL * max(1.0, abs(energy.total))
+        if improved < 0.0:  # kept frame drops that sum to a rise on rounding: undo the sweep
+            p, max_move, new_energy = start, 0.0, energy
         energy = new_energy
         if not done:
             d = [b - a for a, b in zip(start.z, p.z)]
@@ -413,60 +414,19 @@ def _extrapolate(p: AxisymPattern, d: list[float], s: float, energy: EnergyBreak
     return None
 
 
-def _frame_hessian(p: AxisymPattern, gamma: float) -> tuple[list[float], list[float], list[float]]:
-    """Slopes g of the frames' ``_move_energy`` at t = 0, and their Hessian: (g, diagonal, off-diagonal).
-
-    Up to terms linear in z that strip moves keep fixed, E/(2*pi) sums over
-    interfaces i (0-based, bands i and i+1 below and above) the terms
-
-        sqrt(1 - z_i^2) + gamma/2 [(c1_{i+1}^2 - c1_i^2) log(1 - z_i) + (c2_i^2 - c2_{i+1}^2) log(1 + z_i)]
-
-    of ``_move_energy``'s logs regrouped, pole rule included.  Frame k shifts
-    z_k, z_{k+1} and both c1 and c2 of band k+1 by (1, 1, s_k - s_{k+1}) tau_k,
-    so term i reads tau_{i-1} and tau_i alone: H is tridiagonal, built in O(n).
-    """
-    prof = xi_profile(p)
-    c1, c2, l1, l2 = zip(*(_band_terms(p, prof, j) for j in range(p.n + 1)))
-    gz, dzz, d_below, d_above = [], [], [], []  # per interface: dE/dz, d2E/dz2, d2E/dz dc for the bands below and above
-    for i, z in enumerate(p.z):
-        u, v, r = 1.0 / (1.0 - z), 1.0 / (1.0 + z), math.sqrt(1.0 - z * z)
-        w1, w2 = c1[i + 1] ** 2 - c1[i] ** 2, c2[i] ** 2 - c2[i + 1] ** 2
-        gz.append(-z / r + 0.5 * gamma * (w2 * v - w1 * u))
-        dzz.append(-1.0 / (r * r * r) - 0.5 * gamma * (w1 * u * u + w2 * v * v))
-        d_below.append(gamma * (c1[i] * u + c2[i] * v))
-        d_above.append(-gamma * (c1[i + 1] * u + c2[i + 1] * v))
-    g, diag, off = [], [], []
-    for k in range(p.n - 1):
-        sigma, j = prof.slopes[k] - prof.slopes[k + 1], k + 1  # frame k - 1 shifts its band by exactly -sigma
-        g.append(gz[k] + gz[j] + sigma * gamma * (c1[j] * l1[j] + c2[j] * l2[j]))
-        diag.append(dzz[k] + dzz[j] + 2.0 * sigma * (d_above[k] + d_below[j]) + sigma * sigma * gamma * (l1[j] + l2[j]))
-        if k:
-            off.append(dzz[k] + sigma * (d_above[k] - d_below[k]))
-    return g, diag, off
-
-
 def _newton_step(p: AxisymPattern, gamma: float, symmetric: bool) -> list[float] | None:
     """Height change of the Newton step -H^{-1} g over the frames, or None when H is not positive definite.
 
-    One LDL^T pass on ``_frame_hessian``'s tridiagonal H; frame k's offset
+    One ``_tridiagonal_solve`` on ``_frame_hessian``'s H; frame k's offset
     moves heights k and k+1.  In symmetric mode the change is projected onto
     mirror-symmetric ones, dz <- (dz - reversed(dz)) / 2, so a symmetric
     pattern stays exactly symmetric.
     """
     g, diag, off = _frame_hessian(p, gamma)
-    off.append(0.0)  # no frame past the last
-    pivots, y = [], []  # H = L D L^T with D = diag(pivots), and y = -L^{-1} g
-    for k, h in enumerate(diag):
-        pivot = h - off[k - 1] ** 2 / pivots[-1] if k else h
-        if not pivot > 0.0:
-            return None
-        y.append(-g[k] - off[k - 1] / pivots[-1] * y[-1] if k else -g[k])
-        pivots.append(pivot)
-    tau = [0.0]  # the frames' offsets, back-substituted from the last after one 0.0
-    for k in reversed(range(len(diag))):
-        tau.append((y[k] - off[k] * tau[-1]) / pivots[k])
-    tau.reverse()
-    dz = [a + b for a, b in zip([0.0] + tau, tau)]
+    tau = _tridiagonal_solve(diag, off, [-v for v in g], definite=True)
+    if tau is None:
+        return None
+    dz = [a + b for a, b in zip([0.0, *tau], [*tau, 0.0])]
     if symmetric:
         dz = [0.5 * (a - b) for a, b in zip(dz, reversed(dz))]
     return dz

@@ -93,12 +93,6 @@ class XiProfile:
     slopes: tuple[float, ...]
 
 
-def _check_interface_index(p: AxisymPattern, k: int) -> int:
-    if not 1 <= k <= p.n:
-        raise IndexOutOfRange(f"interface index {k} outside 1..{p.n}")
-    return k
-
-
 def mass_of_interfaces(zs: Sequence[float]) -> float:
     """Mean value (1/2) sum_k (-1)^k (z_k - z_{k-1}) over the full sphere.
 
@@ -133,7 +127,8 @@ def kappa_g(p: AxisymPattern, k: int) -> float:
     u(z_k+) * z_k / sqrt(1 - z_k^2), so a double cap {-1/2, 1/2} carries
     -1/sqrt(3) at both circles.
     """
-    k = _check_interface_index(p, k)
+    if not 1 <= k <= p.n:
+        raise IndexOutOfRange(f"interface index {k} outside 1..{p.n}")
     zk = p.z[k - 1]
     sign = 1.0 if k % 2 == 1 else -1.0  # u just above z_k is (-1)^(k+1)
     return sign * zk / math.sqrt(1.0 - zk * zk)

@@ -16,9 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IndexOutOfRange
-from .pattern import AxisymPattern, _band_terms, xi_profile
+from .pattern import AxisymPattern, XiProfile, _band_terms, xi_profile
 
 __all__ = ["v_diff", "v_at_interfaces", "grad_v_normal"]
+
+
+def _band_diff(p: AxisymPattern, prof: XiProfile, k: int) -> float:
+    c1, c2, l1, l2 = _band_terms(p, prof, k)
+    return 0.5 * c1 * l1 + 0.5 * c2 * l2
 
 
 def v_diff(p: AxisymPattern, k: int) -> float:
@@ -29,16 +34,13 @@ def v_diff(p: AxisymPattern, k: int) -> float:
     """
     if not 0 <= k <= p.n:
         raise IndexOutOfRange(f"band index {k} outside 0..{p.n}")
-    c1, c2, l1, l2 = _band_terms(p, xi_profile(p), k)
-    return 0.5 * c1 * l1 + 0.5 * c2 * l2
+    return _band_diff(p, xi_profile(p), k)
 
 
 def v_at_interfaces(p: AxisymPattern) -> tuple[float, ...]:
-    """Potential values v(z_k), k = 1..n, accumulated from the south pole."""
-    values = [v_diff(p, 0)]
-    for k in range(1, p.n):
-        values.append(values[-1] + v_diff(p, k))
-    return tuple(values)
+    """Potential values v(z_k), k = 1..n, accumulated from the south pole over one xi profile."""
+    prof = xi_profile(p)
+    return tuple(np.cumsum([_band_diff(p, prof, k) for k in range(p.n)]).tolist())  # sequential sums
 
 
 def grad_v_normal(p: AxisymPattern) -> np.ndarray:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criticality import residuals
+from .energy import _frame_hessian
 from .errors import DomainError, NotCritical, OutOfRange
 from .pattern import AxisymPattern, is_symmetric
 from .potential import grad_v_normal
@@ -169,9 +169,9 @@ def assemble_J(p: AxisymPattern, gamma: float, K: int = 32) -> JMatrix:
     """
     if K < 1:
         raise OutOfRange("mode cutoff must be at least 1")
-    res = residuals(p, gamma, m_target=p.m)
-    if float(np.max(np.abs(res))) > CRITICAL_TOL:
-        raise NotCritical(f"pattern residual {float(np.max(np.abs(res))):.3e} exceeds {CRITICAL_TOL}")
+    worst = max(map(abs, _frame_hessian(p, -gamma)[0]), default=0.0)  # ``residuals`` up to signs
+    if worst > CRITICAL_TOL:
+        raise NotCritical(f"pattern residual {worst:.3e} exceeds {CRITICAL_TOL}")
     z = np.array(p.z)
     r = np.sqrt(1.0 - z * z)
     g = grad_v_normal(p)

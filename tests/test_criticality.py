@@ -5,7 +5,7 @@ import pytest
 
 from axisphere.criticality import (
     SolveOptions,
-    _jacobian,
+    _mass_column,
     continue_gamma,
     denominator_root_3,
     denominator_root_4,
@@ -21,6 +21,7 @@ from axisphere.criticality import (
     uniform_criticality_check,
     uniform_pattern,
 )
+from axisphere.energy import _frame_hessian
 from axisphere.errors import Asymptote, BranchLost, LeftDomain, NoConvergence, NonPositive, OutOfRange
 from axisphere.pattern import make_pattern
 
@@ -93,18 +94,24 @@ def test_continuation_without_a_start():
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call, error, message",
     [
-        pytest.param(lambda: continue_gamma(3, -1.0, 2.0, 3, initial_guess(3)), NonPositive, id="negative-gamma"),
-        pytest.param(lambda: uniform_pattern(0), NonPositive, id="no-interfaces"),
+        pytest.param(lambda: continue_gamma(3, -1.0, 2.0, 3, initial_guess(3)), NonPositive, "positive gamma",
+                     id="negative-gamma"),
+        pytest.param(lambda: uniform_pattern(0), NonPositive, "must be positive", id="no-interfaces"),
         pytest.param(lambda: solve_critical(3, 2.0, initial_guess(3), SolveOptions(max_iter=1)), NoConvergence,
+                     r"^iteration budget spent at iteration 1: max\|r\| = 1\.965e-01, min_gap = 3\.852e-01$",
                      id="one-iteration"),
         # damped Newton from the evenly spaced n=12 guess at gamma=20 cannot keep the heights ordered
-        pytest.param(lambda: solve_critical(12, 20.0, initial_guess(12)), LeftDomain, id="n12-gamma20"),
+        pytest.param(lambda: solve_critical(12, 20.0, initial_guess(12)), LeftDomain,
+                     r"^damping cannot restore interface ordering at iteration \d+: "
+                     r"max\|r\| = \d\.\d{3}e[+-]\d\d, min_gap = \d\.\d{3}e[+-]\d\d$",
+                     id="n12-gamma20"),
     ],
 )
-def test_solver_and_input_errors(call, error):
-    with pytest.raises(error):
+def test_solver_and_input_errors(call, error, message):
+    """Solver failures name the iteration, the max-norm of the residual vector and the smallest gap."""
+    with pytest.raises(error, match=message):
         call()
 
 
@@ -215,32 +222,97 @@ def test_gap_diagnostics_symmetric_point():
     assert stretched_gap_variance(make_pattern([0.3])) == 0.0
 
 
-def _fd_jacobian(p, gamma: float, m_target: float) -> np.ndarray:
-    """Fourth-order central differences of residuals, step 1% of each local gap."""
-    z = np.array(p.z)
+def _fd_mass_column(p, gamma: float, m_target: float) -> np.ndarray:
+    """Fourth-order central differences of residuals along z_1, step 1% of its local gap."""
     nodes = p.nodes()
-    jac = np.empty((p.n, p.n))
-    for i in range(p.n):
-        h = 0.01 * min(nodes[i + 1] - nodes[i], nodes[i + 2] - nodes[i + 1])
-        unit = np.arange(p.n) == i
+    h = 0.01 * min(nodes[1] - nodes[0], nodes[2] - nodes[1])
+    unit = np.arange(p.n) == 0
 
-        def at(t):
-            return residuals(make_pattern(z + t * h * unit), gamma, m_target)
+    def at(t):
+        return residuals(make_pattern(np.array(p.z) + t * h * unit), gamma, m_target)
 
-        jac[:, i] = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
-    return jac
+    return (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
 
 
-def test_exact_jacobian_matches_central_differences():
+def test_mass_column_matches_central_differences():
+    """The solver's z_1 column, in residual signs, is the derivative of the residual rows along z_1."""
     rng = np.random.default_rng(20131114)
     pats = [make_pattern(np.sort(rng.uniform(-0.95, 0.95, n))) for n in (1, 2, 3, 8, 32)]
     pats.append(make_pattern([-0.3, 0.2, 1.0 - 1e-4]))  # cap close to the north pole
     pats.append(make_pattern([-0.4, 0.3, 0.3 + 1e-6, 0.7]))  # nearly merged pair
+    pats.append(make_pattern([-1.0 + 1e-4, -0.2, 0.5]))  # z_1 close to the south pole
     for p in pats:
-        exact = _jacobian(p, 7.0)
-        ref = _fd_jacobian(p, 7.0, m_target=0.15)
-        col_scale = np.max(np.abs(ref), axis=0)
-        assert np.all(np.abs(exact - ref) <= 1e-6 * col_scale), p.z
+        ref = _fd_mass_column(p, 7.0, m_target=0.15)
+        exact = np.array(_mass_column(p, -7.0)) * (-1.0) ** np.arange(p.n - 1)
+        assert ref[-1] == pytest.approx(-1.0, abs=1e-9)  # the mean falls as z_1 rises
+        assert np.all(np.abs(exact - ref[:-1]) <= 1e-6 * np.max(np.abs(ref))), p.z
+
+
+def test_residuals_are_frame_slopes_at_minus_gamma():
+    """residuals(p, gamma)[k] = (-1)^k g_k(p, -gamma), within 1e-12 of max(1, max|residuals|).
+
+    200 draws: n 2-19, sorted heights uniform in [-0.98, 0.98], draws with
+    a gap (poles included) below 1e-3 skipped, gamma log-uniform in [0.1, 1e4].
+    """
+    rng = np.random.default_rng(0)
+    worst, used = 0.0, 0
+    while used < 200:
+        n = int(rng.integers(2, 20))
+        z = np.sort(rng.uniform(-0.98, 0.98, n))
+        gamma = math.exp(rng.uniform(math.log(0.1), math.log(1e4)))
+        if np.min(np.diff(np.concatenate(([-1.0], z, [1.0])))) < 1e-3:
+            continue
+        used += 1
+        p = make_pattern(z)
+        r = residuals(p, gamma)[:-1]
+        g = np.array(_frame_hessian(p, -gamma)[0]) * (-1.0) ** np.arange(n - 1)
+        worst = max(worst, float(np.max(np.abs(r - g))) / max(1.0, float(np.max(np.abs(r)))))
+    assert worst <= 1e-12, f"identity off by {worst:.3e}"
+
+
+# (n, gamma, start, m_target) -> (iterations, damping events, heights), as the z-space Newton
+# iteration with the dense exact Jacobian gave them; the frame iteration matches within 1e-13
+PINNED_SOLVES = {
+    "n3-gamma2": (
+        (3, 2.0, initial_guess(3), 0.0),
+        (5, 0, [-0.59063194566233, 6.247111874574989e-17, 0.5906319456623301]),
+    ),
+    "n4-gamma3": (
+        (4, 3.0, initial_guess(4), 0.0),
+        (4, 0, [-0.6394107755024611, -0.13941077550246106, 0.13941077550246103, 0.6394107755024611]),
+    ),
+    "n8-gamma20": (
+        (8, 20.0, initial_guess(8), 0.0),
+        (5, 0, [-0.8135920776056808, -0.4713924080349737, -0.21565887113777474, -0.05785854070848187,
+                0.05785854070848179, 0.21565887113777474, 0.47139240803497373, 0.8135920776056809]),
+    ),
+    "n16-gamma100": (
+        (16, 100.0, initial_guess(16), 0.0),
+        (5, 0, [-0.9036216742198432, -0.7025472760926839, -0.5054706051948129, -0.3391851505167814,
+                -0.21033652653431112, -0.11740327933738204, -0.05512843236482224, -0.015421532366941944,
+                0.015421532366942976, 0.05512843236482346, 0.11740327933738305, 0.21033652653431176,
+                0.33918515051678194, 0.5054706051948133, 0.7025472760926841, 0.9036216742198433]),
+    ),
+    "n5-gamma20-mass": (
+        (5, 20.0, initial_guess(5), -0.2),
+        (6, 1, [-0.7276031653697516, -0.393136413900824, 0.05262421861165264, 0.36227727806232785,
+                0.8441198109196029]),
+    ),
+    "n4-gamma1.1-stretch": (
+        (4, 1.1, initial_guess(4, "stretch"), 0.0),
+        (4, 0, [-0.5124462473186038, -0.012446247318603821, 0.012446247318603814, 0.5124462473186038]),
+    ),
+    "n2-gamma5-explicit": ((2, 5.0, make_pattern([-0.42, 0.55]), 0.0), (3, 0, [-0.5, 0.5])),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_SOLVES.values(), ids=PINNED_SOLVES.keys())
+def test_frame_newton_keeps_the_pinned_solves(case):
+    (n, gamma, start, m_target), (iterations, damping_events, z) = case
+    cp = solve_critical(n, gamma, start, SolveOptions(m_target=m_target))
+    assert (cp.trace.iterations, cp.trace.damping_events) == (iterations, damping_events)
+    assert np.max(np.abs(np.array(cp.pattern.z) - z)) <= 1e-13
+    assert cp.residual_norm <= 1e-11
 
 
 def test_solver_options_mass_target():
