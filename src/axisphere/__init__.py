@@ -1,62 +1,4 @@
 """Axisymmetric two-phase patterns on the sphere: energies, critical
 points, strip-move descent, and second-variation analysis."""
 
-from .energy import EnergyBreakdown, SweepGrid, total_energy, two_interface_grid
-from .errors import AxisphereError
-from .criticality import (
-    CriticalPoint,
-    SolveOptions,
-    continue_gamma,
-    gamma_of_z1_3,
-    gamma_of_z1_4,
-    polar_cap_bound,
-    residuals,
-    solve_critical,
-    uniform_criticality_check,
-    uniform_pattern,
-)
-from .minimizer import (
-    BoundaryPattern,
-    MinimizeOptions,
-    MinimizeResult,
-    boundary_escape,
-    local_minimize,
-    segment_energy,
-)
-from .pattern import AxisymPattern, make_pattern, reflect, xi_profile
-from .stability import StabilityReport, assemble_J, single_mode_J, stability_report
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "AxisphereError",
-    "AxisymPattern",
-    "make_pattern",
-    "reflect",
-    "xi_profile",
-    "EnergyBreakdown",
-    "SweepGrid",
-    "total_energy",
-    "two_interface_grid",
-    "CriticalPoint",
-    "SolveOptions",
-    "solve_critical",
-    "continue_gamma",
-    "residuals",
-    "gamma_of_z1_3",
-    "gamma_of_z1_4",
-    "uniform_pattern",
-    "uniform_criticality_check",
-    "polar_cap_bound",
-    "BoundaryPattern",
-    "MinimizeOptions",
-    "MinimizeResult",
-    "local_minimize",
-    "boundary_escape",
-    "segment_energy",
-    "StabilityReport",
-    "assemble_J",
-    "single_mode_J",
-    "stability_report",
-]

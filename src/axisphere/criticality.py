@@ -12,7 +12,8 @@ closed by the mean-value constraint R_n = m(z) - m_target, which
 are the energy's slopes at -gamma along the n-1 strip moves
 (``energy._frame_hessian``, O(n), with a tridiagonal Hessian), so a damped
 Newton iteration on validated patterns over the frame offsets, plus one
-move of z_1 for the mass, solves it with one tridiagonal solve per step.
+move of z_1 for the mass along ``_frame_hessian``'s z_1 column, solves it
+with one tridiagonal solve per step.
 Gamma families are traced by predictor-corrector continuation.
 
 Two one-parameter families admit closed-form couplings gamma(z1): the
@@ -112,18 +113,6 @@ class CriticalPoint:
     trace: SolverTrace
 
 
-def _mass_column(p: AxisymPattern, coupling: float) -> list[float]:
-    """Derivative of ``_frame_hessian``'s slopes g(p, coupling) along z_1 alone, the mean moving with it.
-
-    Moving z_1 changes xi by -2 H(z - z_1) + (z + 1), so entry k is
-    (-1)^k 4 coupling L2 of band k+1 (``_band_terms``), and entry 0 also
-    subtracts d_1 = (1 - z_1^2)^(-3/2) - 4 coupling xi(z_1) / (1 - z_1^2).
-    """
-    prof, q = xi_profile(p), 1.0 - p.z[0] * p.z[0]
-    d_1 = 1.0 / (q * math.sqrt(q)) - 4.0 * coupling * prof.nodes[1] / q
-    return [4.0 * coupling * (-1.0) ** k * _band_terms(p, prof, k + 1)[3] - (0.0 if k else d_1) for k in range(p.n - 1)]
-
-
 def _stopped(what: str, it: int, r: list[float], p: AxisymPattern) -> str:
     return f"{what} at iteration {it}: max|r| = {max(map(abs, r)):.3e}, min_gap = {p.min_gap():.3e}"
 
@@ -139,10 +128,11 @@ def solve_critical(
 
     r = (g(p, -gamma), m - m_target) is ``residuals`` up to signs.  A step
     moves z_1 alone by delta = m - m_target and the frames by
-    tau = -H^{-1}(g + delta ``_mass_column``), one tridiagonal solve that
-    saddles do not stop, halved until the trial is a valid pattern with a
-    smaller |r|^2.  Once max|r| <= tol, ``residuals`` confirms the point
-    and gives ``residual_norm``, or the iteration goes on.  LeftDomain
+    tau = -H^{-1}(g + delta c), where c is ``_frame_hessian``'s z_1 column,
+    the border of H: one tridiagonal solve that saddles do not stop, halved
+    until the trial is a valid pattern with a smaller |r|^2.  Once
+    max|r| <= tol, ``residuals`` confirms the point and gives
+    ``residual_norm``, or the iteration goes on.  LeftDomain
     (damping cannot restore ordering) and NoConvergence name the
     iteration, max|r| and the smallest gap.
     """
@@ -150,7 +140,7 @@ def solve_critical(
         raise OutOfRange(f"initial pattern has {init.n} interfaces, expected {n}")
     coupling = -gamma  # the energy's coupling whose frame slopes are the residuals
     pat = make_pattern(init.z)
-    g, diag, off = _frame_hessian(pat, coupling)
+    g, diag, off, col = _frame_hessian(pat, coupling)
     damping_events = 0
     for it in range(opts.max_iter):
         r = [*g, pat.m - opts.m_target]
@@ -160,7 +150,7 @@ def solve_critical(
                 lam = float(np.mean(lambda_values(pat, gamma)))
                 trace = SolverTrace(iterations=it, damping_events=damping_events, init_label=init_label)
                 return CriticalPoint(pattern=pat, gamma=gamma, lam=lam, residual_norm=norm, trace=trace)
-        tau = _tridiagonal_solve(diag, off, [-(a + r[-1] * b) for a, b in zip(g, _mass_column(pat, coupling))])
+        tau = _tridiagonal_solve(diag, off, [-(a + r[-1] * b) for a, b in zip(g, col)])
         if tau is None:
             raise NoConvergence(_stopped("singular frame Hessian", it, r, pat))
         step = [a + b for a, b in zip([r[-1], *tau], [*tau, 0.0])]
@@ -180,7 +170,7 @@ def solve_critical(
             if trial is None:
                 raise LeftDomain(_stopped("damping cannot restore interface ordering", it, r, pat))
             raise NoConvergence(_stopped("no residual decrease along the Newton direction", it, r, pat))
-        pat, (g, diag, off) = trial, trial_h
+        pat, (g, diag, off, col) = trial, trial_h
     raise NoConvergence(_stopped("iteration budget spent", opts.max_iter, [*g, pat.m - opts.m_target], pat))
 
 

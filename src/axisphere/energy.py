@@ -120,8 +120,8 @@ def total_energy(p: AxisymPattern, gamma: float) -> EnergyBreakdown:
     return EnergyBreakdown(perimeter=peri, nonlocal_=nl, total=peri + nl, per_segment=per)
 
 
-def _frame_hessian(p: AxisymPattern, gamma: float) -> tuple[list[float], list[float], list[float]]:
-    """Slopes g of the frames' ``minimizer._move_energy`` at t = 0, and their Hessian: (g, diagonal, off-diagonal).
+def _frame_hessian(p: AxisymPattern, gamma: float) -> tuple[list[float], list[float], list[float], list[float]]:
+    """Slopes g of the frames' ``minimizer._move_energy`` at t = 0, their Hessian and g's z_1 column: (g, diag, off, col).
 
     Up to terms linear in z that strip moves keep fixed, E/(2*pi) sums over
     interfaces i (0-based, bands i and i+1 below and above) the terms
@@ -132,12 +132,18 @@ def _frame_hessian(p: AxisymPattern, gamma: float) -> tuple[list[float], list[fl
     z_k, z_{k+1} and both c1 and c2 of band k+1 by (1, 1, s_k - s_{k+1}) tau_k,
     so term i reads tau_{i-1} and tau_i alone: H is tridiagonal, built in O(n).
 
+    col is dg/dz_1 with z_1 moving alone and the mean with it, the border of
+    H in ``solve_critical``: moving z_1 changes xi by -2 H(z - z_1) + (z + 1),
+    so col_k is (-1)^k 4 gamma L2 of band k+1, and col_0 also subtracts
+    d_1 = (1 - z_1^2)^(-3/2) - 4 gamma xi(z_1) / (1 - z_1^2).
+
     The descent calls it at gamma; ``solve_critical`` and ``assemble_J``'s gate
     at -gamma, as residuals(p, gamma)[k] = (-1)^k g_k(p, -gamma).  The sign of
     v' in ``potential.py`` is open (ROADMAP); settling it flips that argument.
     """
-    prof = xi_profile(p)
+    prof, q = xi_profile(p), 1.0 - p.z[0] * p.z[0]
     c1, c2, l1, l2 = zip(*(_band_terms(p, prof, j) for j in range(p.n + 1)))
+    d_1 = 1.0 / (q * math.sqrt(q)) - 4.0 * gamma * prof.nodes[1] / q
     gz, dzz, d_below, d_above = [], [], [], []  # per interface: dE/dz, d2E/dz2, d2E/dz dc for the bands below and above
     for i, z in enumerate(p.z):
         u, v, r = 1.0 / (1.0 - z), 1.0 / (1.0 + z), math.sqrt(1.0 - z * z)
@@ -146,14 +152,15 @@ def _frame_hessian(p: AxisymPattern, gamma: float) -> tuple[list[float], list[fl
         dzz.append(-1.0 / (r * r * r) - 0.5 * gamma * (w1 * u * u + w2 * v * v))
         d_below.append(gamma * (c1[i] * u + c2[i] * v))
         d_above.append(-gamma * (c1[i + 1] * u + c2[i + 1] * v))
-    g, diag, off = [], [], []
+    g, diag, off, col = [], [], [], []
     for k in range(p.n - 1):
         sigma, j = prof.slopes[k] - prof.slopes[k + 1], k + 1  # frame k - 1 shifts its band by exactly -sigma
         g.append(gz[k] + gz[j] + sigma * gamma * (c1[j] * l1[j] + c2[j] * l2[j]))
         diag.append(dzz[k] + dzz[j] + 2.0 * sigma * (d_above[k] + d_below[j]) + sigma * sigma * gamma * (l1[j] + l2[j]))
         if k:
             off.append(dzz[k] + sigma * (d_above[k] - d_below[k]))
-    return g, diag, off
+        col.append(4.0 * gamma * (-1.0) ** k * l2[j] - (0.0 if k else d_1))
+    return g, diag, off, col
 
 
 def _tridiagonal_solve(diag: list, off: list, rhs: list, definite: bool = False) -> list[float] | None:

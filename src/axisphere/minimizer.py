@@ -346,8 +346,6 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
     p = p0
     energy = total_energy(p, gamma)
     records: list[CycleRecord] = []
-    if p.n < 2:
-        return MinimizeResult(pattern=p, energy=energy, cycles=(CycleRecord(0, energy.total_over_pi, 0.0),))
     frames = range(p.n - 1)
     last_step = 0.0  # length of the previous cycle's sweep displacement
     for cycle in range(opts.max_cycles):
@@ -422,7 +420,7 @@ def _newton_step(p: AxisymPattern, gamma: float, symmetric: bool) -> list[float]
     mirror-symmetric ones, dz <- (dz - reversed(dz)) / 2, so a symmetric
     pattern stays exactly symmetric.
     """
-    g, diag, off = _frame_hessian(p, gamma)
+    g, diag, off, _ = _frame_hessian(p, gamma)
     tau = _tridiagonal_solve(diag, off, [-v for v in g], definite=True)
     if tau is None:
         return None

@@ -135,9 +135,11 @@ def axisym_pm_bound(z_n: float, gamma: float) -> float:
 class JMatrix:
     """Assembled second-variation blocks for one critical pattern.
 
+    There is one block per wavenumber, shared by its cos and sin modes.
     ``k_blocks`` is one (K, n, n) stack, the k = 1..K slices of the array
     that assemble_J fills, so min_eig_constrained solves it with one
-    batched eigvalsh; ``block(k)`` reads a single wavenumber.
+    batched eigvalsh; ``block(k)`` reads a single wavenumber, k = 0 the
+    constants block.
     """
 
     pattern: AxisymPattern
@@ -147,9 +149,7 @@ class JMatrix:
     k_blocks: np.ndarray  # (K, n, n); index k-1 -> shared cos/sin block
     weights: np.ndarray  # zero-mean constraint on constants: w . c = 0
 
-    def block(self, k: int, parity: str = "cos") -> np.ndarray:
-        if parity not in ("constant", "cos", "sin"):
-            raise OutOfRange(f"unknown parity {parity!r}")
+    def block(self, k: int) -> np.ndarray:
         if k == 0:
             return self.const_block
         if not 1 <= k <= self.K:

@@ -159,7 +159,7 @@ def test_criterion_09_second_variation_consistency():
     worst = 0.0
     for k in range(1, 7):
         lhs = single_mode_J(z_n, 2.0, k)
-        rhs = J.block(k, parity="sin")[2, 2] / math.pi
+        rhs = J.block(k)[2, 2] / math.pi
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     _report(9, worst <= 1e-6, f"sin-mode assembly vs one-mode formula, worst rel {worst:.3e} (tol 1e-6)")
 

@@ -692,7 +692,7 @@ def test_frame_hessian_matches_finite_differences():
     worst_g = worst_slopes = worst_energy = worst_off = worst_sym = 0.0
     for p, gamma in _hessian_patterns():
         m = p.n - 1
-        g, diag, off = _frame_hessian(p, gamma)
+        g, diag, off, _ = _frame_hessian(p, gamma)
         H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         far = np.abs(np.subtract.outer(range(m), range(m))) >= 2
         assert np.array_equal(H, H.T) and not H[far].any()
