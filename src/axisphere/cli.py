@@ -155,7 +155,10 @@ def _splice_config(argv: list[str]) -> list[str]:
     for key, val in sorted(cfg.items()):
         flag = "--" + key.replace("_", "-")
         if isinstance(val, list):
-            val = ",".join(repr(float(v)) for v in val)
+            try:
+                val = ",".join(repr(float(v)) for v in val)
+            except (TypeError, ValueError):
+                raise OutOfRange(f"config value {key!r} must be a list of numbers, got {val!r}") from None
         if val is not False:  # a switch set to false stays off
             tokens.append(flag if val is True else f"{flag}={val}")
     depth = max((len(p) for p, *_ in COMMANDS if tuple(argv[: len(p)]) == p), default=0)

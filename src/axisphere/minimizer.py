@@ -48,8 +48,8 @@ reports such a move as OrderingViolated, and a sweep treats it as no move.
 Boundary configurations (an interface at a pole, or two interfaces merged)
 both hold a zero-width strip.  One slide moves the strip below it south,
 in the orientation where that strip exists, through the sweep's own frame
-search (``_frame_offset``); whether the slide strictly beats the
-degenerate limit value decides escape.
+search (``_frame_offset``) over the frame's whole range; whether the slide
+strictly beats the degenerate limit value decides escape.
 """
 
 from __future__ import annotations
@@ -274,14 +274,17 @@ def _move_energy(p: AxisymPattern, k: int, gamma: float):
     return energy, slope
 
 
-def _off_poles(p: AxisymPattern, k: int, t_lo: float, t_hi: float) -> tuple[float, float]:
-    """Offsets (t_lo, t_hi) of frame k with each end kept off the poles.
+def _search_range(p: AxisymPattern, k: int) -> tuple[float, float]:
+    """``move_range`` of frame k padded by 1e-9 of its width, each end kept off the poles.
 
-    An end padded by 1e-9 of the range's width that would still round a
-    moved interface onto a pole is raised to the nearest offset that does
-    not; such a range is below about 1e-7 wide, so the moved interface lies
-    within [-1, -0.5] (or [0.5, 1]) and the subtraction is exact.
+    A padded end that would still round a moved interface onto a pole is
+    raised to the nearest offset that does not; such a range is below about
+    1e-7 wide, so the moved interface lies within [-1, -0.5] (or [0.5, 1])
+    and the subtraction is exact.
     """
+    t_lo, t_hi = move_range(p, k)
+    pad = 1e-9 * (t_hi - t_lo)
+    t_lo, t_hi = t_lo + pad, t_hi - pad
     if not -1.0 < p.z[k] + t_lo:
         t_lo = math.nextafter(-1.0, 0.0) - p.z[k]
     if not p.z[k + 1] + t_hi < 1.0:
@@ -289,17 +292,8 @@ def _off_poles(p: AxisymPattern, k: int, t_lo: float, t_hi: float) -> tuple[floa
     return t_lo, t_hi
 
 
-def _search_range(p: AxisymPattern, k: int) -> tuple[float, float]:
-    """``move_range`` of frame k padded by 1e-9 of its width, ends kept off the poles."""
-    t_lo, t_hi = move_range(p, k)
-    pad = 1e-9 * (t_hi - t_lo)
-    return _off_poles(p, k, t_lo + pad, t_hi - pad)
-
-
-def _frame_offset(
-    p: AxisymPattern, k: int, gamma: float, t_lo: float, t_hi: float, x_tol: float
-) -> tuple[float, AxisymPattern, float] | None:
-    """Best strictly improving move of frame k over offsets (t_lo, t_hi): (offset, moved pattern, energy drop / (2*pi)).
+def _frame_offset(p: AxisymPattern, k: int, gamma: float, x_tol: float) -> tuple[float, AxisymPattern, float] | None:
+    """Best strictly improving move of frame k over ``_search_range``: (offset, moved pattern, energy drop / (2*pi)).
 
     Searches the three-band energy E_k of ``_move_energy`` without building
     a pattern.  A move counts only when its drop exceeds the rounding scale
@@ -307,6 +301,7 @@ def _frame_offset(
     sub-ulp offsets can land an interface on a neighbour, returns None: no
     move rather than an error.
     """
+    t_lo, t_hi = _search_range(p, k)
     if not t_lo < t_hi:
         return None
     along, slope = _move_energy(p, k, gamma)
@@ -355,7 +350,7 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
             mirror = p.n - 2 - k
             if opts.symmetric and k >= mirror:
                 continue
-            move = _frame_offset(p, k, gamma, *_search_range(p, k), opts.x_tol)
+            move = _frame_offset(p, k, gamma, opts.x_tol)
             if move is None:
                 continue
             t, moved, drop = move
@@ -510,13 +505,12 @@ def _slide_escape(bp: BoundaryPattern, gamma: float) -> AxisymPattern:
     Either is a zero-width strip at entry j of (*z, 1), the entry equal to
     the next one: the pole contact, or the merged pair's lower entry.
     Frame j-1 slides the strip (z_{j-1}, z_j) south by t in (t_lo, 0),
-    with t_lo reaching the entry below z_{j-1}, or -1.  A pole contact also
-    keeps t above z_{j-1} - 1, so the moved strip's lower root stays in the
-    pole probe's window (2 z_{j-1} - 1, 1).  ``_frame_offset`` searches the
-    slide from an anchor at t_lo/2 over the padded range kept off the
-    poles.  Its pattern, or the anchor when no slide beats it, must
-    strictly beat the degenerate limit: the energy without the strip's
-    entries plus the circles at those entries (none at a pole).
+    with t_lo reaching the entry below z_{j-1}, or -1.  The strip is put at
+    the anchor t_lo/2, the middle of its frame, and ``_frame_offset``
+    searches that frame as a sweep does.  Its pattern, or the anchor when no
+    slide beats it, must strictly beat the degenerate limit: the energy
+    without the strip's entries plus the circles at those entries (none at
+    a pole).
     """
     zs = list(bp.z)
     j = next(i for i, (a, b) in enumerate(zip(zs, [*zs[1:], 1.0])) if a == b)
@@ -526,12 +520,9 @@ def _slide_escape(bp: BoundaryPattern, gamma: float) -> AxisymPattern:
     circles = 2.0 * math.pi * sum(math.sqrt(1.0 - y * y) for y in zs[j : j + 2])
     limit = total_energy(make_pattern(zs[:j] + zs[j + 2 :]), gamma).total + circles
     t_lo = (zs[k - 1] if k else -1.0) - zs[k]
-    if pole:
-        t_lo = max(t_lo, zs[k] - 1.0)
     zs[k : j + 1] = [zs[k] + 0.5 * t_lo, zs[j] + 0.5 * t_lo]
     anchor = AxisymPattern(z=tuple(zs), m=bp.mass)
-    reach = -(0.5 - 1e-9) * t_lo  # each end padded by 1e-9 of the width
-    move = _frame_offset(anchor, k, gamma, *_off_poles(anchor, k, -reach, reach), X_TOL)
+    move = _frame_offset(anchor, k, gamma, X_TOL)
     moved = anchor if move is None else move[1]
     if not _beats(total_energy(moved, gamma).total, limit):
         raise NoEscape(f"{'pole configuration' if pole else 'merged pair'} is locally optimal at gamma={gamma!r}")

@@ -341,6 +341,12 @@ def test_config_file_shapes(run, tmp_path):
     from_file = run("energy", "--config", str(cfg))
     assert from_file.returncode == 0, from_file.stderr
     assert from_file.stdout == run("energy", "--z", "-0.5,0.5", "--gamma", "2.5").stdout
+    cfg.write_text(json.dumps({"z": ["-0.5", "0.5"], "gamma": 2.5}))  # numeric strings convert
+    assert run("energy", "--config", str(cfg)).stdout == from_file.stdout
+    for bad in ({"z": ["a", 0.5], "gamma": 1}, {"z": [None, 0.5]}, {"z": [[0.5]]}):
+        cfg.write_text(json.dumps(bad))
+        r = run("energy", "--config", str(cfg))
+        assert r.returncode == 1 and "error:" in r.stderr and "Traceback" not in r.stderr, bad
 
 
 def test_out_dir_env(run, tmp_path, monkeypatch):

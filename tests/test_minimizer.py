@@ -213,7 +213,7 @@ def test_pole_frames_are_still_searched():
             assert (t_lo, p.z[-1] + t_hi) == (lo + pad, math.nextafter(1.0, 0.0))
         along, _ = _move_energy(p, k, 1.0)
         _, e_golden = _golden_min(along, t_lo, t_hi)
-        t, moved, _ = _frame_offset(p, k, 1.0, t_lo, t_hi, MinimizeOptions().x_tol)
+        t, moved, _ = _frame_offset(p, k, 1.0, MinimizeOptions().x_tol)
         assert t_lo < t < t_hi and along(t) <= e_golden + 1e-12 * abs(e_golden)
         assert total_energy(moved, 1.0).total < total_energy(p, 1.0).total
 
@@ -468,14 +468,21 @@ def test_merged_escape():
     assert total_energy(out, 20.0).total < kept
 
 
-def test_pole_escape_stops_at_the_window_edge():
-    """A pole slide keeps the strip's lower root inside the probe's window (2 z - 1, 1).
-
-    From (0.55, 1) at gamma = 10 the energy keeps falling to the window edge,
-    lower entry 0.1; without the window the slide runs on to (-0.225, 0.225).
-    """
-    out = boundary_escape(BoundaryPattern(z=(0.55, 1.0)), 10.0)
-    assert 0.1 < out.z[0] <= 0.1 + 1e-8
+@pytest.mark.parametrize(
+    "z0, gamma, energy",
+    [
+        pytest.param(0.55, 10.0, 18.6537, id="window-edge"),
+        pytest.param(0.5610576092885644, 3.47609127234221, 14.4047, id="verdict-flip"),  # escapes only below the window edge
+    ],
+)
+def test_pole_escape_searches_the_whole_slide(z0, gamma, energy):
+    """A pole slide is not held in the pole probe's window (2 z0 - 1, 1): from (z0, 1) it reaches the double cap."""
+    bp = BoundaryPattern(z=(z0, 1.0))
+    out = boundary_escape(bp, gamma)
+    assert out.z == pytest.approx((-0.5 * (1.0 - z0), 0.5 * (1.0 - z0)), abs=1e-9)
+    assert total_energy(out, gamma).total == pytest.approx(energy, abs=1e-4)
+    e_ref, limit = _golden_slide(bp, gamma)
+    assert _beats(e_ref, limit) and total_energy(out, gamma).total <= e_ref + 1e-12 * abs(e_ref)
 
 
 @pytest.mark.parametrize(
@@ -541,7 +548,7 @@ def _golden_slide(bp: BoundaryPattern, gamma: float) -> tuple[float, float]:
         body = zs[:-1]
         alpha = 2.0 * body[-1] - 1.0
         below = body[-2] if len(body) >= 2 else -1.0
-        lo, hi = max(alpha, 2.0 * below - alpha, -2.0 - alpha), 1.0
+        lo, hi = max(2.0 * below - alpha, -2.0 - alpha), 1.0
         limit = total_energy(make_pattern(body), gamma).total
 
         def slid(s):
@@ -574,7 +581,7 @@ def test_boundary_escape_returns_valid_patterns(seed, n, gamma, kind):
     """An escape from a pole contact or a merged pair returns a valid pattern, or raises.
 
     It escapes exactly when golden section along the slide beats the limit,
-    and ends no higher than golden section.
+    ends no higher than golden section, and at a minimum of its slid frame.
     """
     rng = np.random.default_rng(seed)
     z = _seeded_heights(n, rng)
@@ -598,7 +605,11 @@ def test_boundary_escape_returns_valid_patterns(seed, n, gamma, kind):
     _assert_valid(out, bp.mass)
     e_ref, limit = _golden_slide(bp, gamma)
     assert _beats(e_ref, limit)
-    assert total_energy(out, gamma).total <= e_ref + 1e-12 * abs(e_ref)
+    energy = total_energy(out, gamma).total
+    assert energy <= e_ref + 1e-12 * abs(e_ref)
+    k = next(i for i, (a, b) in enumerate(zip(out.z, z)) if a != b)  # the slid frame moves heights k and k+1
+    again = _frame_offset(out, k, gamma, MinimizeOptions().x_tol)
+    assert again is None or 2.0 * math.pi * again[2] <= 1e-11 * abs(energy)
 
 
 @pytest.mark.parametrize(
