@@ -186,7 +186,8 @@ def continue_gamma(
 
     The previous solution seeds each correction.  On a Newton failure the
     gamma increment is halved and retried once; a second failure aborts
-    with BranchLost.
+    with BranchLost, whose message names the last converged gamma, the
+    gamma that failed and the solver's own stopping state.
     """
     if steps < 2:
         raise OutOfRange("continuation needs at least two steps")
@@ -198,19 +199,23 @@ def continue_gamma(
     prev_gamma = None
     for g in gammas:
         try:
-            cp = solve_critical(n, float(g), current, opts, init_label="continuation")
-        except (NoConvergence, LeftDomain):
+            cp = solve_critical(n, g, current, opts, init_label="continuation")
+        except (NoConvergence, LeftDomain) as exc:
             if prev_gamma is None:
-                raise BranchLost(f"no solution at branch start gamma={g!r}")
-            half = math.sqrt(prev_gamma * g)  # halve the log-step
+                raise BranchLost(f"no solution at branch start gamma={g!r}, before any converged gamma: {exc}") from exc
+            failed = math.sqrt(prev_gamma * g)  # halve the log-step
             try:
-                mid = solve_critical(n, half, current, opts, init_label="continuation")
-                cp = solve_critical(n, float(g), mid.pattern, opts, init_label="continuation")
+                mid = solve_critical(n, failed, current, opts, init_label="continuation")
+                failed = g
+                cp = solve_critical(n, g, mid.pattern, opts, init_label="continuation")
             except (NoConvergence, LeftDomain) as exc:
-                raise BranchLost(f"corrector failed twice near gamma={g!r}") from exc
+                raise BranchLost(
+                    f"corrector failed twice stepping from converged gamma={prev_gamma!r} to gamma={g!r}, "
+                    f"the second time at gamma={failed!r}: {exc}"
+                ) from exc
         out.append(cp)
         current = cp.pattern
-        prev_gamma = float(g)
+        prev_gamma = g
     return out
 
 

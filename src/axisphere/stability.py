@@ -20,13 +20,18 @@ where q = 1 and the integrand has a log singularity.
 
 fourier_log_integral evaluates this closed form elementwise on arrays
 and, given a sequence of wavenumbers, stacks them: one call gives every
-n x n kernel matrix k = 0..K as one (K+1, n, n) array, and the assembly,
-the two-cap identity and the self-verification all share it.  Every
-block is -2 gamma (r_i r_j) F_k(a, b) plus the diagonal
-pi (k^2 - 1)/r_i + 4 pi gamma g_i r_i, applied to the whole stack at
-once; the constants block is the k = 0 block doubled, because the
-constant mode has norm 2 pi instead of pi.  The k >= 1 blocks stay one
-stack; one batched eigvalsh finds their smallest eigenvalues.
+n x n kernel matrix k = 0..K as one (K+1, n, n) array, its q^k rows from
+one power call, and the assembly, the two-cap identity and the
+self-verification all share it.  Every block is -2 gamma (r_i r_j)
+F_k(a, b) plus the diagonal pi (k^2 - 1)/r_i + 4 pi gamma g_i r_i,
+applied to the whole stack at once; the constants block is the k = 0
+block doubled, because the constant mode has norm 2 pi instead of pi.
+
+The k >= 1 blocks stay one stack.  Their diagonal grows like k^2, so
+most of them cannot hold the smallest eigenvalue: a Gershgorin lower
+bound per block, with a margin above eigvalsh's backward error, screens
+out every block that lies above the constants and k = 1 minima, and one
+batched eigvalsh solves the rest.
 """
 
 from __future__ import annotations
@@ -71,19 +76,19 @@ def fourier_log_integral(a, b, k):
         i = bad[0]
         raise DomainError(f"need a >= b >= 0 with a > 0, got a={float(a.flat[i])!r}, b={float(b.flat[i])!r}")
     stacked = np.ndim(k) > 0
-    ks = [int(v) for v in k] if stacked else [k]
-    if min(ks, default=0) < 0:
+    ks = np.array([int(v) for v in k] if stacked else [int(k)], dtype=int)
+    if (ks < 0).any():
         raise OutOfRange("wavenumber must be nonnegative")
     s = np.sqrt((a - b) * (a + b))
     q = b / (a + s)
-    out = np.empty((len(ks), *a.shape))
-    for i, kk in enumerate(ks):
-        if kk == 0:
-            out[i] = 2.0 * math.pi * np.log(0.5 * (a + s))
-        else:
-            # a scalar exponent keeps numpy's exact fast paths (q**2 is q*q)
-            out[i] = q**kk
-            out[i] *= -(2.0 * math.pi / kk)
+    # one power call stacks every row; rows k = 1 and k = 2 keep numpy's
+    # scalar-exponent results q and q*q, which pow(q, 2.0) misses by an ulp
+    kcol = ks.reshape(-1, *(1,) * a.ndim)
+    out = q**kcol
+    out[ks == 1] = q
+    out[ks == 2] = q * q
+    out *= -2.0 * math.pi / np.maximum(kcol, 1)
+    out[ks == 0] = 2.0 * math.pi * np.log(0.5 * (a + s))
     return out if stacked else out[0]
 
 
@@ -137,9 +142,9 @@ class JMatrix:
 
     There is one block per wavenumber, shared by its cos and sin modes.
     ``k_blocks`` is one (K, n, n) stack, the k = 1..K slices of the array
-    that assemble_J fills, so min_eig_constrained solves it with one
-    batched eigvalsh; ``block(k)`` reads a single wavenumber, k = 0 the
-    constants block.
+    that assemble_J fills, so min_eig_constrained screens it in one pass
+    and solves the blocks left with one batched eigvalsh; ``block(k)``
+    reads a single wavenumber, k = 0 the constants block.
     """
 
     pattern: AxisymPattern
@@ -221,9 +226,13 @@ def min_eig_constrained(J: JMatrix) -> StabilityReport:
     """Smallest eigenvalue over zero-mean perturbations, with certificates.
 
     The constants block is restricted to the hyperplane w . c = 0 by an
-    orthonormal complement of w; oscillatory blocks need no constraint and
-    go through one batched eigvalsh (ties to the constants block, then to the
-    lowest wavenumber) and one eigh of the winning block for its mode.
+    orthonormal complement of w; oscillatory blocks need no constraint.
+    With the constants and k = 1 minima solved, a block k >= 2 whose
+    Gershgorin lower bound, less 16 n ulps of its norm, lies strictly
+    above both cannot hold the minimum and is skipped.  The blocks left
+    go through one batched eigvalsh (ties to the constants block, then to
+    the lowest wavenumber) and one eigh of the winning block for its
+    mode, so the screen changes no result.
     Degenerate cos/sin pairs are reported with the cos tag, and the mode
     circle is the lowest one among components tied for the largest.
     """
@@ -238,7 +247,20 @@ def min_eig_constrained(J: JMatrix) -> StabilityReport:
         if vals[0] < best:
             best = float(vals[0])
             best_mode = (_lead_circle(Q @ vecs[:, 0]), 0, "constant")
-    i = int(np.argmin(np.linalg.eigvalsh(J.k_blocks)[:, 0]))  # first occurrence: the lowest wavenumber wins a tie
+    # Gershgorin screen of k >= 2 against the k = 0 and k = 1 minima: for
+    # k >= 1 the off-diagonals all share the sign of gamma, so a row's radius
+    # is |row sum - diagonal| and needs no copy of the stack; a margin of
+    # 16 n ulps of the block's norm covers eigvalsh's backward error, so a
+    # skipped block could not have won
+    lam = np.linalg.eigvalsh(J.k_blocks[:1])[:, 0]
+    diag = np.diagonal(J.k_blocks, axis1=1, axis2=2)
+    radius = np.abs(J.k_blocks.sum(axis=2) - diag)
+    margin = 16 * n * np.finfo(float).eps * (np.abs(diag) + radius).max(axis=1)
+    live = (diag - radius).min(axis=1) - margin <= min(best, lam[0])
+    live[0] = False  # k = 1 is solved already
+    ks = np.append(0, np.flatnonzero(live))  # ascending k: the first occurrence, the lowest wavenumber, wins a tie
+    lam = np.append(lam, np.linalg.eigvalsh(J.k_blocks[ks[1:]])[:, 0])
+    i = int(ks[np.argmin(lam)])
     vals, vecs = np.linalg.eigh(J.k_blocks[i])
     if vals[0] < best:
         best = float(vals[0])

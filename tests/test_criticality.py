@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,8 +89,26 @@ def test_continuation_losing_the_branch():
 
 def test_continuation_without_a_start():
     """A seed the corrector cannot solve at gamma_start has no branch to halve back to."""
-    with pytest.raises(BranchLost, match=r"^no solution at branch start gamma=20\.0$"):
+    with pytest.raises(BranchLost, match=r"^no solution at branch start gamma=20\.0, before any converged gamma: "
+                                         r"damping cannot restore interface ordering at iteration \d+: "
+                                         r"max\|r\| = \d\.\d{3}e[+-]\d\d, min_gap = \d\.\d{3}e[+-]\d\d$") as info:
         continue_gamma(12, 20.0, 30.0, 3, initial_guess(12))
+    assert isinstance(info.value.__cause__, LeftDomain)
+
+
+def test_lost_branch_names_where_it_ended():
+    """The message names both gammas and the solver's stopping state, which the CLI prints on exit 2."""
+    seed = solve_critical(8, 20.0, initial_guess(8)).pattern
+    with pytest.raises(BranchLost) as info:
+        continue_gamma(8, 20.0, 2.0, 6, seed)
+    gammas = [float(g) for g in np.geomspace(20.0, 2.0, 6)]
+    assert str(info.value) == (
+        f"corrector failed twice stepping from converged gamma={gammas[2]!r} to gamma={gammas[3]!r}, "
+        f"the second time at gamma={math.sqrt(gammas[2] * gammas[3])!r}: {info.value.__cause__}"
+    )
+    assert isinstance(info.value.__cause__, LeftDomain)
+    assert re.fullmatch(r"damping cannot restore interface ordering at iteration \d+: "
+                        r"max\|r\| = \d\.\d{3}e[+-]\d\d, min_gap = \d\.\d{3}e[+-]\d\d", str(info.value.__cause__))
 
 
 @pytest.mark.parametrize(

@@ -101,6 +101,19 @@ def test_fourier_log_integral_stacks_wavenumbers():
         fourier_log_integral(a_bad, b, range(4))
 
 
+def test_fourier_log_integral_edges():
+    """An empty wavenumber sequence stacks nothing; a numpy integer acts as a Python int."""
+    a, b = np.array([[2.0, 5.0], [1.0, 0.3]]), np.array([[2.0, 3.0], [0.5, 0.0]])
+    assert fourier_log_integral(a, b, []).shape == (0, 2, 2)
+    assert fourier_log_integral(5.0, 3.0, range(0)).shape == (0,)
+    for k in (0, 1, 2, 3, 17):
+        got = fourier_log_integral(a, b, np.int64(k))
+        assert got.shape == (2, 2)
+        assert np.array_equal(got, fourier_log_integral(a, b, k)), k
+        assert np.array_equal(fourier_log_integral(a, b, [np.int32(k)]), fourier_log_integral(a, b, [k])), k
+    assert np.array_equal(fourier_log_integral(a, b, np.arange(9)), fourier_log_integral(a, b, range(9)))
+
+
 def test_fourier_log_closed_values():
     # k = 0 is the mean of the log kernel, 2 pi log((a+s)/2)
     a, b = 5.0, 3.0
@@ -247,24 +260,29 @@ def test_eigen_residual_small():
         assert res <= 1e-10
 
 
+def _lead(v):
+    mag = np.abs(v)
+    return int(np.flatnonzero(mag >= (1.0 - 1e-9) * mag.max())[0]) + 1
+
+
+def _constants_min(J):
+    """Smallest eigenvalue of the constants block on w . c = 0, and its mode on the circles."""
+    n = J.pattern.n
+    Q = np.linalg.qr(J.weights.reshape(n, 1), mode="complete")[0][:, 1:]
+    vals, vecs = np.linalg.eigh(Q.T @ J.const_block @ Q)
+    return float(vals[0]), Q @ vecs[:, 0]
+
+
 def _report_by_loop(J):
     """(min_eig, mode_k, mode_circle) from one eigh per block, the first strict minimum kept."""
-
-    def lead(v):
-        mag = np.abs(v)
-        return int(np.flatnonzero(mag >= (1.0 - 1e-9) * mag.max())[0]) + 1
-
-    n = J.pattern.n
     best, mode = math.inf, None
-    if n >= 2:
-        q_full, _ = np.linalg.qr(J.weights.reshape(n, 1), mode="complete")
-        Q = q_full[:, 1:]
-        vals, vecs = np.linalg.eigh(Q.T @ J.const_block @ Q)
-        best, mode = float(vals[0]), (0, lead(Q @ vecs[:, 0]))
+    if J.pattern.n >= 2:
+        best, v = _constants_min(J)
+        mode = (0, _lead(v))
     for k in range(1, J.K + 1):
         vals, vecs = np.linalg.eigh(J.block(k))
         if vals[0] < best:
-            best, mode = float(vals[0]), (k, lead(vecs[:, 0]))
+            best, mode = float(vals[0]), (k, _lead(vecs[:, 0]))
     return best, *mode
 
 
@@ -280,6 +298,56 @@ def test_batched_eigensolve_matches_loop_over_blocks():
             assert J.k_blocks.shape == (K, p.n, p.n)
             rep = min_eig_constrained(J)
             assert (rep.min_eig, rep.mode_k, rep.mode_circle) == _report_by_loop(J), (p.n, K)
+
+
+def _report_unscreened(J):
+    """(min_eig, mode_k, mode_circle, mode_parity): one batched eigvalsh over every k >= 1 block, no screen."""
+    best, mode = math.inf, None
+    if J.pattern.n >= 2:
+        best, v = _constants_min(J)
+        mode = (0, _lead(v), "constant")
+    i = int(np.argmin(np.linalg.eigvalsh(J.k_blocks)[:, 0]))
+    vals, vecs = np.linalg.eigh(J.k_blocks[i])
+    if vals[0] < best:
+        best, mode = float(vals[0]), (i + 1, _lead(vecs[:, 0]), "cos")
+    return best, *mode
+
+
+def _screens_every_k_from_2(J) -> bool:
+    """Whether each k >= 2 block's Gershgorin lower bound lies above the k = 0 and k = 1 minima."""
+    t = np.linalg.eigvalsh(J.k_blocks[0])[0]
+    if J.pattern.n >= 2:
+        t = min(t, _constants_min(J)[0])
+    off = np.abs(J.k_blocks[1:]).sum(axis=2) - np.abs(np.diagonal(J.k_blocks[1:], axis1=1, axis2=2))
+    return bool(np.all((np.diagonal(J.k_blocks[1:], axis1=1, axis2=2) - off).min(axis=1) > t))
+
+
+def test_screened_eigensolve_matches_unscreened():
+    """The Gershgorin screen never changes the report: seeded critical points, n up to 32, K up to 128."""
+    rng = np.random.default_rng(19)
+    gamma_range = {1: (0.5, 3000.0), 2: (0.5, 3000.0), 3: (0.5, 3000.0), 8: (20.0, 3000.0),
+                   16: (100.0, 3000.0), 32: (800.0, 3000.0)}
+    cases = [(make_pattern([0.3]), 3.0), (make_pattern([-0.5, 0.5]), 0.8)]  # no constants block; unstable double cap
+    for n, (lo, hi) in gamma_range.items():
+        for _ in range(2):
+            gamma = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+            p = make_pattern([float(rng.uniform(-0.9, 0.9))]) if n == 1 else \
+                solve_critical(n, gamma, initial_guess(n)).pattern
+            cases.append((p, gamma))
+    constants_wins = all_screened = False
+    for p, gamma in cases:
+        for K in (1, 2, 8, 32, 128):
+            J = assemble_J(p, gamma, K=K)
+            rep = min_eig_constrained(J)
+            best, mode_k, mode_circle, mode_parity = _report_unscreened(J)
+            assert (rep.min_eig, rep.mode_k, rep.mode_circle, rep.mode_parity) == \
+                (best, mode_k, mode_circle, mode_parity), (p.n, gamma, K)
+            certified = best < -1e-9 or any(v < 0.0 for v in rep.single_mode_values) or \
+                (rep.axisym_pm_value is not None and rep.axisym_pm_value < 0.0)
+            assert rep.verdict == ("certified-unstable" if certified else "no-certificate")
+            constants_wins |= mode_parity == "constant"
+            all_screened |= K >= 8 and _screens_every_k_from_2(J)
+    assert constants_wins and all_screened
 
 
 def test_constants_block_is_the_constrained_energy_hessian():
