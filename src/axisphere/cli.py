@@ -9,8 +9,9 @@ byte-identical artifacts.
 Each subcommand, and each `critical` action, takes only the flags it acts
 on; flags shown as `A | B` in its usage exclude each other.  Unknown,
 ignored or abbreviated flags exit 1, and so do values out of range:
-couplings must be finite, --tol and --gamma-max positive, --x-tol, --seed
-and xi's --samples at least 0, escape's --samples at least 1.
+couplings must be finite, --tol and --gamma-max positive, --seed and xi's
+--samples at least 0.  A flag left out takes the library's default, and a
+config value of null counts as left out.
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure
 (no convergence, tolerance not met, lost branch, asymptote hit),
@@ -49,14 +50,7 @@ from .criticality import (
 )
 from .energy import total_energy, two_interface_grid
 from .errors import Asymptote, AxisphereError, NoEscape, NumericalFailure, OutOfRange
-from .minimizer import (
-    X_TOL,
-    BoundaryPattern,
-    MinimizeOptions,
-    boundary_escape,
-    escape_pole_frame,
-    local_minimize,
-)
+from .minimizer import BoundaryPattern, MinimizeOptions, boundary_escape, escape_pole_frame, local_minimize
 from .pattern import make_pattern, xi_eval, xi_profile
 from .stability import stability_report
 from .verify import run_verify
@@ -121,7 +115,6 @@ def _checked(kind, ok, what: str):
 
 FINITE = _checked(float, math.isfinite, "must be finite")
 POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
-NONNEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "must be at least 0 and finite")
 NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, "must be at least 0")
 POSITIVE_INT = _checked(int, lambda v: v >= 1, "must be at least 1")
 
@@ -159,7 +152,7 @@ def _splice_config(argv: list[str]) -> list[str]:
                 val = ",".join(repr(float(v)) for v in val)
             except (TypeError, ValueError):
                 raise OutOfRange(f"config value {key!r} must be a list of numbers, got {val!r}") from None
-        if val is not False:  # a switch set to false stays off
+        if val is not None and val is not False:  # null is not given; a switch set to false stays off
             tokens.append(flag if val is True else f"{flag}={val}")
     depth = max((len(p) for p, *_ in COMMANDS if tuple(argv[: len(p)]) == p), default=0)
     return [*argv[:depth], *tokens, *argv[depth:]]
@@ -300,7 +293,7 @@ def cmd_gamma_curve(args):
 
 def cmd_minimize(args):
     p0 = make_pattern(parse_floats(args.z), expect_mass=args.m_target)
-    opts = MinimizeOptions(x_tol=args.x_tol, max_cycles=args.max_cycles, symmetric=args.symmetric)
+    opts = MinimizeOptions(max_cycles=args.max_cycles, symmetric=args.symmetric)
     result = local_minimize(p0, args.gamma, opts)
     if args.trace:
         rows = ((r.cycle, r.energy_over_pi, r.max_move) for r in result.cycles)
@@ -318,10 +311,8 @@ def cmd_minimize(args):
 
 def cmd_escape(args):
     if args.alpha is not None:
-        probe = escape_pole_frame(args.alpha, args.gamma, samples=args.samples or 96)
+        probe = escape_pole_frame(args.alpha, args.gamma)
         return {"mode": "pole-window", **asdict(probe), "escaped": probe.escaped}
-    if args.samples is not None:
-        raise OutOfRange("escape --z takes no --samples (the pole-window scan's grid)")
     bp = BoundaryPattern(z=parse_floats(args.z))
     base = {"mode": bp.kind, "z": list(bp.z), "gamma": args.gamma}
     try:
@@ -365,9 +356,9 @@ _START = [
     ("--z", dict(help="explicit initial interfaces (--n, if given, must match)")),
 ]
 _NEWTON = (
-    ("--m-target", dict(type=FINITE, default=0.0)),
-    ("--tol", dict(type=POSITIVE, default=1e-11)),
-    ("--max-iter", dict(type=POSITIVE_INT, default=60)),
+    ("--m-target", dict(type=FINITE, default=SolveOptions.m_target)),
+    ("--tol", dict(type=POSITIVE, default=SolveOptions.tol)),
+    ("--max-iter", dict(type=POSITIVE_INT, default=SolveOptions.max_iter)),
 )
 
 COMMANDS = (
@@ -400,14 +391,12 @@ COMMANDS = (
         _GAMMA,
         ("--m-target", dict(type=FINITE)),
         ("--symmetric", dict(action="store_true")),
-        ("--max-cycles", dict(type=POSITIVE_INT, default=200)),
-        ("--x-tol", dict(type=NONNEGATIVE, default=X_TOL)),
+        ("--max-cycles", dict(type=POSITIVE_INT, default=MinimizeOptions.max_cycles)),
         ("--trace", dict(help="per-cycle CSV path")))),
     (("escape",), "boundary-escape probe", cmd_escape, (
         [("--alpha", dict(type=FINITE, required=True, help="pole-window left root")),
          ("--z", dict(required=True, help="degenerate configuration (merged pair or pole contact)"))],
-        _GAMMA,
-        ("--samples", dict(type=POSITIVE_INT, help="pre-scan grid of the pole window (--alpha only; default 96)")))),
+        _GAMMA)),
     (("stability",), "second-variation report",
      lambda args: _stability_fields(stability_report(make_pattern(parse_floats(args.z)), args.gamma, K=args.K)), (
         _Z, _GAMMA, ("--K", dict(type=int, default=32, help="Fourier mode cutoff")))),

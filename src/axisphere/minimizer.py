@@ -81,6 +81,7 @@ __all__ = [
 
 DECREASE_TOL = 1e-15  # times max(1, |E|): the rounding scale of an energy E, below which a sweep or frame drop does not count
 SCAN_SAMPLES = 48  # grid points of the pre-scan of every line search
+POLE_SAMPLES = 96  # the pole window's pre-scan: at (alpha, gamma) = (0.12, 7.49894) 48 samples miss the deeper well at the pole
 X_TOL = 1e-12  # bracket width that ends a line search
 
 
@@ -210,7 +211,8 @@ def move_range(p: AxisymPattern, k: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    x_tol: float = X_TOL  # 0: the rounding floor
+    """Cycle cap and symmetric mode of ``local_minimize``; every line search ends at width ``X_TOL``."""
+
     max_cycles: int = 200
     symmetric: bool = False
 
@@ -292,11 +294,12 @@ def _search_range(p: AxisymPattern, k: int) -> tuple[float, float]:
     return t_lo, t_hi
 
 
-def _frame_offset(p: AxisymPattern, k: int, gamma: float, x_tol: float) -> tuple[float, AxisymPattern, float] | None:
+def _frame_offset(p: AxisymPattern, k: int, gamma: float) -> tuple[float, AxisymPattern, float] | None:
     """Best strictly improving move of frame k over ``_search_range``: (offset, moved pattern, energy drop / (2*pi)).
 
-    Searches the three-band energy E_k of ``_move_energy`` without building
-    a pattern.  A move counts only when its drop exceeds the rounding scale
+    Searches the three-band energy E_k of ``_move_energy`` to the bracket
+    width ``X_TOL`` without building a pattern.  A move counts only when its
+    drop exceeds the rounding scale
     ``DECREASE_TOL * max(1, |E_k(0)|)``; below it, and near walls, where
     sub-ulp offsets can land an interface on a neighbour, returns None: no
     move rather than an error.
@@ -305,7 +308,7 @@ def _frame_offset(p: AxisymPattern, k: int, gamma: float, x_tol: float) -> tuple
     if not t_lo < t_hi:
         return None
     along, slope = _move_energy(p, k, gamma)
-    t, e_star = _slope_min(along, slope, t_lo, t_hi, x_tol)
+    t, e_star = _slope_min(along, slope, t_lo, t_hi, X_TOL)
     e_0 = along(0.0)
     drop = e_0 - e_star
     if not drop > DECREASE_TOL * max(1.0, abs(e_0)):
@@ -328,6 +331,8 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
     the step's largest height change.  The stop rule reads only the sweep's
     own improvement, so the result is a sweep fixed point; a stopping sweep
     that raised ``total_energy`` (on rounding) is undone, so no record rises.
+    ``CycleLimit`` names the last sweep's drop in E, that cycle's
+    ``max_move`` and the pattern's ``min_gap``.
 
     Symmetric mode sweeps the lower half and mirrors each accepted offset
     to the reflected frame, skipping the self-mirrored central frame whose
@@ -350,7 +355,7 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
             mirror = p.n - 2 - k
             if opts.symmetric and k >= mirror:
                 continue
-            move = _frame_offset(p, k, gamma, opts.x_tol)
+            move = _frame_offset(p, k, gamma)
             if move is None:
                 continue
             t, moved, drop = move
@@ -386,7 +391,8 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
         records.append(CycleRecord(cycle=cycle, energy_over_pi=energy.total_over_pi, max_move=max_move))
         if done:
             return MinimizeResult(pattern=p, energy=energy, cycles=tuple(records))
-    raise CycleLimit(f"no fixed point within {opts.max_cycles} sweep cycles")
+    last = f"last sweep drop = {improved:.3e}, max_move = {max_move:.3e}" if records else "no cycle run"
+    raise CycleLimit(f"no fixed point within {opts.max_cycles} sweep cycles: {last}, min_gap = {p.min_gap():.3e}")
 
 
 def _extrapolate(p: AxisymPattern, d: list[float], s: float, energy: EnergyBreakdown, gamma: float):
@@ -484,17 +490,16 @@ class EscapeProbe:
         return _beats(self.e_star, self.limit)
 
 
-def escape_pole_frame(alpha: float, gamma: float, samples: int = 96) -> EscapeProbe:
+def escape_pole_frame(alpha: float, gamma: float) -> EscapeProbe:
     """Minimize the pole window profile on its slope and compare with its x -> 1 limit.
 
-    The grid is twice the descent's: at (alpha, gamma) = (0.12, 7.49894) 48
-    samples find the well inside and miss the deeper one at the pole.
+    The pre-scan grid is ``POLE_SAMPLES``, twice the descent's.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1)")
     x_star, e_star = _slope_min(
         lambda x: segment_energy(x, alpha, 1.0, gamma), lambda x: _segment_slope(x, alpha, 1.0, gamma),
-        alpha, 1.0, X_TOL, samples,
+        alpha, 1.0, X_TOL, POLE_SAMPLES,
     )
     return EscapeProbe(alpha=alpha, gamma=gamma, x_star=x_star, e_star=e_star, limit=pole_limit(alpha, gamma))
 
@@ -522,7 +527,7 @@ def _slide_escape(bp: BoundaryPattern, gamma: float) -> AxisymPattern:
     t_lo = (zs[k - 1] if k else -1.0) - zs[k]
     zs[k : j + 1] = [zs[k] + 0.5 * t_lo, zs[j] + 0.5 * t_lo]
     anchor = AxisymPattern(z=tuple(zs), m=bp.mass)
-    move = _frame_offset(anchor, k, gamma, X_TOL)
+    move = _frame_offset(anchor, k, gamma)
     moved = anchor if move is None else move[1]
     if not _beats(total_energy(moved, gamma).total, limit):
         raise NoEscape(f"{'pole configuration' if pole else 'merged pair'} is locally optimal at gamma={gamma!r}")

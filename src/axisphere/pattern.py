@@ -69,12 +69,6 @@ class AxisymPattern:
         """Interface heights with the pole sentinels attached."""
         return (-1.0, *self.z, 1.0)
 
-    def region_sign(self, j: int) -> int:
-        """Sign of the pattern on the band [z_j, z_{j+1}), j = 0..n."""
-        if not 0 <= j <= self.n:
-            raise IndexOutOfRange(f"band index {j} outside 0..{self.n}")
-        return -1 if j % 2 == 0 else 1
-
     def min_gap(self) -> float:
         """Smallest spacing among interfaces and to the poles."""
         nodes = self.nodes()
@@ -137,13 +131,15 @@ def kappa_g(p: AxisymPattern, k: int) -> float:
 def xi_profile(p: AxisymPattern) -> XiProfile:
     """Node values and slopes of xi; both pole values are exactly zero.
 
+    Band j = 0..n, [z_j, z_{j+1}), carries the sign -1 for even j and +1
+    for odd j (the southern band is -1), so its slope is that sign minus m.
     The recursion closes at the north pole up to rounding (the slopes sum
     against the band widths to twice the mean minus itself); the stored
     endpoint is pinned to 0.0 so ``_band_terms`` can drop the divergent pole
     logarithms analytically.
     """
     nodes_z = p.nodes()
-    slopes = tuple(p.region_sign(j) - p.m for j in range(p.n + 1))
+    slopes = tuple((1 if j % 2 else -1) - p.m for j in range(p.n + 1))
     nodes = [0.0]
     for j in range(p.n):
         nodes.append(nodes[-1] + slopes[j] * (nodes_z[j + 1] - nodes_z[j]))

@@ -64,12 +64,13 @@ def _tent_roots(p: AxisymPattern) -> list[float]:
     return roots + [1.0]
 
 
-def kernel_integral_2d(k: int, parity: str = "cos", points: int = 384) -> float:
-    """Periodic-grid double integral of log(5 - 3cos(th - al)) with k-modes.
+def kernel_integral_2d(k: int, parity: str = "cos") -> float:
+    """Periodic-grid double integral of log(5 - 3cos(th - al)) with k-modes, on 384 points per angle.
 
     The integrand is analytic and periodic, so the uniform grid converges
     spectrally; this route never touches the Fourier closed form.
     """
+    points = 384
     th = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
     ker = np.log(5.0 - 3.0 * np.cos(th[None, :] - th[:, None]))
     trig = np.cos if parity == "cos" else np.sin
@@ -82,7 +83,7 @@ def _check(name: str, passed: bool, detail: str) -> VerifyCheck:
     return VerifyCheck(name=name, passed=bool(passed), detail=detail)
 
 
-def run_verify(seed: int = 20240817) -> list[VerifyCheck]:
+def run_verify(seed: int) -> list[VerifyCheck]:
     rng = np.random.default_rng(seed)
     checks: list[VerifyCheck] = []
     spec = QuadratureSpec(rel_tol=1e-11)

@@ -66,7 +66,7 @@ def test_energy_json_and_determinism(run):
 # One default invocation per subcommand and the config_sha256 of its artifact.
 # The hash covers the resolved values of the flags that reach the library
 # (not --config, --out, --catalog or --trace).  `critical` actions hash only
-# their own flags, and escape's --samples is null unless given.
+# their own flags, and escape hashes --alpha and --z, the one not given as null.
 PINNED_HASHES = [
     pytest.param(("energy", "--z", "-0.5,0.5", "--gamma", "1"),
                  "712ced6d1d56a57f2b9fa61e715eba793d95dba6df0f663b73db40ad250094ef", id="energy"),
@@ -83,11 +83,11 @@ PINNED_HASHES = [
     pytest.param(("critical", "check-uniform", "--count", "4"),
                  "d5a843d3f115aca6bbd7ae0a74dc3f9425b89ec066bb879ae79a5c6a7c7ffc90", id="critical-check-uniform"),
     pytest.param(("minimize", "--z", "-0.4,0.6", "--gamma", "5"),
-                 "45e795df876880e1ada578ca9f5392a3e0b9275f88a1a76c5c8c35183263da1e", id="minimize"),
+                 "002c37a51d0c40a4e3a93151b8ead4ddff67964d5116e93370057c95b174cc93", id="minimize"),
     pytest.param(("escape", "--alpha", "0.6", "--gamma", "1e4"),
-                 "de600d687f44d206be8d29ab3bfcab377826718c348741a9d101e5dd71ae9efc", id="escape-alpha"),
+                 "5efd7e399c9529cb5c312a910acf852fcee48c1349cd2fa1a09f4f7879af9656", id="escape-alpha"),
     pytest.param(("escape", "--z", "-0.3,0.1,0.1,0.8", "--gamma", "20"),
-                 "dc45f217add2c0f69d46ef5b15f818ed0b6e230ed4246cad698bc33b0253e87b", id="escape-z"),
+                 "4041b89c16bd90e0d833572ca2f8b34582adcb422f7bff7e84cb9e985e82bd49", id="escape-z"),
     pytest.param(("stability", "--z", "-0.5,0.5", "--gamma", "0.8"),
                  "4878de07d99363a4a7b94c82e2ea5feb51cb1443e463fcfc2462031c55d8dbb0", id="stability"),
     pytest.param(("bounds", "--gamma", "0:1:3"),
@@ -145,7 +145,6 @@ def test_usage_errors_exit_one(run):
     assert run("escape", "--z", "-0.3,0.1,0.1,0.8", "--gamma", "20", "--samples", "5").returncode == 1
     # values from outside the program are range-checked before they reach the library
     for argv in (
-        ("escape", "--alpha", "0.6", "--gamma", "1", "--samples", "0"),
         ("xi", "--z", "-0.5,0.5", "--samples", "-3"),
         ("verify", "--seed", "-1"),
         ("energy", "--z", "-0.5,0.5", "--gamma", "nan"),
@@ -154,7 +153,6 @@ def test_usage_errors_exit_one(run):
         ("minimize", "--z", "-0.4,0.6", "--gamma", "5", "--max-cycles", "0"),
         ("critical", "solve", "--n", "3", "--gamma", "2", "--tol", "-1"),
         ("critical", "continue", "--n", "3", "--gamma-start", "1", "--gamma-end", "2", "--tol", "0"),
-        ("minimize", "--z", "-0.4,0.6", "--gamma", "5", "--x-tol", "-1"),
     ):
         r = run(*argv)
         assert r.returncode == 1 and f"argument {argv[-2]}:" in r.stderr, argv
@@ -207,6 +205,11 @@ def test_gamma_curve_skips_points_outside_the_domain(run):
     rows = [ln.split(",") for ln in r.stdout.splitlines()[3:]]
     assert [float(z1) for z1, _, _ in rows] == pytest.approx([0.05 + 0.1 * i for i in range(7)], abs=1e-15)
     assert all(float(g) > 0.0 for _, g, _ in rows)
+    # a point the curve itself refuses (z1 = 0 is outside its domain) is skipped with the curve's message
+    r = run("gamma-curve", "--branch", "3", "--z1", "0:0.5:3")
+    assert r.returncode == 0
+    assert r.stderr.startswith("skipping z1=0.0: ") and len(r.stderr.splitlines()) == 1
+    assert [float(ln.split(",")[0]) for ln in r.stdout.splitlines()[3:]] == [0.25, 0.5]
 
 
 def test_sweep2_reaches_the_single_cap_limit(run):
@@ -330,8 +333,8 @@ def test_malformed_ranges_exit_one(run, text):
     assert r.returncode == 1 and "error:" in r.stderr and not r.stdout
 
 
-def test_config_file_shapes(run, tmp_path):
-    """The file holds a JSON object; a list value is a comma list of floats."""
+def test_config_file_shapes(run, tmp_path, monkeypatch):
+    """The file holds a JSON object; a list value is a comma list of floats, and null means not given."""
     listed = tmp_path / "list.json"
     listed.write_text(json.dumps([["z", "-0.5,0.5"], ["gamma", 2.5]]))
     r = run("energy", "--config", str(listed))
@@ -347,6 +350,15 @@ def test_config_file_shapes(run, tmp_path):
         cfg.write_text(json.dumps(bad))
         r = run("energy", "--config", str(cfg))
         assert r.returncode == 1 and "error:" in r.stderr and "Traceback" not in r.stderr, bad
+    # a null value is a flag not given
+    monkeypatch.setenv("AXISPHERE_OUT_DIR", str(tmp_path))
+    cfg.write_text(json.dumps({"z": [-0.5, 0.5], "gamma": 2.5, "out": None}))
+    assert run("energy", "--config", str(cfg)).stdout == from_file.stdout
+    assert not (tmp_path / "None").exists()
+    cfg.write_text(json.dumps({"n": 3, "gamma": 2, "init": None}))
+    solved = run("critical", "solve", "--config", str(cfg))
+    assert solved.returncode == 0, solved.stderr
+    assert solved.stdout == run("critical", "solve", "--n", "3", "--gamma", "2").stdout
 
 
 def test_out_dir_env(run, tmp_path, monkeypatch):

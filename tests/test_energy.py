@@ -14,7 +14,7 @@ from axisphere.energy import (
     total_energy,
     two_interface_grid,
 )
-from axisphere.errors import EmptyRange, ToleranceNotMet
+from axisphere.errors import EmptyRange, OutOfRange, ToleranceNotMet
 from axisphere.pattern import make_pattern, reflect
 from axisphere.potential import v_diff
 from axisphere.quadrature import QuadratureSpec, integrate_adaptive
@@ -36,6 +36,8 @@ def test_quadrature_driver_on_smooth_integrand():
     # sanity for the shared adaptive integrator before it backs any oracle
     got = integrate_adaptive(np.exp, 0.0, 1.0, QuadratureSpec(rel_tol=1e-12))
     assert got == pytest.approx(math.e - 1.0, rel=1e-13)
+    assert integrate_adaptive(np.exp, 0.3, 0.3) == 0.0
+    assert integrate_adaptive(np.exp, 1.0, 0.0, QuadratureSpec(rel_tol=1e-12)) == -got
 
 
 @pytest.mark.parametrize(
@@ -82,6 +84,7 @@ def test_closed_form_vs_quadrature():
         quad = nonlocal_quadrature(p, 1.0, spec)
         worst = max(worst, abs(closed - quad) / max(1.0, abs(closed)))
     assert worst <= 1e-8, f"worst relative gap {worst:.3e}"
+    assert nonlocal_quadrature(p, 0.0) == 0.0
 
 
 def test_gamma_linearity_and_segments():
@@ -121,6 +124,8 @@ def test_two_interface_grid_shape_and_symmetry():
         assert grid.energy_over_pi[0][j] == pytest.approx(grid.energy_over_pi[2][j], rel=1e-12)
     with pytest.raises(EmptyRange):
         two_interface_grid([], [1.0])
+    with pytest.raises(OutOfRange):
+        two_interface_grid([0.1], [1.0])
 
 
 def test_grid_csv_layout(capsys):

@@ -10,6 +10,7 @@ from axisphere.criticality import initial_guess, residuals
 from axisphere.energy import _frame_hessian, total_energy
 from axisphere.errors import CycleLimit, DomainError, NoEscape, OrderingViolated, OutOfRange
 from axisphere.minimizer import (
+    POLE_SAMPLES,
     SCAN_SAMPLES,
     BoundaryPattern,
     MinimizeOptions,
@@ -66,7 +67,7 @@ def test_profile_f_basics():
 def test_prescan_grid_is_linspace():
     """The pre-scan grid lo + i*step reproduces np.linspace bit for bit."""
     rng = np.random.default_rng(5)
-    for samples in (SCAN_SAMPLES, 96):
+    for samples in (SCAN_SAMPLES, POLE_SAMPLES):
         for _ in range(25):
             lo, hi = sorted(float(v) for v in rng.uniform(-1.0, 1.0, size=2))
             seen = []
@@ -213,9 +214,12 @@ def test_pole_frames_are_still_searched():
             assert (t_lo, p.z[-1] + t_hi) == (lo + pad, math.nextafter(1.0, 0.0))
         along, _ = _move_energy(p, k, 1.0)
         _, e_golden = _golden_min(along, t_lo, t_hi)
-        t, moved, _ = _frame_offset(p, k, 1.0, MinimizeOptions().x_tol)
+        t, moved, _ = _frame_offset(p, k, 1.0)
         assert t_lo < t < t_hi and along(t) <= e_golden + 1e-12 * abs(e_golden)
         assert total_energy(moved, 1.0).total < total_energy(p, 1.0).total
+    # a frame with no room at all: both ends rounded off the poles meet at 0, and the frame is skipped
+    tight = make_pattern([math.nextafter(-1.0, 0.0), math.nextafter(1.0, 0.0)])
+    assert _search_range(tight, 0) == (0.0, 0.0) and _frame_offset(tight, 0, 1.0) is None
 
 
 def test_elementary_move_bookkeeping():
@@ -308,8 +312,12 @@ def test_stopping_sweep_never_raises_the_energy():
 
 
 def test_cycle_limit_raised():
-    with pytest.raises(CycleLimit):
+    """The error names the last sweep's drop, that cycle's largest move and the smallest gap."""
+    with pytest.raises(CycleLimit, match=r"^no fixed point within 1 sweep cycles: last sweep drop = 4\.483e-01, "
+                                         r"max_move = 1\.000e-01, min_gap = 5\.000e-01$"):
         local_minimize(make_pattern([-0.4, 0.6]), 5.0, MinimizeOptions(max_cycles=1))
+    with pytest.raises(CycleLimit, match=r"^no fixed point within 0 sweep cycles: no cycle run, min_gap = 4\.000e-01$"):
+        local_minimize(make_pattern([-0.4, 0.6]), 5.0, MinimizeOptions(max_cycles=0))
 
 
 def test_symmetric_sweep():
@@ -375,13 +383,14 @@ def test_pole_window_matches_golden_section():
     cases = [(float(a), float(g)) for a in np.linspace(0.05, 0.95, 7) for g in np.logspace(-2.0, 5.0, 15)]
     for alpha, gamma in cases + [(0.12, 7.49894)]:
         probe = escape_pole_frame(alpha, gamma)
-        _, e_ref = _golden_min(lambda x: segment_energy(x, alpha, 1.0, gamma), alpha, 1.0, samples=96)
+        _, e_ref = _golden_min(lambda x: segment_energy(x, alpha, 1.0, gamma), alpha, 1.0, samples=POLE_SAMPLES)
         assert alpha < probe.x_star < 1.0 and probe.e_star == segment_energy(probe.x_star, alpha, 1.0, gamma)
         assert probe.escaped == _beats(e_ref, probe.limit), (alpha, gamma)
         assert probe.e_star <= e_ref + 1e-12 * max(1.0, abs(e_ref)), (alpha, gamma)
-    # a well inside and a deeper one at the pole: 48 samples miss the pole side
-    inner = escape_pole_frame(0.12, 7.49894, samples=SCAN_SAMPLES)
-    assert inner.x_star == pytest.approx(0.866, abs=1e-3) and inner.e_star == pytest.approx(-1.28921, abs=1e-5)
+    # a well inside and a deeper one at the pole: the descent's 48 samples miss the pole side
+    x_in, e_in = _slope_min(lambda x: segment_energy(x, 0.12, 1.0, 7.49894),
+                            lambda x: _segment_slope(x, 0.12, 1.0, 7.49894), 0.12, 1.0, 1e-12, SCAN_SAMPLES)
+    assert x_in == pytest.approx(0.866, abs=1e-3) and e_in == pytest.approx(-1.28921, abs=1e-5)
     pole_side = escape_pole_frame(0.12, 7.49894)
     assert pole_side.x_star > 0.999 and pole_side.e_star == pytest.approx(-1.36555, abs=1e-5)
 
@@ -608,7 +617,7 @@ def test_boundary_escape_returns_valid_patterns(seed, n, gamma, kind):
     energy = total_energy(out, gamma).total
     assert energy <= e_ref + 1e-12 * abs(e_ref)
     k = next(i for i, (a, b) in enumerate(zip(out.z, z)) if a != b)  # the slid frame moves heights k and k+1
-    again = _frame_offset(out, k, gamma, MinimizeOptions().x_tol)
+    again = _frame_offset(out, k, gamma)
     assert again is None or 2.0 * math.pi * again[2] <= 1e-11 * abs(energy)
 
 
