@@ -261,7 +261,7 @@ def gamma_of_z1_4(z1: float) -> float:
     return num / den
 
 
-def _bisect_root(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+def _bisect_root(f, lo: float, hi: float, tol: float) -> float:
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -344,7 +344,7 @@ class UniformCheck:
     residual_floor: float | None = None
 
 
-def uniform_criticality_check(count: int, gamma_max: float = 1e4) -> UniformCheck:
+def uniform_criticality_check(count: int, gamma_max: float) -> UniformCheck:
     """Decide for which couplings the evenly placed pattern is critical.
 
     One or two interfaces: critical for every gamma (all pairwise residuals
@@ -352,7 +352,8 @@ def uniform_criticality_check(count: int, gamma_max: float = 1e4) -> UniformChec
     same coupling, giving the unique critical gamma.  Five or more: the
     pair equations demand incompatible couplings (or a non-positive one);
     the first incompatible consecutive pair of demanded couplings is
-    reported together with its gap and a residual floor over a gamma sweep.
+    reported together with its gap and a residual floor: the least
+    max |residuals| row over 60 couplings log-spaced in [1e-3, gamma_max].
     """
     p = uniform_pattern(count)
     if count <= 2:
@@ -397,9 +398,7 @@ def uniform_criticality_check(count: int, gamma_max: float = 1e4) -> UniformChec
     else:
         obstruction = "consecutive pairs demand different couplings"
 
-    # the residual rows dk + 4*gamma*dv over the sweep, as ``residuals`` forms them
-    rows = np.array(dks) + (4.0 * np.geomspace(1e-3, gamma_max, 60))[:, None] * np.array(dvs)
-    floor = float(np.min(np.max(np.abs(rows), axis=1)))
+    floor = min(float(np.max(np.abs(residuals(p, float(g))[:-1]))) for g in np.geomspace(1e-3, gamma_max, 60))
     return UniformCheck(
         count=count,
         all_gamma=False,

@@ -28,7 +28,6 @@ from .quadrature import QuadratureSpec, integrate_adaptive
 __all__ = [
     "EnergyBreakdown",
     "SweepGrid",
-    "QuadratureSpec",
     "perimeter",
     "nonlocal_closed",
     "nonlocal_quadrature",

@@ -30,8 +30,8 @@ block doubled, because the constant mode has norm 2 pi instead of pi.
 The k >= 1 blocks stay one stack.  Their diagonal grows like k^2, so
 most of them cannot hold the smallest eigenvalue: a Gershgorin lower
 bound per block, with a margin above eigvalsh's backward error, screens
-out every block that lies above the constants and k = 1 minima, and one
-batched eigvalsh solves the rest.
+out every block that lies above the constants minimum, and one batched
+eigvalsh solves the rest.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _frame_hessian
-from .errors import DomainError, NotCritical, OutOfRange
+from .errors import DomainError, NotCritical, NumericalFailure, OutOfRange
 from .pattern import AxisymPattern, is_symmetric
 from .potential import grad_v_normal
 
@@ -185,9 +185,12 @@ def assemble_J(p: AxisymPattern, gamma: float, K: int = 32) -> JMatrix:
     ks = np.arange(K + 1.0)
 
     blocks = fourier_log_integral(a, 2.0 * rr, range(K + 1))
-    blocks *= -2.0 * gamma * rr
     diag = np.arange(p.n)
-    blocks[:, diag, diag] += math.pi * (ks * ks - 1.0)[:, None] / r + 4.0 * gamma * g * math.pi * r
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, without a warning
+        blocks *= -2.0 * gamma * rr
+        blocks[:, diag, diag] += math.pi * (ks * ks - 1.0)[:, None] / r + 4.0 * gamma * g * math.pi * r
+    if not np.isfinite(blocks).all():
+        raise NumericalFailure(f"second-variation blocks overflow at gamma={gamma!r}")
 
     return JMatrix(
         pattern=p,
@@ -227,9 +230,10 @@ def min_eig_constrained(J: JMatrix) -> StabilityReport:
 
     The constants block is restricted to the hyperplane w . c = 0 by an
     orthonormal complement of w; oscillatory blocks need no constraint.
-    With the constants and k = 1 minima solved, a block k >= 2 whose
-    Gershgorin lower bound, less 16 n ulps of its norm, lies strictly
-    above both cannot hold the minimum and is skipped.  The blocks left
+    With the constants minimum solved (inf when n = 1), a block k >= 1
+    whose Gershgorin lower bound, less 16 n ulps of its norm, lies
+    strictly above it cannot hold the minimum and is skipped; when every
+    block is skipped the constants block is the report.  The blocks left
     go through one batched eigvalsh (ties to the constants block, then to
     the lowest wavenumber) and one eigh of the winning block for its
     mode, so the screen changes no result.
@@ -238,33 +242,27 @@ def min_eig_constrained(J: JMatrix) -> StabilityReport:
     """
     p = J.pattern
     n = p.n
-    best = math.inf
-    best_mode = (1, 1, "cos")
+    best, best_mode = math.inf, None
     if n >= 2:
         q_full, _ = np.linalg.qr(J.weights.reshape(n, 1), mode="complete")
         Q = q_full[:, 1:]
         vals, vecs = np.linalg.eigh(Q.T @ J.const_block @ Q)
-        if vals[0] < best:
-            best = float(vals[0])
-            best_mode = (_lead_circle(Q @ vecs[:, 0]), 0, "constant")
-    # Gershgorin screen of k >= 2 against the k = 0 and k = 1 minima: for
-    # k >= 1 the off-diagonals all share the sign of gamma, so a row's radius
-    # is |row sum - diagonal| and needs no copy of the stack; a margin of
-    # 16 n ulps of the block's norm covers eigvalsh's backward error, so a
+        best, best_mode = float(vals[0]), (_lead_circle(Q @ vecs[:, 0]), 0, "constant")
+    # Gershgorin screen of every k >= 1 block against the constants minimum:
+    # for k >= 1 the off-diagonals all share the sign of gamma, so a row's
+    # radius is |row sum - diagonal| and needs no copy of the stack; a margin
+    # of 16 n ulps of the block's norm covers eigvalsh's backward error, so a
     # skipped block could not have won
-    lam = np.linalg.eigvalsh(J.k_blocks[:1])[:, 0]
     diag = np.diagonal(J.k_blocks, axis1=1, axis2=2)
     radius = np.abs(J.k_blocks.sum(axis=2) - diag)
     margin = 16 * n * np.finfo(float).eps * (np.abs(diag) + radius).max(axis=1)
-    live = (diag - radius).min(axis=1) - margin <= min(best, lam[0])
-    live[0] = False  # k = 1 is solved already
-    ks = np.append(0, np.flatnonzero(live))  # ascending k: the first occurrence, the lowest wavenumber, wins a tie
-    lam = np.append(lam, np.linalg.eigvalsh(J.k_blocks[ks[1:]])[:, 0])
-    i = int(ks[np.argmin(lam)])
-    vals, vecs = np.linalg.eigh(J.k_blocks[i])
-    if vals[0] < best:
-        best = float(vals[0])
-        best_mode = (_lead_circle(vecs[:, 0]), i + 1, "cos")
+    live = np.flatnonzero((diag - radius).min(axis=1) - margin <= best)  # ascending k: the lowest wins a tie
+    if live.size:
+        i = int(live[np.argmin(np.linalg.eigvalsh(J.k_blocks[live])[:, 0])])
+        vals, vecs = np.linalg.eigh(J.k_blocks[i])
+        if vals[0] < best:
+            best = float(vals[0])
+            best_mode = (_lead_circle(vecs[:, 0]), i + 1, "cos")
 
     single: tuple = ()
     pm = None

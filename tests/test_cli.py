@@ -7,6 +7,7 @@ starts ``python -m axisphere.cli`` as a child process.
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,16 @@ def run(capsys):
         return subprocess.CompletedProcess(args, code, out, err)
 
     return call
+
+
+def test_readme_commands_exit_zero(run, tmp_path, monkeypatch):
+    """Every README line that starts with ``axisphere `` runs as written."""
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text().splitlines() if line.startswith("axisphere ")]
+    assert lines
+    for line in lines:
+        assert run(*shlex.split(line, comments=True)[1:]).returncode == 0, line
 
 
 def test_module_entry_point():

@@ -182,12 +182,12 @@ def test_initial_guess_kinds():
 
 def test_uniform_check_small_counts():
     for c in (1, 2):
-        chk = uniform_criticality_check(c)
+        chk = uniform_criticality_check(c, 1e4)
         assert chk.all_gamma and chk.critical_gamma is None
-    chk3 = uniform_criticality_check(3)
+    chk3 = uniform_criticality_check(3, 1e4)
     assert not chk3.all_gamma
     assert chk3.critical_gamma == pytest.approx(G3, rel=1e-12)
-    chk4 = uniform_criticality_check(4)
+    chk4 = uniform_criticality_check(4, 1e4)
     assert chk4.critical_gamma == pytest.approx(G4, rel=1e-12)
     # central pair of the 4-placement is constraint-free
     assert chk4.pair_gammas[1] is None
@@ -197,12 +197,12 @@ def test_uniform_check_rigidity():
     """Five or more evenly spaced circles are never critical."""
     floors = {5: 0.7222304030109801, 6: 0.3939648797541395}
     for count, floor in floors.items():
-        chk = uniform_criticality_check(count)
+        chk = uniform_criticality_check(count, 1e4)
         assert chk.critical_gamma is None
         assert chk.residual_floor is not None and chk.residual_floor >= 1e-3
         assert chk.residual_floor == pytest.approx(floor, rel=1e-6)
-    assert "sign" in uniform_criticality_check(5).obstruction
-    assert "different couplings" in uniform_criticality_check(6).obstruction
+    assert "sign" in uniform_criticality_check(5, 1e4).obstruction
+    assert "different couplings" in uniform_criticality_check(6, 1e4).obstruction
     # the floor is the minimum of the residual sweep, bit for bit
     for count, gamma_max in ((5, 1e4), (6, 1e4), (9, 50.0), (12, 1e6)):
         p = uniform_pattern(count)

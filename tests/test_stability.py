@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from axisphere import cli
 from axisphere.criticality import SolveOptions, initial_guess, solve_critical
 from axisphere.energy import total_energy
-from axisphere.errors import DomainError, NotCritical, OutOfRange
+from axisphere.errors import DomainError, NotCritical, NumericalFailure, OutOfRange
 from axisphere.pattern import make_pattern
 from axisphere.potential import grad_v_normal
 from axisphere.quadrature import QuadratureSpec, integrate_adaptive
@@ -244,6 +245,19 @@ def test_report_json_shape(capsys):
     assert d["K"] == 16
 
 
+def test_overflowing_blocks_are_a_numerical_failure(capsys):
+    """Blocks that overflow at huge gamma are refused by name, not screened out or reported as inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="gamma=1e\\+308"):
+            stability_report(make_pattern([0.5]), 1e308, 8)
+        with pytest.raises(NumericalFailure, match="gamma=1e\\+308"):
+            assemble_J(make_pattern([-0.5, 0.5]), 1e308)
+        assert cli.main(["stability", "--z", "-0.5,0.5", "--gamma", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("axisphere: numerical failure: ") and err.count("\n") == 1
+
+
 def test_non_critical_pattern_is_refused():
     with pytest.raises(NotCritical):
         assemble_J(make_pattern([-0.5, 0.1, 0.6]), 2.0)
@@ -313,13 +327,12 @@ def _report_unscreened(J):
     return best, *mode
 
 
-def _screens_every_k_from_2(J) -> bool:
-    """Whether each k >= 2 block's Gershgorin lower bound lies above the k = 0 and k = 1 minima."""
-    t = np.linalg.eigvalsh(J.k_blocks[0])[0]
-    if J.pattern.n >= 2:
-        t = min(t, _constants_min(J)[0])
-    off = np.abs(J.k_blocks[1:]).sum(axis=2) - np.abs(np.diagonal(J.k_blocks[1:], axis1=1, axis2=2))
-    return bool(np.all((np.diagonal(J.k_blocks[1:], axis1=1, axis2=2) - off).min(axis=1) > t))
+def _screens_every_k(J) -> bool:
+    """Whether each k >= 1 block's Gershgorin lower bound lies above the constants minimum."""
+    if J.pattern.n == 1:
+        return False
+    off = np.abs(J.k_blocks).sum(axis=2) - np.abs(np.diagonal(J.k_blocks, axis1=1, axis2=2))
+    return bool(np.all((np.diagonal(J.k_blocks, axis1=1, axis2=2) - off).min(axis=1) > _constants_min(J)[0]))
 
 
 def test_screened_eigensolve_matches_unscreened():
@@ -327,7 +340,8 @@ def test_screened_eigensolve_matches_unscreened():
     rng = np.random.default_rng(19)
     gamma_range = {1: (0.5, 3000.0), 2: (0.5, 3000.0), 3: (0.5, 3000.0), 8: (20.0, 3000.0),
                    16: (100.0, 3000.0), 32: (800.0, 3000.0)}
-    cases = [(make_pattern([0.3]), 3.0), (make_pattern([-0.5, 0.5]), 0.8)]  # no constants block; unstable double cap
+    # no constants block; unstable double cap; double cap with every k >= 1 block screened out at K <= 8
+    cases = [(make_pattern([0.3]), 3.0), (make_pattern([-0.5, 0.5]), 0.8), (make_pattern([-0.5, 0.5]), 0.3)]
     for n, (lo, hi) in gamma_range.items():
         for _ in range(2):
             gamma = math.exp(rng.uniform(math.log(lo), math.log(hi)))
@@ -346,7 +360,7 @@ def test_screened_eigensolve_matches_unscreened():
                 (rep.axisym_pm_value is not None and rep.axisym_pm_value < 0.0)
             assert rep.verdict == ("certified-unstable" if certified else "no-certificate")
             constants_wins |= mode_parity == "constant"
-            all_screened |= K >= 8 and _screens_every_k_from_2(J)
+            all_screened |= _screens_every_k(J)
     assert constants_wins and all_screened
 
 
