@@ -30,15 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import _frame_hessian, _tridiagonal_solve
-from .errors import (
-    Asymptote,
-    BranchLost,
-    LeftDomain,
-    NoConvergence,
-    NonIncreasing,
-    NonPositive,
-    OutOfRange,
-)
+from .errors import Asymptote, BranchLost, LeftDomain, NoConvergence, NonIncreasing, OutOfRange
 from .pattern import AxisymPattern, _band_terms, kappa_g, make_pattern, xi_profile
 from .potential import v_at_interfaces, v_diff
 
@@ -192,7 +184,7 @@ def continue_gamma(
     if steps < 2:
         raise OutOfRange("continuation needs at least two steps")
     if gamma_start <= 0.0 or gamma_end <= 0.0:
-        raise NonPositive("continuation expects positive gamma endpoints")
+        raise OutOfRange("continuation expects positive gamma endpoints")
     gammas = [float(g) for g in np.geomspace(gamma_start, gamma_end, steps)]
     out: list[CriticalPoint] = []
     current = seed
@@ -301,7 +293,7 @@ def uniform_pattern(count: int) -> AxisymPattern:
     z_i = -1 + (2i-1)/(2n).
     """
     if count < 1:
-        raise NonPositive("interface count must be positive")
+        raise OutOfRange("interface count must be positive")
     if count % 2 == 1:
         n = (count + 1) // 2
         zs = [-1.0 + i / n for i in range(1, count + 1)]
@@ -418,11 +410,14 @@ def polar_cap_bound(gamma: float) -> float:
     """Lower bound on the first interface height of nontrivial criticals.
 
     a / sqrt(1 + a^2) with a = -6*gamma/e - 1/sqrt(3); tends to -1/2 as
-    gamma -> 0 and to -1 for strong coupling.
+    gamma -> 0 and to -1 for strong coupling, which it returns once a^2
+    overflows (the bound is -1 to double precision there).
     """
     if gamma < 0.0:
         raise OutOfRange("coupling must be nonnegative")
     a = -6.0 * gamma / math.e - 1.0 / math.sqrt(3.0)
+    if math.isinf(a * a):
+        return -1.0
     return a / math.sqrt(1.0 + a * a)
 
 

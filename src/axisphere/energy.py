@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EmptyRange, OutOfRange
+from .errors import NumericalFailure, OutOfRange
 from .pattern import AxisymPattern, _band_terms, make_pattern, xi_profile
 from .quadrature import QuadratureSpec, integrate_adaptive
 
@@ -113,10 +113,13 @@ def nonlocal_quadrature(
 
 
 def total_energy(p: AxisymPattern, gamma: float) -> EnergyBreakdown:
-    """Perimeter plus closed-form long-range energy."""
+    """Perimeter plus closed-form long-range energy; NumericalFailure when the total overflows."""
     peri = perimeter(p)
     nl, per = nonlocal_closed(p, gamma)
-    return EnergyBreakdown(perimeter=peri, nonlocal_=nl, total=peri + nl, per_segment=per)
+    total = peri + nl
+    if not math.isfinite(total):
+        raise NumericalFailure(f"energy overflows at gamma={gamma!r}")
+    return EnergyBreakdown(perimeter=peri, nonlocal_=nl, total=total, per_segment=per)
 
 
 def _frame_hessian(p: AxisymPattern, gamma: float) -> tuple[list[float], list[float], list[float], list[float]]:
@@ -169,7 +172,7 @@ def _tridiagonal_solve(diag: list, off: list, rhs: list, definite: bool = False)
     """
     pivots, y = [], []  # H = L D L^T with D = diag(pivots), and y = L^{-1} rhs
     for k, h in enumerate(diag):
-        pivot = h - off[k - 1] ** 2 / pivots[-1] if k else h
+        pivot = h - off[k - 1] * off[k - 1] / pivots[-1] if k else h
         if not (pivot > 0.0 if definite else abs(pivot) > 0.0):
             return None
         y.append(rhs[k] - off[k - 1] / pivots[-1] * y[-1] if k else rhs[k])
@@ -207,7 +210,7 @@ def two_interface_grid(
     z1s = tuple(float(v) for v in z1_values)
     gammas = tuple(float(g) for g in gamma_values)
     if not z1s or not gammas:
-        raise EmptyRange("sweep needs at least one z1 and one gamma")
+        raise OutOfRange("sweep needs at least one z1 and one gamma")
     for v in z1s:
         if not -1.0 < v <= 0.0:
             raise OutOfRange(f"two-interface sweep needs z1 in (-1, 0], got {v!r}")

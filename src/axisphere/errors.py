@@ -1,7 +1,9 @@
 """Exception taxonomy shared by every module.
 
 All failures raised by this package derive from AxisphereError so callers
-can catch one base class at the CLI boundary.
+can catch one base class at the CLI boundary.  NumericalFailure and its
+subclasses mean a numerical method gave up: the command line exits 2 on
+them, and 1 on any other class that reaches it.
 """
 
 from __future__ import annotations
@@ -15,35 +17,11 @@ class AxisphereError(Exception):
 
 
 class OutOfRange(AxisphereError):
-    """A coordinate or parameter left its admissible interval."""
+    """An argument, coordinate or index lies outside its valid set."""
 
 
 class NonIncreasing(AxisphereError):
     """Interface heights must be strictly increasing."""
-
-
-class MassMismatch(AxisphereError):
-    """Computed mean value disagrees with the caller's expectation."""
-
-
-class IndexOutOfRange(AxisphereError):
-    """Interface or segment index outside 1..n (or 0..n for segments)."""
-
-
-class NonPositive(AxisphereError):
-    """A strictly positive quantity (radius, count) was not positive."""
-
-
-class DomainError(AxisphereError):
-    """Arguments outside the formula's domain of validity."""
-
-
-class EmptyRange(AxisphereError):
-    """A sweep range produced no evaluation points."""
-
-
-class OrderingViolated(AxisphereError):
-    """A move would break strict interface ordering."""
 
 
 # ------------------------------------------------------------------- numerics
@@ -53,12 +31,8 @@ class NumericalFailure(AxisphereError):
     """A numerical method gave up; the command line exits 2 on these."""
 
 
-class ToleranceNotMet(NumericalFailure):
-    """Adaptive quadrature exhausted its panel depth."""
-
-
 class NoConvergence(NumericalFailure):
-    """Iteration limit reached before the residual tolerance."""
+    """An iteration stopped before reaching its tolerance."""
 
 
 class LeftDomain(NumericalFailure):

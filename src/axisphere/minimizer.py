@@ -43,7 +43,8 @@ when it strictly lowers the energy; both are sums of strip moves, so they
 carry the mean.  Every move builds its result through the validating
 ``AxisymPattern`` constructor, so no sweep, step or escape returns heights
 that are out of order, coincident or on a pole: ``apply_elementary_move``
-reports such a move as OrderingViolated, and a sweep treats it as no move.
+raises the constructor's NonIncreasing or OutOfRange on such a move, and a
+sweep treats it as no move.
 
 Boundary configurations (an interface at a pole, or two interfaces merged)
 both hold a zero-width strip.  One slide moves the strip below it south,
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyBreakdown, _frame_hessian, _tridiagonal_solve, total_energy
-from .errors import CycleLimit, DomainError, NoEscape, NonIncreasing, OrderingViolated, OutOfRange
+from .errors import CycleLimit, NoEscape, NonIncreasing, OutOfRange
 from .pattern import AxisymPattern, _band_terms, is_symmetric, make_pattern, mass_of_interfaces, xi_profile
 
 __all__ = [
@@ -106,7 +107,7 @@ def segment_energy(x: float, alpha: float, beta: float, gamma: float) -> float:
     only on (alpha, beta) is dropped.
     """
     if not (-1.0 <= alpha < x < beta <= 1.0):
-        raise DomainError(f"need -1 <= alpha < x < beta <= 1, got {(alpha, x, beta)!r}")
+        raise OutOfRange(f"need -1 <= alpha < x < beta <= 1, got {(alpha, x, beta)!r}")
     lo, lo_m, lo_p = _mid(alpha, x)
     hi, hi_m, hi_p = _mid(x, beta)
     e_p = math.sqrt(lo_m * lo_p) + math.sqrt(hi_m * hi_p)
@@ -126,7 +127,7 @@ def _segment_slope(x: float, alpha: float, beta: float, gamma: float) -> float:
 def pole_limit(alpha: float, gamma: float) -> float:
     """Limit of e(x; alpha, 1, gamma) as the moved strip vanishes at the pole."""
     if not -1.0 < alpha < 1.0:
-        raise DomainError(f"alpha={alpha!r} outside (-1, 1)")
+        raise OutOfRange(f"alpha={alpha!r} outside (-1, 1)")
     mid, mid_m, mid_p = _mid(alpha, 1.0)
     return math.sqrt(mid_m * mid_p) + gamma * (alpha - 1.0) * profile_f(mid)
 
@@ -138,7 +139,7 @@ def _prescan(f, lo: float, hi: float, samples: int):
     are x_i's neighbours, or the ends padded by 1e-13 of the width.
     """
     if not hi > lo:
-        raise DomainError(f"empty bracket ({lo!r}, {hi!r})")
+        raise OutOfRange(f"empty bracket ({lo!r}, {hi!r})")
     step = (hi - lo) / (samples + 1)
     xs = [lo + i * step for i in range(1, samples + 1)]
     vals = [f(x) for x in xs]
@@ -186,18 +187,17 @@ def _slope_min(f, df, lo: float, hi: float, tol: float, samples: int = SCAN_SAMP
 def apply_elementary_move(p: AxisymPattern, k: int, t: float) -> AxisymPattern:
     """Shift interfaces k+1 and k+2 (1-based) by t; mean carried bit-exact.
 
-    Raises OrderingViolated when the shifted heights are not a valid
-    pattern (out of order, coincident, or outside (-1, 1)).
+    Raises OutOfRange for a frame index outside 0..n-2, and the
+    ``AxisymPattern`` constructor's NonIncreasing or OutOfRange when the
+    shifted heights are not a valid pattern (out of order, coincident, or
+    outside (-1, 1)).
     """
     if not 0 <= k <= p.n - 2:
         raise OutOfRange(f"frame index {k} outside 0..{p.n - 2}")
     z = list(p.z)
     z[k] += t
     z[k + 1] += t
-    try:
-        return AxisymPattern(z=tuple(z), m=p.m)
-    except (NonIncreasing, OutOfRange) as exc:
-        raise OrderingViolated(f"move t={t!r} on frame {k} breaks interface ordering") from exc
+    return AxisymPattern(z=tuple(z), m=p.m)
 
 
 def move_range(p: AxisymPattern, k: int) -> tuple[float, float]:
@@ -315,7 +315,7 @@ def _frame_offset(p: AxisymPattern, k: int, gamma: float) -> tuple[float, Axisym
         return None
     try:
         return t, apply_elementary_move(p, k, t), drop
-    except OrderingViolated:
+    except (NonIncreasing, OutOfRange):
         return None
 
 
@@ -342,7 +342,7 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
     The Newton step is projected onto mirror-symmetric height changes.
     """
     if opts.symmetric and not is_symmetric(p0):
-        raise DomainError("symmetric sweep requested for an asymmetric pattern")
+        raise OutOfRange("symmetric sweep requested for an asymmetric pattern")
     p = p0
     energy = total_energy(p, gamma)
     records: list[CycleRecord] = []
@@ -362,7 +362,7 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
             if opts.symmetric:
                 try:
                     paired = apply_elementary_move(moved, mirror, -t)
-                except OrderingViolated:
+                except (NonIncreasing, OutOfRange):
                     continue  # keep the symmetric slice rather than half-move
                 along, _ = _move_energy(moved, mirror, gamma)
                 if not along(-t) - along(0.0) < drop:
@@ -450,11 +450,11 @@ class BoundaryPattern:
         if any(not -1.0 <= v <= 1.0 for v in zs):
             raise OutOfRange("entries must lie in [-1, 1]")
         if any(b < a for a, b in zip(zs, zs[1:])):
-            raise OrderingViolated("entries must be nondecreasing")
+            raise NonIncreasing("entries must be nondecreasing")
         merged = sum(1 for a, b in zip(zs, zs[1:]) if a == b)
         pole = (zs[0] == -1.0) + (zs[-1] == 1.0)
         if merged + pole != 1:
-            raise DomainError("expected exactly one degeneracy (pole contact or merged pair)")
+            raise OutOfRange("expected exactly one degeneracy (pole contact or merged pair)")
 
     @property
     def kind(self) -> str:
@@ -496,7 +496,7 @@ def escape_pole_frame(alpha: float, gamma: float) -> EscapeProbe:
     The pre-scan grid is ``POLE_SAMPLES``, twice the descent's.
     """
     if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha={alpha!r} outside (0, 1)")
+        raise OutOfRange(f"alpha={alpha!r} outside (0, 1)")
     x_star, e_star = _slope_min(
         lambda x: segment_energy(x, alpha, 1.0, gamma), lambda x: _segment_slope(x, alpha, 1.0, gamma),
         alpha, 1.0, X_TOL, POLE_SAMPLES,
@@ -520,7 +520,7 @@ def _slide_escape(bp: BoundaryPattern, gamma: float) -> AxisymPattern:
     zs = list(bp.z)
     j = next(i for i, (a, b) in enumerate(zip(zs, [*zs[1:], 1.0])) if a == b)
     if j == 0:
-        raise DomainError("merged pair needs a neighboring interface to slide")
+        raise OutOfRange("merged pair needs a neighboring interface to slide")
     k, pole = j - 1, zs[j] == 1.0
     circles = 2.0 * math.pi * sum(math.sqrt(1.0 - y * y) for y in zs[j : j + 2])
     limit = total_energy(make_pattern(zs[:j] + zs[j + 2 :]), gamma).total + circles

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, MassMismatch, NonIncreasing, OutOfRange
+from .errors import NonIncreasing, OutOfRange
 
 __all__ = [
     "AxisymPattern",
@@ -110,7 +110,7 @@ def make_pattern(zs: Iterable[float], expect_mass: float | None = None) -> Axisy
     z = tuple(float(v) for v in zs)
     p = AxisymPattern(z=z, m=mass_of_interfaces(z))
     if expect_mass is not None and abs(p.m - expect_mass) > 1e-12:
-        raise MassMismatch(f"mean {p.m!r} differs from expected {expect_mass!r}")
+        raise OutOfRange(f"mean {p.m!r} differs from expected {expect_mass!r}")
     return p
 
 
@@ -122,7 +122,7 @@ def kappa_g(p: AxisymPattern, k: int) -> float:
     -1/sqrt(3) at both circles.
     """
     if not 1 <= k <= p.n:
-        raise IndexOutOfRange(f"interface index {k} outside 1..{p.n}")
+        raise OutOfRange(f"interface index {k} outside 1..{p.n}")
     zk = p.z[k - 1]
     sign = 1.0 if k % 2 == 1 else -1.0  # u just above z_k is (-1)^(k+1)
     return sign * zk / math.sqrt(1.0 - zk * zk)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IndexOutOfRange
+from .errors import OutOfRange
 from .pattern import AxisymPattern, XiProfile, _band_terms, xi_profile
 
 __all__ = ["v_diff", "v_at_interfaces", "grad_v_normal"]
@@ -33,7 +33,7 @@ def v_diff(p: AxisymPattern, k: int) -> float:
     interior k give the differences entering the criticality system.
     """
     if not 0 <= k <= p.n:
-        raise IndexOutOfRange(f"band index {k} outside 0..{p.n}")
+        raise OutOfRange(f"band index {k} outside 0..{p.n}")
     return _band_diff(p, xi_profile(p), k)
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ToleranceNotMet
+from .errors import NoConvergence
 
 __all__ = ["QuadratureSpec", "integrate_adaptive"]
 
@@ -60,7 +60,7 @@ def integrate_adaptive(
 ) -> float:
     """Integrate a vectorized integrand over [a, b] to spec.rel_tol.
 
-    Raises ToleranceNotMet once the worst remaining panel sits at
+    Raises NoConvergence once the worst remaining panel sits at
     spec.max_depth and the tolerance is still unmet, and as soon as the
     running value or error estimate is not finite.
     """
@@ -75,12 +75,12 @@ def integrate_adaptive(
     heap = [(-total_err, next(tiebreak), a, b, 0, total_val, total_err)]
     while True:
         if not (math.isfinite(total_val) and math.isfinite(total_err)):
-            raise ToleranceNotMet(f"integrand gave a non-finite value {total_val!r} or error {total_err!r}")
+            raise NoConvergence(f"integrand gave a non-finite value {total_val!r} or error {total_err!r}")
         if total_err <= max(spec.rel_tol * abs(total_val), abs_tol, 5e-16 * abs(total_val)):
             return total_val
         neg_err, _, pa, pb, depth, pval, perr = heapq.heappop(heap)
         if depth >= spec.max_depth:
-            raise ToleranceNotMet(
+            raise NoConvergence(
                 f"panel [{pa}, {pb}] still carries error {perr:.3e} at depth {depth}"
             )
         mid = 0.5 * (pa + pb)

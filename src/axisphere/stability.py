@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _frame_hessian
-from .errors import DomainError, NotCritical, NumericalFailure, OutOfRange
+from .errors import NotCritical, NumericalFailure, OutOfRange
 from .pattern import AxisymPattern, is_symmetric
 from .potential import grad_v_normal
 
@@ -74,7 +74,7 @@ def fourier_log_integral(a, b, k):
     bad = np.flatnonzero((a <= 0.0) | (b < 0.0) | (b > a))
     if bad.size:
         i = bad[0]
-        raise DomainError(f"need a >= b >= 0 with a > 0, got a={float(a.flat[i])!r}, b={float(b.flat[i])!r}")
+        raise OutOfRange(f"need a >= b >= 0 with a > 0, got a={float(a.flat[i])!r}, b={float(b.flat[i])!r}")
     stacked = np.ndim(k) > 0
     ks = np.array([int(v) for v in k] if stacked else [int(k)], dtype=int)
     if (ks < 0).any():
@@ -112,9 +112,9 @@ def single_mode_J(z_n: float, gamma: float, k: int) -> float:
     the self-interaction q equals 1.
     """
     if not 0.0 < z_n < 1.0:
-        raise DomainError(f"z_n={z_n!r} outside (0, 1)")
+        raise OutOfRange(f"z_n={z_n!r} outside (0, 1)")
     if k < 1:
-        raise DomainError("wavenumber must be at least 1")
+        raise OutOfRange("wavenumber must be at least 1")
     r2 = 1.0 - z_n * z_n
     return (k * k - 1.0) / math.sqrt(r2) + 4.0 * gamma * (r2 / k + (z_n - 1.0))
 
@@ -127,7 +127,7 @@ def axisym_pm_bound(z_n: float, gamma: float) -> float:
     exact two-circle form never exceeds it.
     """
     if not 0.0 < z_n < 1.0:
-        raise DomainError(f"z_n={z_n!r} outside (0, 1)")
+        raise OutOfRange(f"z_n={z_n!r} outside (0, 1)")
     r2 = 1.0 - z_n * z_n
     return (
         -4.0 / math.sqrt(r2)

@@ -181,9 +181,17 @@ def test_usage_errors_exit_one(run):
 
 
 def test_numerical_failures_exit_two(run):
-    r = run("critical", "continue", "--n", "3", "--gamma-start", "1.05", "--gamma-end", "1e9", "--steps", "4")
-    assert r.returncode == 2
-    assert "numerical failure" in r.stderr
+    for end, steps in (("1e9", "4"), ("1e308", "3")):  # 1e308: the frame Hessian overflows past gamma ~ 1e154
+        r = run("critical", "continue", "--n", "3", "--gamma-start", "1.05", "--gamma-end", end, "--steps", steps)
+        assert r.returncode == 2
+        assert r.stderr.startswith("axisphere: numerical failure: corrector failed twice") and r.stderr.count("\n") == 1
+
+
+def test_descent_at_huge_gamma_exits_zero(run):
+    """The frame Hessian's squared off-diagonal overflows to inf from gamma ~ 1e154, not to an OverflowError."""
+    r = run("minimize", "--z", "-0.6,-0.1,0.5", "--gamma", "1e160")
+    assert r.returncode == 0 and r.stderr == ""
+    assert json.loads(r.stdout)["pattern"]["m"] == 0.0
 
 
 def test_sweep_csv(run, tmp_path):
@@ -311,6 +319,8 @@ def test_bounds_table(run):
     rows = [ln for ln in r.stdout.splitlines() if not ln.startswith("#")]
     assert rows[0] == "gamma,z1_bound"
     assert rows[1] == "0.0,-0.5"  # zero-coupling limit is exact
+    r = run("bounds", "--gamma", "1e307,1e308")
+    assert r.stdout.splitlines()[-2:] == ["1e+307,-1.0", "1e+308,-1.0"]  # a^2 overflows: the bound is -1
 
 
 def test_verify_subcommand(run):

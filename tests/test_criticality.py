@@ -22,7 +22,7 @@ from axisphere.criticality import (
     uniform_pattern,
 )
 from axisphere.energy import _frame_hessian
-from axisphere.errors import Asymptote, BranchLost, LeftDomain, NoConvergence, NonPositive, OutOfRange
+from axisphere.errors import Asymptote, BranchLost, LeftDomain, NoConvergence, OutOfRange
 from axisphere.pattern import make_pattern
 
 # gamma where the evenly spaced 3- and 4-interface placements are critical
@@ -114,9 +114,9 @@ def test_lost_branch_names_where_it_ended():
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        pytest.param(lambda: continue_gamma(3, -1.0, 2.0, 3, initial_guess(3)), NonPositive, "positive gamma",
+        pytest.param(lambda: continue_gamma(3, -1.0, 2.0, 3, initial_guess(3)), OutOfRange, "positive gamma",
                      id="negative-gamma"),
-        pytest.param(lambda: uniform_pattern(0), NonPositive, "must be positive", id="no-interfaces"),
+        pytest.param(lambda: uniform_pattern(0), OutOfRange, "must be positive", id="no-interfaces"),
         pytest.param(lambda: solve_critical(3, 2.0, initial_guess(3), SolveOptions(max_iter=1)), NoConvergence,
                      r"^iteration budget spent at iteration 1: max\|r\| = 1\.965e-01, min_gap = 3\.852e-01$",
                      id="one-iteration"),

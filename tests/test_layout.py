@@ -1,9 +1,13 @@
 """The library layout: each public name is imported from its own module."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
+from pathlib import Path
 
 import axisphere
+from axisphere import errors
 
 
 def test_every_listed_name_belongs_to_its_module():
@@ -12,3 +16,29 @@ def test_every_listed_name_belongs_to_its_module():
         mod = importlib.import_module(f"axisphere.{info.name}")
         for name in getattr(mod, "__all__", ()):
             assert getattr(mod, name).__module__ == mod.__name__, (mod.__name__, name)
+
+
+def _raised_or_caught(tree: ast.AST) -> set[str]:
+    """Names in ``raise Name(...)``, ``raise Name`` and ``except`` clauses, bare or in a tuple."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exprs = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            exprs = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        else:
+            continue
+        names.update(e.id for e in exprs if isinstance(e, ast.Name))
+    return names
+
+
+def test_every_error_class_is_raised_or_caught_in_the_library():
+    """Each error class is raised or caught by name in the library, or is a base of one that is: none is test-only."""
+    used = set()
+    for path in Path(axisphere.__file__).parent.glob("*.py"):
+        used |= _raised_or_caught(ast.parse(path.read_text()))
+    classes = {name: cls for name, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, errors.AxisphereError)}
+    assert len(classes) == 11
+    for name, cls in classes.items():
+        assert any(issubclass(classes[u], cls) for u in used & classes.keys()), name

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from axisphere.errors import IndexOutOfRange
+from axisphere.errors import OutOfRange
 from axisphere.pattern import make_pattern, xi_eval, xi_profile
 from axisphere.potential import grad_v_normal, v_at_interfaces, v_diff
 from axisphere.quadrature import QuadratureSpec, integrate_adaptive
@@ -41,9 +41,9 @@ def test_pole_bands_are_finite():
 
 def test_band_index_bounds():
     p = make_pattern([-0.3, 0.4])
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(OutOfRange, match=r"^band index 3 outside 0\.\.2$"):
         v_diff(p, 3)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(OutOfRange, match=r"^band index -1 outside 0\.\.2$"):
         v_diff(p, -1)
 
 

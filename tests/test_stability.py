@@ -9,7 +9,7 @@ import pytest
 from axisphere import cli
 from axisphere.criticality import SolveOptions, initial_guess, solve_critical
 from axisphere.energy import total_energy
-from axisphere.errors import DomainError, NotCritical, NumericalFailure, OutOfRange
+from axisphere.errors import NotCritical, NumericalFailure, OutOfRange
 from axisphere.pattern import make_pattern
 from axisphere.potential import grad_v_normal
 from axisphere.quadrature import QuadratureSpec, integrate_adaptive
@@ -78,7 +78,7 @@ def test_fourier_log_integral_property():
     for i, j, bad_a, bad_b in ((2, 3, 0.0, 0.0), (4, 1, 1.0, -0.5), (0, 5, 1.0, 1.5)):
         a_bad, b_bad = a.copy(), b.copy()
         a_bad[i, j], b_bad[i, j] = bad_a, bad_b
-        with pytest.raises(DomainError):
+        with pytest.raises(OutOfRange, match=r"^need a >= b >= 0 with a > 0, got a=" + f"{bad_a!r}, b={bad_b!r}$"):
             fourier_log_integral(a_bad, b_bad, 3)
 
 
@@ -98,7 +98,7 @@ def test_fourier_log_integral_stacks_wavenumbers():
         fourier_log_integral(a, b, [0, 3, -1])
     a_bad = a.copy()
     a_bad[3, 4] = 0.5 * b[3, 4]
-    with pytest.raises(DomainError):
+    with pytest.raises(OutOfRange, match="need a >= b >= 0 with a > 0"):
         fourier_log_integral(a_bad, b, range(4))
 
 
@@ -256,6 +256,19 @@ def test_overflowing_blocks_are_a_numerical_failure(capsys):
         assert cli.main(["stability", "--z", "-0.5,0.5", "--gamma", "1e308"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("axisphere: numerical failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--z", "-0.5,0.5"],
+    ["minimize", "--z", "-0.4,0.6"],
+    ["escape", "--z", "-0.3,0.1,0.1,0.8"],
+])
+def test_overflowing_energy_is_a_numerical_failure(argv, capsys):
+    """An energy that overflows is refused by name: no Infinity in the JSON, no nan sweeps, no compared infinities."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([*argv, "--gamma", "1e308"]) == 2
+    assert capsys.readouterr() == ("", "axisphere: numerical failure: energy overflows at gamma=1e+308\n")
 
 
 def test_non_critical_pattern_is_refused():
