@@ -242,8 +242,8 @@ def cmd_xi(args):
     return payload
 
 
-def _solve(args, gamma: float):
-    """Newton solve at gamma from --z, or from the --init guess for --n; returns the point and the options."""
+def _start(args):
+    """Start pattern from --z, or the --init guess for --n; returns it, its label and the Newton options."""
     if args.z is not None:
         init, label = make_pattern(parse_floats(args.z)), "explicit"
         if args.n is not None and args.n != init.n:
@@ -253,12 +253,12 @@ def _solve(args, gamma: float):
     else:
         label = args.init or "uniform"
         init = initial_guess(args.n, label)
-    opts = SolveOptions(tol=args.tol, max_iter=args.max_iter, m_target=args.m_target)
-    return solve_critical(init.n, gamma, init, opts, init_label=label), opts
+    return init, label, SolveOptions(tol=args.tol, max_iter=args.max_iter, m_target=args.m_target)
 
 
 def cmd_solve(args):
-    cp = _solve(args, args.gamma)[0]
+    init, label, opts = _start(args)
+    cp = solve_critical(init.n, args.gamma, init, opts, init_label=label)
     trace = cp.trace
     return {
         **_catalog_fields(cp),
@@ -269,9 +269,9 @@ def cmd_solve(args):
 
 
 def cmd_continue(args):
-    """Corrector at the start coupling, then trace the branch as JSON lines."""
-    seed, opts = _solve(args, args.gamma_start)
-    points = continue_gamma(seed.pattern.n, args.gamma_start, args.gamma_end, args.steps, seed.pattern, opts)
+    """Trace the branch from the start pattern as JSON lines; its first point is the solve at --gamma-start."""
+    init, _, opts = _start(args)
+    points = continue_gamma(init.n, args.gamma_start, args.gamma_end, args.steps, init, opts)
     return "".join(json.dumps(rec) + "\n" for rec in [{"meta": _meta(args)}, *map(_catalog_fields, points)])
 
 

@@ -10,9 +10,9 @@ difference system
 closed by the mean-value constraint R_n = m(z) - m_target, which
 ``residuals`` evaluates band by band.  Up to alternating signs its rows
 are the energy's slopes at -gamma along the n-1 strip moves
-(``energy._frame_hessian``, O(n), with a tridiagonal Hessian), so a damped
-Newton iteration on validated patterns over the frame offsets, plus one
-move of z_1 for the mass along ``_frame_hessian``'s z_1 column, solves it
+(``_critical_frame``, the one owner of that sign, O(n), with a tridiagonal
+Hessian), so a damped Newton iteration on validated patterns over the frame
+offsets, plus one move of z_1 for the mass along its z_1 column, solves it
 with one tridiagonal solve per step.
 Gamma families are traced by predictor-corrector continuation.
 
@@ -109,6 +109,14 @@ def _stopped(what: str, it: int, r: list[float], p: AxisymPattern) -> str:
     return f"{what} at iteration {it}: max|r| = {max(map(abs, r)):.3e}, min_gap = {p.min_gap():.3e}"
 
 
+def _critical_frame(p: AxisymPattern, gamma: float) -> tuple[list[float], list[float], list[float], list[float]]:
+    """``_frame_hessian`` at -gamma, as a test pins residuals(p, gamma)[k] = (-1)^k g_k(p, -gamma), k < n - 1.
+
+    The sign is open (ROADMAP): settling it flips this argument and v' in ``potential.py``, nothing else.
+    """
+    return _frame_hessian(p, -gamma)
+
+
 def solve_critical(
     n: int,
     gamma: float,
@@ -116,11 +124,11 @@ def solve_critical(
     opts: SolveOptions = SolveOptions(),
     init_label: str = "caller",
 ) -> CriticalPoint:
-    """Damped Newton over the frame offsets on ``_frame_hessian``'s O(n) slopes g and tridiagonal H.
+    """Damped Newton over the frame offsets on ``_critical_frame``'s O(n) slopes g and tridiagonal H.
 
-    r = (g(p, -gamma), m - m_target) is ``residuals`` up to signs.  A step
+    r = (g, m - m_target) is ``residuals`` up to signs.  A step
     moves z_1 alone by delta = m - m_target and the frames by
-    tau = -H^{-1}(g + delta c), where c is ``_frame_hessian``'s z_1 column,
+    tau = -H^{-1}(g + delta c), where c is ``_critical_frame``'s z_1 column,
     the border of H: one tridiagonal solve that saddles do not stop, halved
     until the trial is a valid pattern with a smaller |r|^2.  Once
     max|r| <= tol, ``residuals`` confirms the point and gives
@@ -130,9 +138,8 @@ def solve_critical(
     """
     if init.n != n:
         raise OutOfRange(f"initial pattern has {init.n} interfaces, expected {n}")
-    coupling = -gamma  # the energy's coupling whose frame slopes are the residuals
     pat = make_pattern(init.z)
-    g, diag, off, col = _frame_hessian(pat, coupling)
+    g, diag, off, col = _critical_frame(pat, gamma)
     damping_events = 0
     for it in range(opts.max_iter):
         r = [*g, pat.m - opts.m_target]
@@ -153,7 +160,7 @@ def solve_critical(
             except (OutOfRange, NonIncreasing):  # left (-1, 1) or lost ordering
                 trial = None
             else:
-                trial_h = _frame_hessian(trial, coupling)
+                trial_h = _critical_frame(trial, gamma)
                 if sum(v * v for v in [*trial_h[0], trial.m - opts.m_target]) < old_sq:
                     break
             scale *= 0.5
@@ -176,7 +183,8 @@ def continue_gamma(
 ) -> list[CriticalPoint]:
     """Trace a critical branch over a log-spaced gamma schedule.
 
-    The previous solution seeds each correction.  On a Newton failure the
+    ``seed`` starts the solve at gamma_start, the first point, and each
+    solution seeds the next correction.  On a Newton failure the
     gamma increment is halved and retried once; a second failure aborts
     with BranchLost, whose message names the last converged gamma, the
     gamma that failed and the solver's own stopping state.

@@ -11,8 +11,8 @@ The quadrature route integrates the same band integrands adaptively after
 cancelling the pole factor by hand; it exists purely as an independent
 cross-check of the closed form and shares no log-term code with it.
 ``_frame_hessian`` gives the energy's slopes and tridiagonal Hessian over
-the strip moves in O(n), for the descent, the critical-point solver and
-the stability gate.
+the strip moves in O(n), for the descent and, at ``_critical_frame``'s
+sign, the critical-point solver and the stability gate.
 """
 
 from __future__ import annotations
@@ -138,10 +138,6 @@ def _frame_hessian(p: AxisymPattern, gamma: float) -> tuple[list[float], list[fl
     H in ``solve_critical``: moving z_1 changes xi by -2 H(z - z_1) + (z + 1),
     so col_k is (-1)^k 4 gamma L2 of band k+1, and col_0 also subtracts
     d_1 = (1 - z_1^2)^(-3/2) - 4 gamma xi(z_1) / (1 - z_1^2).
-
-    The descent calls it at gamma; ``solve_critical`` and ``assemble_J``'s gate
-    at -gamma, as residuals(p, gamma)[k] = (-1)^k g_k(p, -gamma).  The sign of
-    v' in ``potential.py`` is open (ROADMAP); settling it flips that argument.
     """
     prof, q = xi_profile(p), 1.0 - p.z[0] * p.z[0]
     c1, c2, l1, l2 = zip(*(_band_terms(p, prof, j) for j in range(p.n + 1)))
@@ -206,7 +202,7 @@ def _two_interface_pattern(z1: float) -> AxisymPattern:
 def two_interface_grid(
     z1_values: Sequence[float], gamma_values: Sequence[float]
 ) -> SweepGrid:
-    """Zero-mean two-interface energies over a (z1, gamma) product grid."""
+    """Zero-mean two-interface ``total_energy`` over pi on a (z1, gamma) grid; NumericalFailure on overflow."""
     z1s = tuple(float(v) for v in z1_values)
     gammas = tuple(float(g) for g in gamma_values)
     if not z1s or not gammas:
@@ -214,11 +210,7 @@ def two_interface_grid(
     for v in z1s:
         if not -1.0 < v <= 0.0:
             raise OutOfRange(f"two-interface sweep needs z1 in (-1, 0], got {v!r}")
-    rows = []
-    for v in z1s:
-        pat = _two_interface_pattern(v)
-        peri = perimeter(pat)
-        nl_unit, _ = nonlocal_closed(pat, 1.0)  # linear in gamma
-        rows.append(tuple((peri + g * nl_unit) / math.pi for g in gammas))
-    return SweepGrid(z1=z1s, gamma=gammas, energy_over_pi=tuple(rows))
+    pats = [_two_interface_pattern(v) for v in z1s]
+    rows = tuple(tuple(total_energy(pat, g).total_over_pi for g in gammas) for pat in pats)
+    return SweepGrid(z1=z1s, gamma=gammas, energy_over_pi=rows)
 

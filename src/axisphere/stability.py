@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _frame_hessian
+from .criticality import _critical_frame
 from .errors import NotCritical, NumericalFailure, OutOfRange
 from .pattern import AxisymPattern, is_symmetric
 from .potential import grad_v_normal
@@ -168,13 +168,13 @@ def assemble_J(p: AxisymPattern, gamma: float, K: int = 32) -> JMatrix:
     Diagonal carries the curvature part ((k^2-1)/r_i weighted by the mode
     norm) and the normal derivative of the screened potential; every pair
     of circles couples through the log-kernel Fourier coefficient at its
-    chord geometry.  All K+1 blocks are built in one stack, scaled and
-    shifted in place.  r_i r_j is formed before scaling by gamma, so every
-    block is exactly symmetric.
+    chord geometry.  All K+1 blocks are built in one stack, scaled and shifted
+    in place; r_i r_j is formed before scaling by gamma, so every block is
+    exactly symmetric.  NotCritical past CRITICAL_TOL on ``_critical_frame``.
     """
     if K < 1:
         raise OutOfRange("mode cutoff must be at least 1")
-    worst = max(map(abs, _frame_hessian(p, -gamma)[0]), default=0.0)  # ``residuals`` up to signs
+    worst = max(map(abs, _critical_frame(p, gamma)[0]), default=0.0)  # ``residuals`` up to signs
     if worst > CRITICAL_TOL:
         raise NotCritical(f"pattern residual {worst:.3e} exceeds {CRITICAL_TOL}")
     z = np.array(p.z)

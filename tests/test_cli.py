@@ -185,6 +185,10 @@ def test_numerical_failures_exit_two(run):
         r = run("critical", "continue", "--n", "3", "--gamma-start", "1.05", "--gamma-end", end, "--steps", steps)
         assert r.returncode == 2
         assert r.stderr.startswith("axisphere: numerical failure: corrector failed twice") and r.stderr.count("\n") == 1
+    # a start the corrector cannot solve is the branch's own first failure, reported once
+    r = run("critical", "continue", "--n", "16", "--gamma-start", "1e5", "--gamma-end", "2e5", "--steps", "3")
+    assert r.returncode == 2 and not r.stdout
+    assert r.stderr.startswith("axisphere: numerical failure: no solution at branch start") and r.stderr.count("\n") == 1
 
 
 def test_descent_at_huge_gamma_exits_zero(run):
@@ -274,6 +278,10 @@ def test_catalog_jsonl(run, tmp_path):
         assert set(rec) == {"n", "gamma", "z", "lambda", "residual", "min_gap"}
         assert rec["min_gap"] >= 1e-4
         assert rec["residual"] <= 1e-11
+    # the first point is `critical solve` at --gamma-start, field by field
+    solved = json.loads(run("critical", "solve", "--n", "3", "--gamma", "1.05").stdout)
+    for key, value in recs[0].items():
+        assert solved[key] == value, key
     # --out writes the same catalog
     out = tmp_path / "same.jsonl"
     assert run(*r.args[:-2], "--out", str(out)).returncode == 0

@@ -6,6 +6,7 @@ import pytest
 
 from axisphere.criticality import (
     SolveOptions,
+    _bisect_root,
     continue_gamma,
     denominator_root_3,
     denominator_root_4,
@@ -125,12 +126,25 @@ def test_lost_branch_names_where_it_ended():
                      r"^damping cannot restore interface ordering at iteration \d+: "
                      r"max\|r\| = \d\.\d{3}e[+-]\d\d, min_gap = \d\.\d{3}e[+-]\d\d$",
                      id="n12-gamma20"),
+        pytest.param(lambda: solve_critical(2, 2.0, initial_guess(3)), OutOfRange,
+                     r"^initial pattern has 3 interfaces, expected 2$", id="n-contradicts-init"),
+        pytest.param(lambda: continue_gamma(3, 1.05, 2.0, 1, initial_guess(3)), OutOfRange,
+                     r"^continuation needs at least two steps$", id="one-step"),
+        pytest.param(lambda: gamma_of_z1_4(denominator_root_4(tol=1e-16)), Asymptote,
+                     r"^four-interface denominator vanishes at z1=0\.7855", id="four-interface-asymptote"),
+        pytest.param(lambda: _bisect_root(lambda t: t - 2.0, 0.5, 1.0, 1e-12), OutOfRange,
+                     r"^no sign change on \[0\.5, 1\.0\]$", id="no-sign-change"),
     ],
 )
 def test_solver_and_input_errors(call, error, message):
     """Solver failures name the iteration, the max-norm of the residual vector and the smallest gap."""
     with pytest.raises(error, match=message):
         call()
+
+
+def test_bisection_returns_an_exact_zero_endpoint():
+    assert _bisect_root(lambda t: t - 0.5, 0.5, 1.0, 1e-12) == 0.5
+    assert _bisect_root(lambda t: t - 1.0, 0.5, 1.0, 1e-12) == 1.0
 
 
 def test_three_interface_curve_anchors():
@@ -176,6 +190,7 @@ def test_initial_guess_kinds():
     assert u.z == uniform_pattern(4).z
     assert s.z[0] == pytest.approx(u.z[0], abs=1e-15) and s.z[-1] == pytest.approx(u.z[-1], abs=1e-15)
     assert s.z[1] < u.z[1]  # interior circles crowd toward the equator
+    assert initial_guess(1, "stretch").z == initial_guess(1, "uniform").z == (0.0,)  # nothing to respace
     with pytest.raises(OutOfRange):
         initial_guess(3, "nope")
 

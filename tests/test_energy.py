@@ -16,7 +16,7 @@ from axisphere.energy import (
 )
 from axisphere.errors import NoConvergence, OutOfRange
 from axisphere.pattern import make_pattern, reflect
-from axisphere.potential import v_diff
+from axisphere.potential import v_at_interfaces, v_diff
 from axisphere.quadrature import QuadratureSpec, integrate_adaptive
 
 
@@ -140,14 +140,16 @@ def test_grid_csv_layout(capsys):
 
 
 def _band_errors(z, gamma):
-    """Errors of nonlocal_closed, v_diff and residuals against the closed form in 50-digit mpmath.
+    """Errors of nonlocal_closed, v_diff, v_at_interfaces and residuals against the closed form in 50-digit mpmath.
 
     The reference rebuilds the mean, the xi nodes, the band coefficients and
     the band logs from the binary heights, with the pole rule.  Returns the
     energy's (relative, absolute / perimeter) error, the largest v_diff error
-    relative to the largest difference, and the largest residual error
-    relative to the largest sum of term sizes over the rows (the potential
-    differences share one xi profile, so their errors scale with the largest).
+    relative to the largest difference, the largest v_at_interfaces error
+    relative to the largest |v(z_k)| (the reference sums the differences from
+    the south pole), and the largest residual error relative to the largest
+    sum of term sizes over the rows (the potential differences share one xi
+    profile, so their errors scale with the largest).
     """
     import mpmath as mp
 
@@ -174,9 +176,11 @@ def _band_errors(z, gamma):
         rows.append((m, mp.mpf(1)))
         e_nl = abs(mp.mpf(nonlocal_closed(p, gamma)[0]) - nl)
         e_v = max(abs(mp.mpf(v_diff(p, k)) - dv[k]) for k in range(n + 1)) / max(abs(v) for v in dv)
+        pot = [sum(dv[:k], mp.mpf(0)) for k in range(1, n + 1)]
+        e_pot = max(abs(mp.mpf(got) - ref) for got, ref in zip(v_at_interfaces(p), pot)) / max(abs(v) for v in pot)
         e_r = max(abs(mp.mpf(float(got)) - ref) for got, (ref, _) in zip(residuals(p, gamma), rows))
         e_r /= max(scale for _, scale in rows)
-        return float(e_nl / abs(nl)), float(e_nl) / perimeter(p), float(e_v), float(e_r)
+        return float(e_nl / abs(nl)), float(e_nl) / perimeter(p), float(e_v), float(e_pot), float(e_r)
 
 
 def test_band_terms_match_mpmath_at_caps_and_merged_pairs():
@@ -187,10 +191,10 @@ def test_band_terms_match_mpmath_at_caps_and_merged_pairs():
     """
     for z in ([1.0 - 1e-6], [-1.0 + 1e-6], [0.999999, 0.9999995], [-0.9999995, -0.999999]):
         for gamma in (1.0, 40.0):
-            rel, _, e_v, e_r = _band_errors(z, gamma)
-            assert max(rel, e_v, e_r) <= 1e-9, (z, gamma, rel, e_v, e_r)
+            rel, _, e_v, e_pot, e_r = _band_errors(z, gamma)
+            assert max(rel, e_v, e_pot, e_r) <= 1e-9, (z, gamma, rel, e_v, e_pot, e_r)
     for z in ([0.3, 0.3 + 1e-9], [-0.7, -0.7 + 1e-9], [-0.5, 0.2, 0.2 + 1e-9]):
-        _, per_perimeter, _, e_r = _band_errors(z, 1.0)
+        _, per_perimeter, _, _, e_r = _band_errors(z, 1.0)
         assert per_perimeter <= 1e-15 and e_r <= 1e-12, (z, per_perimeter, e_r)
 
 
@@ -206,5 +210,5 @@ def test_band_terms_match_mpmath_on_drawn_patterns(start, gaps, gamma):
     for g in gaps:
         z.append(z[-1] + g)
     assume(z[-1] <= 0.99 and abs(make_pattern(z).m) <= 0.95)
-    rel, _, e_v, e_r = _band_errors(z, gamma)
-    assert max(rel, e_v, e_r) <= 1e-12, (rel, e_v, e_r)
+    rel, _, e_v, e_pot, e_r = _band_errors(z, gamma)
+    assert max(rel, e_v, e_pot, e_r) <= 1e-12, (rel, e_v, e_pot, e_r)

@@ -42,3 +42,29 @@ def test_every_error_class_is_raised_or_caught_in_the_library():
     assert len(classes) == 11
     for name, cls in classes.items():
         assert any(issubclass(classes[u], cls) for u in used & classes.keys()), name
+
+
+def _calls(name: str):
+    """(module, enclosing function, call node) for each call of ``name`` in the library, bare or as an attribute."""
+    calls = []
+    for path in sorted(Path(axisphere.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                calls += [(path.stem, fn.name, node) for node in ast.walk(fn) if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+    return calls
+
+
+def _negated(node: ast.Call) -> bool:
+    """Whether the call's coupling, its second argument, is written as -x."""
+    coupling = node.args[1] if len(node.args) > 1 else next(k.value for k in node.keywords if k.arg == "gamma")
+    return isinstance(coupling, ast.UnaryOp) and isinstance(coupling.op, ast.USub)
+
+
+def test_the_criticality_sign_has_one_owner():
+    """Only ``criticality._critical_frame`` negates the coupling for ``_frame_hessian``; the solver and the gate call it."""
+    frame_calls = _calls("_frame_hessian")
+    assert [(mod, fn) for mod, fn, node in frame_calls if _negated(node)] == [("criticality", "_critical_frame")]
+    owners = {(mod, fn) for mod, fn, _ in _calls("_critical_frame")}
+    for site in (("criticality", "solve_critical"), ("stability", "assemble_J")):
+        assert site in owners and site not in {(mod, fn) for mod, fn, _ in frame_calls}, site

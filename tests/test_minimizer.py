@@ -64,6 +64,23 @@ def test_profile_f_basics():
     assert profile_f(0.5) > 0.0
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: profile_f(1.5), r"^profile argument 1\.5 outside \[-1, 1\]$", id="profile_f"),
+        pytest.param(lambda: segment_energy(0.5, 0.6, 0.9, 1.0),
+                     r"^need -1 <= alpha < x < beta <= 1, got \(0\.6, 0\.5, 0\.9\)$", id="segment_energy"),
+        pytest.param(lambda: pole_limit(1.0, 1.0), r"^alpha=1\.0 outside \(-1, 1\)$", id="pole_limit"),
+        pytest.param(lambda: _prescan(abs, 0.3, 0.3, 4), r"^empty bracket \(0\.3, 0\.3\)$", id="prescan"),
+        pytest.param(lambda: apply_elementary_move(make_pattern([-0.5, 0.5]), 1, 0.1),
+                     r"^frame index 1 outside 0\.\.0$", id="apply_elementary_move"),
+    ],
+)
+def test_window_and_frame_input_errors(call, message):
+    with pytest.raises(OutOfRange, match=message):
+        call()
+
+
 def test_prescan_grid_is_linspace():
     """The pre-scan grid lo + i*step reproduces np.linspace bit for bit."""
     rng = np.random.default_rng(5)

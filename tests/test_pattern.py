@@ -97,6 +97,9 @@ def test_kappa_sign_convention():
     assert kappa_g(p, 2) == pytest.approx(-r, rel=1e-15)
     # equatorial circle is a geodesic regardless of orientation
     assert kappa_g(make_pattern([0.0]), 1) == 0.0
+    for k in (0, 3):
+        with pytest.raises(OutOfRange, match=rf"^interface index {k} outside 1\.\.2$"):
+            kappa_g(p, k)
 
 
 def test_reflect_involution():

@@ -115,6 +115,24 @@ def test_fourier_log_integral_edges():
     assert np.array_equal(fourier_log_integral(a, b, np.arange(9)), fourier_log_integral(a, b, range(9)))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: doublecap_kernel_integral(0), r"^wavenumber must be at least 1$", id="doublecap-k0"),
+        pytest.param(lambda: single_mode_J(1.0, 1.0, 1), r"^z_n=1\.0 outside \(0, 1\)$", id="single-mode-z"),
+        pytest.param(lambda: single_mode_J(0.5, 1.0, 0), r"^wavenumber must be at least 1$", id="single-mode-k0"),
+        pytest.param(lambda: axisym_pm_bound(0.0, 1.0), r"^z_n=0\.0 outside \(0, 1\)$", id="pm-bound-z"),
+        pytest.param(lambda: assemble_J(make_pattern([-0.5, 0.5]), 1.0, K=4).block(5),
+                     r"^wavenumber 5 outside 0\.\.4$", id="block-index"),
+        pytest.param(lambda: assemble_J(make_pattern([-0.5, 0.5]), 1.0, K=0), r"^mode cutoff must be at least 1$",
+                     id="K0"),
+    ],
+)
+def test_input_errors(call, message):
+    with pytest.raises(OutOfRange, match=message):
+        call()
+
+
 def test_fourier_log_closed_values():
     # k = 0 is the mean of the log kernel, 2 pi log((a+s)/2)
     a, b = 5.0, 3.0
@@ -262,6 +280,7 @@ def test_overflowing_blocks_are_a_numerical_failure(capsys):
     ["energy", "--z", "-0.5,0.5"],
     ["minimize", "--z", "-0.4,0.6"],
     ["escape", "--z", "-0.3,0.1,0.1,0.8"],
+    ["sweep2", "--z1", "-0.95,-0.999"],
 ])
 def test_overflowing_energy_is_a_numerical_failure(argv, capsys):
     """An energy that overflows is refused by name: no Infinity in the JSON, no nan sweeps, no compared infinities."""
