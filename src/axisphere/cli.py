@@ -11,8 +11,8 @@ on; flags shown as `A | B` in its usage exclude each other.  Unknown,
 ignored or abbreviated flags exit 1, and so do values out of range:
 couplings must be finite, --tol and --gamma-max positive, --seed and xi's
 --samples at least 0.  A flag left out takes the library's default (but
-check-uniform's --gamma-max of 1e4 is the command line's own), and a
-config value of null counts as left out.
+check-uniform's --gamma-max of 1e4 and stability's --K of 32 are the
+command line's own), and a config value of null counts as left out.
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure
 (no convergence, tolerance not met, lost branch, asymptote hit),

@@ -129,7 +129,7 @@ def solve_critical(
     r = (g, m - m_target) is ``residuals`` up to signs.  A step
     moves z_1 alone by delta = m - m_target and the frames by
     tau = -H^{-1}(g + delta c), where c is ``_critical_frame``'s z_1 column,
-    the border of H: one tridiagonal solve that saddles do not stop, halved
+    the border of H: one tridiagonal solve that ignores H's inertia, halved
     until the trial is a valid pattern with a smaller |r|^2.  Once
     max|r| <= tol, ``residuals`` confirms the point and gives
     ``residual_norm``, or the iteration goes on.  LeftDomain
@@ -149,9 +149,10 @@ def solve_critical(
                 lam = float(np.mean(lambda_values(pat, gamma)))
                 trace = SolverTrace(iterations=it, damping_events=damping_events, init_label=init_label)
                 return CriticalPoint(pattern=pat, gamma=gamma, lam=lam, residual_norm=norm, trace=trace)
-        tau = _tridiagonal_solve(diag, off, [-(a + r[-1] * b) for a, b in zip(g, col)])
-        if tau is None:
+        solved = _tridiagonal_solve(diag, off, [-(a + r[-1] * b) for a, b in zip(g, col)])
+        if solved is None:
             raise NoConvergence(_stopped("singular frame Hessian", it, r, pat))
+        tau = solved[0]  # saddles are critical points too: the negative-pivot count is not read
         step = [a + b for a, b in zip([r[-1], *tau], [*tau, 0.0])]
         scale, old_sq = 1.0, sum(v * v for v in r)
         for halving in range(MAX_HALVINGS + 1):
@@ -237,31 +238,33 @@ def _den_4(t: float) -> float:
     return -t * math.log((1.0 + t) / (0.5 + t)) - (t - 1.0) * math.log((1.5 - t) / (1.0 - t))
 
 
+def _coupling(count: str, z1: float, num: float, den: float) -> float:
+    """num / den, or Asymptote where |den| is below 1e-12 relative to |num|."""
+    if abs(den) <= 1e-12 * abs(num):
+        raise Asymptote(f"{count}-interface denominator vanishes at z1={z1!r}")
+    return num / den
+
+
 def gamma_of_z1_3(z1: float) -> float:
     """Coupling at which {-z1, 0, z1} is critical, 0 < z1 < 1.
 
-    gamma = -(z1/sqrt(1-z1^2)) / (4*[z1*log(1+z1) - (z1-1)*log(1-z1)]);
-    tends to 1/4 as z1 -> 0+ and blows up where the bracket vanishes.
+    gamma = -(z1/sqrt(1-z1^2)) / (4*[z1*log(1+z1) - (z1-1)*log(1-z1)]); tends to
+    1/4 as z1 -> 0+, where both vanish like z1 (hence the relative asymptote
+    test), and blows up where the bracket vanishes alone.
     """
     _check_open(z1, 0.0, 1.0)
-    den = 4.0 * _den_3(z1)
-    if abs(den) <= 1e-12:
-        raise Asymptote(f"three-interface denominator vanishes at z1={z1!r}")
-    return -(z1 / math.sqrt(1.0 - z1 * z1)) / den
+    return _coupling("three", z1, -z1 / math.sqrt(1.0 - z1 * z1), 4.0 * _den_3(z1))
 
 
 def gamma_of_z1_4(z1: float) -> float:
     """Coupling for {-z1, 1/2 - z1, z1 - 1/2, z1}, 1/2 < z1 < 1."""
     _check_open(z1, 0.5, 1.0)
     w = z1 - 0.5
-    num = z1 / math.sqrt(1.0 - z1 * z1) + w / math.sqrt(1.0 - w * w)
-    den = 4.0 * _den_4(z1)
-    if abs(den) <= 1e-12:
-        raise Asymptote(f"four-interface denominator vanishes at z1={z1!r}")
-    return num / den
+    return _coupling("four", z1, z1 / math.sqrt(1.0 - z1 * z1) + w / math.sqrt(1.0 - w * w), 4.0 * _den_4(z1))
 
 
-def _bisect_root(f, lo: float, hi: float, tol: float) -> float:
+def _bisect_root(f, lo: float, hi: float) -> float:
+    """Root of f on [lo, hi]: a zero met on the way, else bisection until no float lies between the bracket's ends."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -269,7 +272,7 @@ def _bisect_root(f, lo: float, hi: float, tol: float) -> float:
         return hi
     if flo * fhi > 0.0:
         raise OutOfRange(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
+    while math.nextafter(lo, hi) < hi:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
@@ -281,14 +284,14 @@ def _bisect_root(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def denominator_root_3(tol: float = 1e-10) -> float:
-    """Vertical asymptote of the three-interface branch (about 0.69)."""
-    return _bisect_root(_den_3, 0.5, 0.8, tol)
+def denominator_root_3() -> float:
+    """Vertical asymptote of the three-interface branch (about 0.69), to the last float."""
+    return _bisect_root(_den_3, 0.5, 0.8)
 
 
-def denominator_root_4(tol: float = 1e-10) -> float:
-    """Vertical asymptote of the four-interface branch (about 0.7855)."""
-    return _bisect_root(_den_4, 0.6, 0.99, tol)
+def denominator_root_4() -> float:
+    """Vertical asymptote of the four-interface branch (about 0.7855), to the last float."""
+    return _bisect_root(_den_4, 0.6, 0.99)
 
 
 # ------------------------------------------------------- uniform placements

@@ -161,22 +161,22 @@ def _frame_hessian(p: AxisymPattern, gamma: float) -> tuple[list[float], list[fl
     return g, diag, off, col
 
 
-def _tridiagonal_solve(diag: list, off: list, rhs: list, definite: bool = False) -> list[float] | None:
-    """x with H x = rhs for the symmetric tridiagonal H = (diag, off), by one LDL^T pass without pivoting.
+def _tridiagonal_solve(diag: list, off: list, rhs: list) -> tuple[list[float], int] | None:
+    """(x, negative) with H x = rhs for the symmetric tridiagonal H = (diag, off), by one LDL^T pass without pivoting.
 
-    None on a zero or nan pivot, or, when ``definite``, on one that is not positive.
+    negative counts the negative pivots: H's Morse index, by Sylvester's law of inertia.  None on a zero or nan pivot.
     """
     pivots, y = [], []  # H = L D L^T with D = diag(pivots), and y = L^{-1} rhs
     for k, h in enumerate(diag):
         pivot = h - off[k - 1] * off[k - 1] / pivots[-1] if k else h
-        if not (pivot > 0.0 if definite else abs(pivot) > 0.0):
+        if not abs(pivot) > 0.0:
             return None
         y.append(rhs[k] - off[k - 1] / pivots[-1] * y[-1] if k else rhs[k])
         pivots.append(pivot)
     x = [y[-1] / pivots[-1]] if y else []  # back-substituted from the last
     for k in reversed(range(len(y) - 1)):
         x.append((y[k] - off[k] * x[-1]) / pivots[k])
-    return x[::-1]
+    return x[::-1], sum(v < 0.0 for v in pivots)
 
 
 # ------------------------------------------------------------------ sweeps
@@ -192,9 +192,9 @@ class SweepGrid:
 
 
 def _two_interface_pattern(z1: float) -> AxisymPattern:
-    # z1 = 0 closes the upper band onto the pole: the limit is the single
-    # cap with its interface on the equator, energy-continuous.
-    if z1 == 0.0:
+    # once z1 + 1 rounds to 1 (-2^-54 <= z1 <= 0) the upper band has closed onto the pole:
+    # the limit is the single cap with its interface on the equator, energy-continuous.
+    if z1 + 1.0 == 1.0:
         return make_pattern([0.0])
     return make_pattern([z1, z1 + 1.0])
 

@@ -416,15 +416,15 @@ def _extrapolate(p: AxisymPattern, d: list[float], s: float, energy: EnergyBreak
 def _newton_step(p: AxisymPattern, gamma: float, symmetric: bool) -> list[float] | None:
     """Height change of the Newton step -H^{-1} g over the frames, or None when H is not positive definite.
 
-    One ``_tridiagonal_solve`` on ``_frame_hessian``'s H; frame k's offset
-    moves heights k and k+1.  In symmetric mode the change is projected onto
-    mirror-symmetric ones, dz <- (dz - reversed(dz)) / 2, so a symmetric
-    pattern stays exactly symmetric.
+    One ``_tridiagonal_solve`` on ``_frame_hessian``'s H, None on a zero pivot or any negative one (H's Morse
+    index); frame k's offset moves heights k and k+1.  In symmetric mode the change is projected onto
+    mirror-symmetric ones, dz <- (dz - reversed(dz)) / 2, so a symmetric pattern stays exactly symmetric.
     """
     g, diag, off, _ = _frame_hessian(p, gamma)
-    tau = _tridiagonal_solve(diag, off, [-v for v in g], definite=True)
-    if tau is None:
+    solved = _tridiagonal_solve(diag, off, [-v for v in g])
+    if solved is None or solved[1]:
         return None
+    tau = solved[0]
     dz = [a + b for a, b in zip([0.0, *tau], [*tau, 0.0])]
     if symmetric:
         dz = [0.5 * (a - b) for a, b in zip(dz, reversed(dz))]

@@ -24,14 +24,14 @@ n x n kernel matrix k = 0..K as one (K+1, n, n) array, its q^k rows from
 one power call, and the assembly, the two-cap identity and the
 self-verification all share it.  Every block is -2 gamma (r_i r_j)
 F_k(a, b) plus the diagonal pi (k^2 - 1)/r_i + 4 pi gamma g_i r_i,
-applied to the whole stack at once; the constants block is the k = 0
-block doubled, because the constant mode has norm 2 pi instead of pi.
+applied to the whole stack at once, and the k = 0 slice is doubled in
+place (the constant mode has norm 2 pi instead of pi): JMatrix holds
+that one stack and nothing derived from it.
 
-The k >= 1 blocks stay one stack.  Their diagonal grows like k^2, so
-most of them cannot hold the smallest eigenvalue: a Gershgorin lower
-bound per block, with a margin above eigvalsh's backward error, screens
-out every block that lies above the constants minimum, and one batched
-eigvalsh solves the rest.
+The k >= 1 diagonals grow like k^2, so most of those blocks cannot hold
+the smallest eigenvalue: a Gershgorin lower bound per block, with a
+margin above eigvalsh's backward error, screens out every block that
+lies above the constants minimum, and one batched eigvalsh solves the rest.
 """
 
 from __future__ import annotations
@@ -140,37 +140,36 @@ def axisym_pm_bound(z_n: float, gamma: float) -> float:
 class JMatrix:
     """Assembled second-variation blocks for one critical pattern.
 
-    There is one block per wavenumber, shared by its cos and sin modes.
-    ``k_blocks`` is one (K, n, n) stack, the k = 1..K slices of the array
-    that assemble_J fills, so min_eig_constrained screens it in one pass
-    and solves the blocks left with one batched eigvalsh; ``block(k)``
-    reads a single wavenumber, k = 0 the constants block.
+    ``blocks`` is the (K+1, n, n) stack that assemble_J fills: index 0 is
+    the constants block, index k >= 1 the block that the cos and sin modes
+    of wavenumber k share.  ``block(k)`` returns a view of one wavenumber.
     """
 
     pattern: AxisymPattern
     gamma: float
-    K: int
-    const_block: np.ndarray
-    k_blocks: np.ndarray  # (K, n, n); index k-1 -> shared cos/sin block
-    weights: np.ndarray  # zero-mean constraint on constants: w . c = 0
+    blocks: np.ndarray
+
+    @property
+    def K(self) -> int:
+        return len(self.blocks) - 1
 
     def block(self, k: int) -> np.ndarray:
-        if k == 0:
-            return self.const_block
-        if not 1 <= k <= self.K:
+        if not 0 <= k <= self.K:
             raise OutOfRange(f"wavenumber {k} outside 0..{self.K}")
-        return self.k_blocks[k - 1]
+        return self.blocks[k]
 
 
-def assemble_J(p: AxisymPattern, gamma: float, K: int = 32) -> JMatrix:
-    """Blockwise second variation about a critical pattern.
+def assemble_J(p: AxisymPattern, gamma: float, K: int) -> JMatrix:
+    """Blockwise second variation about a critical pattern, wavenumbers 0..K.
 
     Diagonal carries the curvature part ((k^2-1)/r_i weighted by the mode
     norm) and the normal derivative of the screened potential; every pair
     of circles couples through the log-kernel Fourier coefficient at its
     chord geometry.  All K+1 blocks are built in one stack, scaled and shifted
-    in place; r_i r_j is formed before scaling by gamma, so every block is
-    exactly symmetric.  NotCritical past CRITICAL_TOL on ``_critical_frame``.
+    in place, and the constants block doubled in place; r_i r_j is formed
+    before scaling by gamma, so every block is exactly symmetric.
+    NotCritical past CRITICAL_TOL on ``_critical_frame``; NumericalFailure
+    when any entry of the finished stack overflows.
     """
     if K < 1:
         raise OutOfRange("mode cutoff must be at least 1")
@@ -189,17 +188,10 @@ def assemble_J(p: AxisymPattern, gamma: float, K: int = 32) -> JMatrix:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, without a warning
         blocks *= -2.0 * gamma * rr
         blocks[:, diag, diag] += math.pi * (ks * ks - 1.0)[:, None] / r + 4.0 * gamma * g * math.pi * r
+        blocks[0] *= 2.0  # the constant mode has norm 2 pi, not pi
     if not np.isfinite(blocks).all():
         raise NumericalFailure(f"second-variation blocks overflow at gamma={gamma!r}")
-
-    return JMatrix(
-        pattern=p,
-        gamma=gamma,
-        K=K,
-        const_block=2.0 * blocks[0],  # the constant mode has norm 2 pi, not pi
-        k_blocks=blocks[1:],
-        weights=2.0 * math.pi * r,
-    )
+    return JMatrix(pattern=p, gamma=gamma, blocks=blocks)
 
 
 @dataclass(frozen=True)
@@ -228,8 +220,10 @@ def _lead_circle(v: np.ndarray) -> int:
 def min_eig_constrained(J: JMatrix) -> StabilityReport:
     """Smallest eigenvalue over zero-mean perturbations, with certificates.
 
-    The constants block is restricted to the hyperplane w . c = 0 by an
-    orthonormal complement of w; oscillatory blocks need no constraint.
+    The constants block ``blocks[0]`` is restricted to the hyperplane
+    w . c = 0, w = 2 pi r_i (the arithmetic of assemble_J's radii), by an
+    orthonormal complement of w; the oscillatory blocks ``blocks[1:]`` need
+    no constraint.
     With the constants minimum solved (inf when n = 1), a block k >= 1
     whose Gershgorin lower bound, less 16 n ulps of its norm, lies
     strictly above it cannot hold the minimum and is skipped; when every
@@ -244,25 +238,26 @@ def min_eig_constrained(J: JMatrix) -> StabilityReport:
     n = p.n
     best, best_mode = math.inf, None
     if n >= 2:
-        q_full, _ = np.linalg.qr(J.weights.reshape(n, 1), mode="complete")
+        z = np.array(p.z)
+        q_full, _ = np.linalg.qr((2.0 * math.pi * np.sqrt(1.0 - z * z)).reshape(n, 1), mode="complete")
         Q = q_full[:, 1:]
-        vals, vecs = np.linalg.eigh(Q.T @ J.const_block @ Q)
+        vals, vecs = np.linalg.eigh(Q.T @ J.blocks[0] @ Q)
         best, best_mode = float(vals[0]), (_lead_circle(Q @ vecs[:, 0]), 0, "constant")
     # Gershgorin screen of every k >= 1 block against the constants minimum:
     # for k >= 1 the off-diagonals all share the sign of gamma, so a row's
     # radius is |row sum - diagonal| and needs no copy of the stack; a margin
     # of 16 n ulps of the block's norm covers eigvalsh's backward error, so a
     # skipped block could not have won
-    diag = np.diagonal(J.k_blocks, axis1=1, axis2=2)
-    radius = np.abs(J.k_blocks.sum(axis=2) - diag)
+    diag = np.diagonal(J.blocks[1:], axis1=1, axis2=2)
+    radius = np.abs(J.blocks[1:].sum(axis=2) - diag)
     margin = 16 * n * np.finfo(float).eps * (np.abs(diag) + radius).max(axis=1)
     live = np.flatnonzero((diag - radius).min(axis=1) - margin <= best)  # ascending k: the lowest wins a tie
     if live.size:
-        i = int(live[np.argmin(np.linalg.eigvalsh(J.k_blocks[live])[:, 0])])
-        vals, vecs = np.linalg.eigh(J.k_blocks[i])
+        k = 1 + int(live[np.argmin(np.linalg.eigvalsh(J.blocks[1 + live])[:, 0])])
+        vals, vecs = np.linalg.eigh(J.blocks[k])
         if vals[0] < best:
             best = float(vals[0])
-            best_mode = (_lead_circle(vecs[:, 0]), i + 1, "cos")
+            best_mode = (_lead_circle(vecs[:, 0]), k, "cos")
 
     single: tuple = ()
     pm = None
@@ -285,5 +280,5 @@ def min_eig_constrained(J: JMatrix) -> StabilityReport:
     )
 
 
-def stability_report(p: AxisymPattern, gamma: float, K: int = 32) -> StabilityReport:
+def stability_report(p: AxisymPattern, gamma: float, K: int) -> StabilityReport:
     return min_eig_constrained(assemble_J(p, gamma, K))

@@ -233,6 +233,10 @@ def test_gamma_curve_skips_points_outside_the_domain(run):
     assert r.returncode == 0
     assert r.stderr.startswith("skipping z1=0.0: ") and len(r.stderr.splitlines()) == 1
     assert [float(ln.split(",")[0]) for ln in r.stdout.splitlines()[3:]] == [0.25, 0.5]
+    # heights too small for an absolute denominator test still reach the curve's limit 1/4
+    r = run("gamma-curve", "--branch", "3", "--z1", "1e-300,1e-13,0.5")
+    assert r.returncode == 0 and r.stderr == ""
+    assert [float(ln.split(",")[0]) for ln in r.stdout.splitlines()[3:]] == [1e-300, 1e-13, 0.5]
 
 
 def test_sweep2_reaches_the_single_cap_limit(run):
@@ -249,6 +253,12 @@ def test_sweep2_reaches_the_single_cap_limit(run):
         for z1 in (-1e-6, -1e-8):
             rate = (e[(z1, g)] - e[(0.0, g)]) / math.sqrt(-z1)
             assert abs(rate - 2.0 * math.sqrt(2.0)) <= 10.0 * g * math.sqrt(-z1)
+    # where z1 + 1 rounds to 1 the upper band has already closed: every row is the z1 = 0 row
+    r = run("sweep2", "--z1", "-1e-300,-5e-17,0", "--gamma", "1,10")
+    assert r.returncode == 0 and r.stderr == ""
+    rows = [ln.split(",") for ln in r.stdout.splitlines()[3:]]
+    assert [float(z1) for z1, _, _ in rows] == [-1e-300, -1e-300, -5e-17, -5e-17, 0.0, 0.0]
+    assert [(g, e) for _, g, e in rows[:2]] == [(g, e) for _, g, e in rows[2:4]] == [(g, e) for _, g, e in rows[4:]]
 
 
 def test_critical_solve_and_uniform_check(run):

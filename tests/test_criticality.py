@@ -7,6 +7,8 @@ import pytest
 from axisphere.criticality import (
     SolveOptions,
     _bisect_root,
+    _den_3,
+    _den_4,
     continue_gamma,
     denominator_root_3,
     denominator_root_4,
@@ -130,9 +132,9 @@ def test_lost_branch_names_where_it_ended():
                      r"^initial pattern has 3 interfaces, expected 2$", id="n-contradicts-init"),
         pytest.param(lambda: continue_gamma(3, 1.05, 2.0, 1, initial_guess(3)), OutOfRange,
                      r"^continuation needs at least two steps$", id="one-step"),
-        pytest.param(lambda: gamma_of_z1_4(denominator_root_4(tol=1e-16)), Asymptote,
+        pytest.param(lambda: gamma_of_z1_4(denominator_root_4()), Asymptote,
                      r"^four-interface denominator vanishes at z1=0\.7855", id="four-interface-asymptote"),
-        pytest.param(lambda: _bisect_root(lambda t: t - 2.0, 0.5, 1.0, 1e-12), OutOfRange,
+        pytest.param(lambda: _bisect_root(lambda t: t - 2.0, 0.5, 1.0), OutOfRange,
                      r"^no sign change on \[0\.5, 1\.0\]$", id="no-sign-change"),
     ],
 )
@@ -143,20 +145,29 @@ def test_solver_and_input_errors(call, error, message):
 
 
 def test_bisection_returns_an_exact_zero_endpoint():
-    assert _bisect_root(lambda t: t - 0.5, 0.5, 1.0, 1e-12) == 0.5
-    assert _bisect_root(lambda t: t - 1.0, 0.5, 1.0, 1e-12) == 1.0
+    assert _bisect_root(lambda t: t - 0.5, 0.5, 1.0) == 0.5
+    assert _bisect_root(lambda t: t - 1.0, 0.5, 1.0) == 1.0
+
+
+def test_denominator_roots_are_bisected_to_the_last_float():
+    """Each bracket changes sign, or vanishes, between the root and one of its neighbouring floats."""
+    for den, root in ((_den_3, denominator_root_3()), (_den_4, denominator_root_4())):
+        at = den(root)
+        assert any(at * den(math.nextafter(root, side)) <= 0.0 for side in (0.0, 1.0)), root
 
 
 def test_three_interface_curve_anchors():
     assert gamma_of_z1_3(0.5) == pytest.approx(G3, rel=1e-13)
     assert gamma_of_z1_3(1e-5) == pytest.approx(0.25000375006041753, rel=1e-12)
+    for z1 in (1e-13, 1e-300):  # numerator and bracket both vanish like z1: the limit 1/4, not an asymptote
+        assert abs(gamma_of_z1_3(z1) - 0.25) <= 1e-12, z1
     root = denominator_root_3()
     assert root == pytest.approx(0.6909077386953869, abs=1e-9)
     # blows up on both sides of the vanishing denominator
     assert abs(gamma_of_z1_3(root + 1e-7)) > 1e5
     assert abs(gamma_of_z1_3(root - 1e-7)) > 1e5
     with pytest.raises(Asymptote):
-        gamma_of_z1_3(denominator_root_3(tol=1e-16))
+        gamma_of_z1_3(denominator_root_3())
     with pytest.raises(OutOfRange):
         gamma_of_z1_3(-0.1)
     with pytest.raises(OutOfRange):

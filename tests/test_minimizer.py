@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axisphere import cli
-from axisphere.criticality import initial_guess, residuals
-from axisphere.energy import _frame_hessian, total_energy
+from axisphere.criticality import _critical_frame, initial_guess, residuals, solve_critical
+from axisphere.energy import _frame_hessian, _tridiagonal_solve, total_energy
 from axisphere.errors import CycleLimit, NoEscape, NonIncreasing, OutOfRange
 from axisphere.minimizer import (
     POLE_SAMPLES,
@@ -766,6 +766,44 @@ def test_frame_hessian_matches_finite_differences():
     assert worst_energy <= 1e-5, f"Hessian against energy differences {worst_energy:.3e}"
     assert worst_off <= 1e-8, f"off-band entries {worst_off:.3e}"
     assert worst_sym <= 1e-7, f"asymmetry {worst_sym:.3e}"
+
+
+def _negative_eigenvalues(diag, off) -> int:
+    return int(np.sum(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)) < 0.0))
+
+
+def test_negative_pivots_are_the_frame_hessians_inertia():
+    """``_tridiagonal_solve``'s negative-pivot count is the number of negative eigenvalues of H.
+
+    Pinned on descent results next to walls, on critical points (H at
+    ``_critical_frame``'s sign) and on seeded random tridiagonals, all well
+    conditioned; the solution solves H x = rhs whatever the inertia.
+    """
+    for p0, gamma, index in [
+        (initial_guess(8), 20.0, 3),
+        (initial_guess(8), 50.0, 2),
+        (initial_guess(8), 1000.0, 0),
+        (make_pattern([-0.584, -0.361, -0.139, 0.075, 0.413, 0.654]), 13.9, 2),
+    ]:
+        g, diag, off, _ = _frame_hessian(local_minimize(p0, gamma).pattern, gamma)
+        assert _tridiagonal_solve(diag, off, g)[1] == _negative_eigenvalues(diag, off) == index, (p0.n, gamma)
+    for n, gamma, index in [(3, 2.0, 2), (4, 3.0, 3), (8, 20.0, 7), (16, 100.0, 15)]:
+        g, diag, off, _ = _critical_frame(solve_critical(n, gamma, initial_guess(n)).pattern, gamma)
+        assert _tridiagonal_solve(diag, off, g)[1] == _negative_eigenvalues(diag, off) == index, (n, gamma)
+    assert _tridiagonal_solve([], [], []) == ([], 0)
+    rng = np.random.default_rng(24)
+    seen = set()
+    for _ in range(300):
+        m = int(rng.integers(1, 25))
+        diag, off, rhs = rng.normal(size=m) + rng.normal(), rng.normal(size=m - 1), rng.normal(size=m)
+        H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        if np.min(np.abs(np.linalg.eigvalsh(H))) < 1e-6 * np.max(np.abs(H)):
+            continue
+        x, negative = _tridiagonal_solve(diag.tolist(), off.tolist(), rhs.tolist())
+        assert negative == _negative_eigenvalues(diag, off)
+        np.testing.assert_allclose(H @ x, rhs, atol=1e-6 * np.max(np.abs(H)) * np.max(np.abs(x)))
+        seen.add(negative == 0 or negative == m)
+    assert seen == {True, False}  # definite and indefinite draws both met
 
 
 @pytest.mark.parametrize("n, gamma", [(16, 1000.0), (16, 5000.0), (8, 1000.0)])

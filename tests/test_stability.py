@@ -1,7 +1,7 @@
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -160,12 +160,14 @@ _SYMMETRY_CASES = [
 
 
 def test_assembled_blocks_are_symmetric():
+    """Every block, the constants block included, is a symmetric view of the one (K+1, n, n) stack JMatrix holds."""
     for n, gamma, opts in _SYMMETRY_CASES:
         p = solve_critical(n, gamma, initial_guess(n), opts).pattern
         J = assemble_J(p, gamma, K=8)
+        assert [f.name for f in fields(J)] == ["pattern", "gamma", "blocks"] and J.K == 8
         for k in range(0, 9):
             blk = J.block(k)
-            assert blk.shape == (n, n)
+            assert blk.shape == (n, n) and np.shares_memory(blk, J.blocks)
             assert float(np.max(np.abs(blk - blk.T))) == 0.0
             ref = _block_by_loop(p, gamma, k)
             np.testing.assert_allclose(blk, ref, rtol=0.0, atol=1e-13 * float(np.max(np.abs(ref))))
@@ -200,7 +202,7 @@ def test_pm_bound_dominates():
     for _ in range(50):
         z = float(rng.uniform(0.05, 0.95))
         g = float(rng.uniform(0.0, 30.0))
-        C = assemble_J(make_pattern([-z, z]), g, K=4).const_block
+        C = assemble_J(make_pattern([-z, z]), g, K=4).block(0)
         exact = float(v @ C @ v) / math.pi
         assert exact <= axisym_pm_bound(z, g) + 1e-9
 
@@ -229,27 +231,29 @@ def test_double_cap_instability_threshold():
 
 def test_double_cap_verdicts_around_threshold():
     p = make_pattern([-0.5, 0.5])
-    below = stability_report(p, 0.8)
+    below = stability_report(p, 0.8, K=32)
     assert below.verdict == "certified-unstable"
     assert below.min_eig < -1e-3
     assert below.mode_k == 0 and below.mode_parity == "constant"
-    above = stability_report(p, 1.0)
+    above = stability_report(p, 1.0, K=32)
     assert above.verdict == "no-certificate"
     assert abs(above.min_eig) <= 1e-10  # rotation zero mode saturates the bound
 
 
 def test_mode_circle_breaks_ties_toward_the_lowest_circle():
     # the double cap's constant mode is (1, -1)/sqrt(2): both circles tie
-    rep = stability_report(make_pattern([-0.5, 0.5]), 0.8)
+    rep = stability_report(make_pattern([-0.5, 0.5]), 0.8, K=32)
     assert rep.mode_k == 0 and rep.mode_circle == 1
     # a clear winner is still reported where it sits
     J = assemble_J(make_pattern([-0.5, 0.5]), 0.8, K=4)
-    J = replace(J, k_blocks=np.concatenate(([np.diag([1.0, -5.0])], J.k_blocks[1:])))
+    blocks = J.blocks.copy()
+    blocks[1] = np.diag([1.0, -5.0])
+    J = replace(J, blocks=blocks)
     assert min_eig_constrained(J).mode_circle == 2
 
 
 def test_single_cap_marginal_at_zero_coupling():
-    rep = stability_report(make_pattern([0.0]), 0.0)
+    rep = stability_report(make_pattern([0.0]), 0.0, K=32)
     assert abs(rep.min_eig) <= 1e-12
     assert rep.verdict == "no-certificate"
 
@@ -269,11 +273,14 @@ def test_overflowing_blocks_are_a_numerical_failure(capsys):
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailure, match="gamma=1e\\+308"):
             stability_report(make_pattern([0.5]), 1e308, 8)
-        with pytest.raises(NumericalFailure, match="gamma=1e\\+308"):
-            assemble_J(make_pattern([-0.5, 0.5]), 1e308)
-        assert cli.main(["stability", "--z", "-0.5,0.5", "--gamma", "1e308"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("axisphere: numerical failure: ") and err.count("\n") == 1
+        # from about 1.2e307 to 2.5e307 only the doubling of the constants block overflows
+        for gamma in (1e308, 1.5e307):
+            message = f"second-variation blocks overflow at gamma={gamma!r}"
+            with pytest.raises(NumericalFailure) as info:
+                assemble_J(make_pattern([-0.5, 0.5]), gamma, K=32)
+            assert str(info.value) == message
+            assert cli.main(["stability", "--z", "-0.5,0.5", "--gamma", repr(gamma)]) == 2
+            assert capsys.readouterr() == ("", f"axisphere: numerical failure: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -292,7 +299,7 @@ def test_overflowing_energy_is_a_numerical_failure(argv, capsys):
 
 def test_non_critical_pattern_is_refused():
     with pytest.raises(NotCritical):
-        assemble_J(make_pattern([-0.5, 0.1, 0.6]), 2.0)
+        assemble_J(make_pattern([-0.5, 0.1, 0.6]), 2.0, K=32)
 
 
 def test_eigen_residual_small():
@@ -313,9 +320,9 @@ def _lead(v):
 
 def _constants_min(J):
     """Smallest eigenvalue of the constants block on w . c = 0, and its mode on the circles."""
-    n = J.pattern.n
-    Q = np.linalg.qr(J.weights.reshape(n, 1), mode="complete")[0][:, 1:]
-    vals, vecs = np.linalg.eigh(Q.T @ J.const_block @ Q)
+    z = np.array(J.pattern.z)
+    Q = np.linalg.qr((2.0 * math.pi * np.sqrt(1.0 - z * z)).reshape(-1, 1), mode="complete")[0][:, 1:]
+    vals, vecs = np.linalg.eigh(Q.T @ J.block(0) @ Q)
     return float(vals[0]), Q @ vecs[:, 0]
 
 
@@ -341,7 +348,7 @@ def test_batched_eigensolve_matches_loop_over_blocks():
     for p, gamma in cases:
         for K in (8, 32, 128):
             J = assemble_J(p, gamma, K=K)
-            assert J.k_blocks.shape == (K, p.n, p.n)
+            assert J.blocks.shape == (K + 1, p.n, p.n) and J.K == K
             rep = min_eig_constrained(J)
             assert (rep.min_eig, rep.mode_k, rep.mode_circle) == _report_by_loop(J), (p.n, K)
 
@@ -352,8 +359,8 @@ def _report_unscreened(J):
     if J.pattern.n >= 2:
         best, v = _constants_min(J)
         mode = (0, _lead(v), "constant")
-    i = int(np.argmin(np.linalg.eigvalsh(J.k_blocks)[:, 0]))
-    vals, vecs = np.linalg.eigh(J.k_blocks[i])
+    i = int(np.argmin(np.linalg.eigvalsh(J.blocks[1:])[:, 0]))
+    vals, vecs = np.linalg.eigh(J.blocks[1 + i])
     if vals[0] < best:
         best, mode = float(vals[0]), (i + 1, _lead(vecs[:, 0]), "cos")
     return best, *mode
@@ -363,8 +370,9 @@ def _screens_every_k(J) -> bool:
     """Whether each k >= 1 block's Gershgorin lower bound lies above the constants minimum."""
     if J.pattern.n == 1:
         return False
-    off = np.abs(J.k_blocks).sum(axis=2) - np.abs(np.diagonal(J.k_blocks, axis1=1, axis2=2))
-    return bool(np.all((np.diagonal(J.k_blocks, axis1=1, axis2=2) - off).min(axis=1) > _constants_min(J)[0]))
+    osc = J.blocks[1:]
+    off = np.abs(osc).sum(axis=2) - np.abs(np.diagonal(osc, axis1=1, axis2=2))
+    return bool(np.all((np.diagonal(osc, axis1=1, axis2=2) - off).min(axis=1) > _constants_min(J)[0]))
 
 
 def test_screened_eigensolve_matches_unscreened():
@@ -397,7 +405,7 @@ def test_screened_eigensolve_matches_unscreened():
 
 
 def test_constants_block_is_the_constrained_energy_hessian():
-    """const_block, mapped by c_i = sigma_i dz_i / r_i, is the Hessian of total_energy(., +gamma)
+    """The constants block, mapped by c_i = sigma_i dz_i / r_i, is the Hessian of total_energy(., +gamma)
     on mass-preserving moves (fourth-order central differences)."""
     cases = [
         (3, 2.0, SolveOptions()),
@@ -411,7 +419,7 @@ def test_constants_block_is_the_constrained_energy_hessian():
         S = np.diag(sigma / np.sqrt(1.0 - z * z))
         q_full, _ = np.linalg.qr(sigma.reshape(n, 1), mode="complete")
         T = q_full[:, 1:]  # orthonormal basis of sigma . dz = 0: the mass stays put
-        want = T.T @ S @ assemble_J(p, gamma, K=4).const_block @ S @ T
+        want = T.T @ S @ assemble_J(p, gamma, K=4).block(0) @ S @ T
 
         h = 1e-3 * p.min_gap()
 
