@@ -9,10 +9,11 @@ byte-identical artifacts.
 Each subcommand, and each `critical` action, takes only the flags it acts
 on; flags shown as `A | B` in its usage exclude each other.  Unknown,
 ignored or abbreviated flags exit 1, and so do values out of range:
-couplings must be finite, --tol and --gamma-max positive, --seed and xi's
---samples at least 0.  A flag left out takes the library's default (but
-check-uniform's --gamma-max of 1e4 and stability's --K of 32 are the
-command line's own), and a config value of null counts as left out.
+couplings must be finite, --tol positive, --seed and xi's --samples at
+least 0.  A flag left out takes the library's default (but stability's --K
+of 32 is the command line's own), and a config value of null counts as left
+out.  check-uniform's residual_floor is the least max residual row over
+every gamma >= 0, exact.
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure
 (no convergence, tolerance not met, lost branch, asymptote hit),
@@ -381,9 +382,8 @@ COMMANDS = (
         *_NEWTON,
         [("--catalog", dict(dest="out", metavar="CATALOG", help="JSON-lines output path, same as --out")), _OUT])),
     (("critical", "check-uniform"), "criticality of evenly spaced patterns",
-     lambda args: asdict(uniform_criticality_check(args.count, args.gamma_max)), (
-        ("--count", dict(type=int, required=True, help="interface count")),
-        ("--gamma-max", dict(type=POSITIVE, default=1e4)))),
+     lambda args: asdict(uniform_criticality_check(args.count)), (
+        ("--count", dict(type=int, required=True, help="interface count")),)),
     (("gamma-curve",), "explicit coupling curves (CSV)", cmd_gamma_curve, (
         ("--branch", dict(type=int, choices=[3, 4], required=True)),
         ("--z1", dict(required=True, help=_RANGE)))),

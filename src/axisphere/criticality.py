@@ -31,7 +31,7 @@ import numpy as np
 
 from .energy import _frame_hessian, _tridiagonal_solve
 from .errors import Asymptote, BranchLost, LeftDomain, NoConvergence, NonIncreasing, OutOfRange
-from .pattern import AxisymPattern, _band_terms, kappa_g, make_pattern, xi_profile
+from .pattern import AxisymPattern, _band_terms, _min_gap_text, kappa_g, make_pattern, xi_profile
 from .potential import v_at_interfaces, v_diff
 
 __all__ = [
@@ -106,7 +106,7 @@ class CriticalPoint:
 
 
 def _stopped(what: str, it: int, r: list[float], p: AxisymPattern) -> str:
-    return f"{what} at iteration {it}: max|r| = {max(map(abs, r)):.3e}, min_gap = {p.min_gap():.3e}"
+    return f"{what} at iteration {it}: max|r| = {max(map(abs, r)):.3e}, {_min_gap_text(p)}"
 
 
 def _critical_frame(p: AxisymPattern, gamma: float) -> tuple[list[float], list[float], list[float], list[float]]:
@@ -134,7 +134,7 @@ def solve_critical(
     max|r| <= tol, ``residuals`` confirms the point and gives
     ``residual_norm``, or the iteration goes on.  LeftDomain
     (damping cannot restore ordering) and NoConvergence name the
-    iteration, max|r| and the smallest gap.
+    iteration, max|r| and the smallest gap with the pair that holds it.
     """
     if init.n != n:
         raise OutOfRange(f"initial pattern has {init.n} interfaces, expected {n}")
@@ -335,7 +335,10 @@ def initial_guess(count: int, kind: str = "uniform") -> AxisymPattern:
 
 @dataclass(frozen=True)
 class UniformCheck:
-    """Outcome of probing an evenly placed pattern for criticality."""
+    """Outcome of probing an evenly placed pattern for criticality.
+
+    ``residual_floor``: the least max |residuals| row over every gamma >= 0, exact.
+    """
 
     count: int
     all_gamma: bool
@@ -347,71 +350,54 @@ class UniformCheck:
     residual_floor: float | None = None
 
 
-def uniform_criticality_check(count: int, gamma_max: float) -> UniformCheck:
+def uniform_criticality_check(count: int) -> UniformCheck:
     """Decide for which couplings the evenly placed pattern is critical.
 
     One or two interfaces: critical for every gamma (all pairwise residuals
-    vanish identically).  Three or four: each consecutive pair demands the
-    same coupling, giving the unique critical gamma.  Five or more: the
-    pair equations demand incompatible couplings (or a non-positive one);
-    the first incompatible consecutive pair of demanded couplings is
-    reported together with its gap and a residual floor: the least
-    max |residuals| row over 60 couplings log-spaced in [1e-3, gamma_max].
+    vanish identically).  Otherwise each ``residuals`` row is affine in
+    gamma, a_k + gamma b_k, read off at gamma = 0 and at a power-of-two
+    probe; pair k demands -a_k / b_k.  The floor min over gamma >= 0 of
+    F(gamma) = max_k |a_k + gamma b_k| is convex and piecewise linear, so
+    ``_bisect_root`` finds its minimizer gamma* on the sign of F's right
+    slope.  The pattern is critical at gamma* when F(gamma*) <= 1e-9 *
+    max(1, F(0)) and gamma* > 0: the unique coupling of three or four
+    interfaces.  Five or more are not; the first incompatible consecutive
+    pair of demanded couplings is reported with its gap and the floor.
     """
     p = uniform_pattern(count)
     if count <= 2:
         return UniformCheck(count=count, all_gamma=True, critical_gamma=None)
 
-    # Each pairwise equation is linear in gamma: the demanded coupling is
-    # -(kappa difference) / (4 * potential difference).  A pair with both
-    # differences zero (the central pair of the even-count placements)
-    # constrains nothing and is recorded as None.
-    candidates: list[float | None] = []
-    unsatisfiable = False
-    dks = [kappa_g(p, k + 1) - kappa_g(p, k) for k in range(1, p.n)]
-    dvs = [v_diff(p, k) for k in range(1, p.n)]
-    for dk, dv in zip(dks, dvs):
-        if abs(dv) <= 1e-12:  # equal potentials: rounding noise, not a ratio
-            candidates.append(None)
-            unsatisfiable = unsatisfiable or abs(dk) > 1e-12
-        else:
-            candidates.append(-dk / (4.0 * dv))
+    # The probe is a power of two, so the scaling is exact and a's rounding
+    # vanishes against it.  A pair with b_k at rounding noise (the central
+    # pair of the even-count placements) constrains nothing: None.
+    a = residuals(p, 0.0)[:-1]
+    b = (residuals(p, 2.0**30)[:-1] - a) / 2.0**30
+    candidates = tuple(None if abs(bk) <= 4e-12 else float(-ak / bk) for ak, bk in zip(a, b))
 
-    finite = [c for c in candidates if c is not None]
-    same = finite and all(abs(c - finite[0]) <= 1e-9 * max(1.0, abs(finite[0])) for c in finite)
-    if same and not unsatisfiable and finite[0] > 0.0:
-        g = float(np.mean(finite))
-        return UniformCheck(
-            count=count,
-            all_gamma=False,
-            critical_gamma=g,
-            pair_gammas=tuple(candidates),
-        )
+    def slope(g: float) -> float:  # F's right slope at g: the largest row's
+        r = a + g * b
+        k = int(np.argmax(np.abs(r)))
+        return float(b[k] * np.sign(r[k]))
 
-    pair = None
-    gap = None
-    for a, b in zip(candidates, candidates[1:]):
-        if a is None or b is None:
-            continue
-        if abs(a - b) > 1e-9 * max(1.0, abs(a)) or a <= 0.0 or b <= 0.0:
-            pair, gap = (a, b), abs(a - b)
+    a_max = float(np.max(np.abs(a)))
+    # beyond 3 a_max / max|b| every F exceeds F(0), so the slope is positive there
+    g_star = 0.0 if slope(0.0) >= 0.0 else _bisect_root(slope, 0.0, 3.0 * a_max / float(np.max(np.abs(b))))
+    floor = float(np.max(np.abs(a + g_star * b)))
+    if floor <= 1e-9 * max(1.0, a_max) and g_star > 0.0:
+        return UniformCheck(count=count, all_gamma=False, critical_gamma=float(g_star), pair_gammas=candidates)
+
+    pair = gap = None
+    for c, d in zip(candidates, candidates[1:]):
+        if c is not None and d is not None and (abs(c - d) > 1e-9 * max(1.0, abs(c)) or c <= 0.0 or d <= 0.0):
+            pair, gap = (c, d), abs(c - d)
             break
     if any(c is not None and c <= 0.0 for c in candidates):
         obstruction = "a pair demands a non-positive coupling (same-sign differences)"
     else:
         obstruction = "consecutive pairs demand different couplings"
-
-    floor = min(float(np.max(np.abs(residuals(p, float(g))[:-1]))) for g in np.geomspace(1e-3, gamma_max, 60))
-    return UniformCheck(
-        count=count,
-        all_gamma=False,
-        critical_gamma=None,
-        pair_gammas=tuple(candidates),
-        obstruction=obstruction,
-        obstruction_pair=pair,
-        obstruction_gap=gap,
-        residual_floor=floor,
-    )
+    return UniformCheck(count=count, all_gamma=False, critical_gamma=None, pair_gammas=candidates, obstruction=obstruction,
+                        obstruction_pair=pair, obstruction_gap=gap, residual_floor=floor)
 
 
 # ------------------------------------------------------------------ bounds

@@ -62,7 +62,7 @@ import numpy as np
 
 from .energy import EnergyBreakdown, _frame_hessian, _tridiagonal_solve, total_energy
 from .errors import CycleLimit, NoEscape, NonIncreasing, OutOfRange
-from .pattern import AxisymPattern, _band_terms, is_symmetric, make_pattern, mass_of_interfaces, xi_profile
+from .pattern import AxisymPattern, _band_terms, _min_gap_text, is_symmetric, make_pattern, mass_of_interfaces, xi_profile
 
 __all__ = [
     "MinimizeOptions",
@@ -332,7 +332,7 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
     own improvement, so the result is a sweep fixed point; a stopping sweep
     that raised ``total_energy`` (on rounding) is undone, so no record rises.
     ``CycleLimit`` names the last sweep's drop in E, that cycle's
-    ``max_move`` and the pattern's ``min_gap``.
+    ``max_move`` and the pattern's ``min_gap`` with the pair that holds it.
 
     Symmetric mode sweeps the lower half and mirrors each accepted offset
     to the reflected frame, skipping the self-mirrored central frame whose
@@ -392,7 +392,7 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
         if done:
             return MinimizeResult(pattern=p, energy=energy, cycles=tuple(records))
     last = f"last sweep drop = {improved:.3e}, max_move = {max_move:.3e}" if records else "no cycle run"
-    raise CycleLimit(f"no fixed point within {opts.max_cycles} sweep cycles: {last}, min_gap = {p.min_gap():.3e}")
+    raise CycleLimit(f"no fixed point within {opts.max_cycles} sweep cycles: {last}, {_min_gap_text(p)}")
 
 
 def _extrapolate(p: AxisymPattern, d: list[float], s: float, energy: EnergyBreakdown, gamma: float):

@@ -75,6 +75,15 @@ class AxisymPattern:
         return min(b - a for a, b in zip(nodes, nodes[1:]))
 
 
+def _min_gap_text(p: AxisymPattern) -> str:
+    """``min_gap = ...`` and the pair that holds it, for failure messages: the first of equal gaps."""
+    nodes = p.nodes()
+    gaps = [b - a for a, b in zip(nodes, nodes[1:])]
+    i = gaps.index(min(gaps))
+    where = f"z_{i} and z_{i + 1}" if 0 < i < p.n else "z_1 and the south pole" if i == 0 else f"z_{i} and the north pole"
+    return f"min_gap = {gaps[i]:.3e} between {where}"
+
+
 @dataclass(frozen=True)
 class XiProfile:
     """Piecewise-linear antiderivative of (pattern - mean).

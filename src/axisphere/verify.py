@@ -197,8 +197,8 @@ def run_verify(seed: int) -> list[VerifyCheck]:
     )
 
     # Evenly placed patterns: unique coupling for 3, none for 5.
-    u3 = uniform_criticality_check(3, 1e4)
-    u5 = uniform_criticality_check(5, 1e4)
+    u3 = uniform_criticality_check(3)
+    u5 = uniform_criticality_check(5)
     ok3 = u3.critical_gamma is not None and abs(u3.critical_gamma - ref_half) <= 1e-9
     ok5 = u5.critical_gamma is None and u5.residual_floor is not None and u5.residual_floor >= 1e-3
     checks.append(

@@ -92,7 +92,7 @@ PINNED_HASHES = [
     pytest.param(("critical", "continue", "--n", "3", "--gamma-start", "1.05", "--gamma-end", "3", "--steps", "5"),
                  "10b6ba9994105c8178f1da823dee3d14d97023052a5273449d21df46fada5fdf", id="critical-continue"),
     pytest.param(("critical", "check-uniform", "--count", "4"),
-                 "d5a843d3f115aca6bbd7ae0a74dc3f9425b89ec066bb879ae79a5c6a7c7ffc90", id="critical-check-uniform"),
+                 "a5fb8eb97856970b61d9f466deb64f7659e835ee8ec5497003b78438fe888cad", id="critical-check-uniform"),
     pytest.param(("minimize", "--z", "-0.4,0.6", "--gamma", "5"),
                  "002c37a51d0c40a4e3a93151b8ead4ddff67964d5116e93370057c95b174cc93", id="minimize"),
     pytest.param(("escape", "--alpha", "0.6", "--gamma", "1e4"),
@@ -142,14 +142,17 @@ def test_usage_errors_exit_one(run):
                   ("--init", "stretch"), ("--m-target", "0.1"), ("--steps", "4"), ("--gamma-start", "1"),
                   ("--gamma-end", "2"), ("--catalog", "u.jsonl")],
         SOLVE: [("--steps", "4"), ("--gamma-start", "1"), ("--gamma-end", "2"), ("--count", "4"),
-                ("--gamma-max", "10"), ("--catalog", "s.jsonl")],
-        CONTINUE: [("--gamma", "3"), ("--count", "4"), ("--gamma-max", "10")],
+                ("--catalog", "s.jsonl")],
+        CONTINUE: [("--gamma", "3"), ("--count", "4")],
     }
     for base, extras in ignored.items():
         for flag, value in extras:
             r = run(*base, flag, value)
             assert r.returncode == 1 and "error:" in r.stderr, (base, flag)
     assert run(*CONTINUE, "--catalog", "a.jsonl", "--out", "b.jsonl").returncode == 1
+    # the uniform floor is exact over every coupling: no sweep bound to set
+    r = run("critical", "check-uniform", "--count", "6", "--gamma-max", "10")
+    assert r.returncode == 1 and "unrecognized arguments: --gamma-max 10" in r.stderr
     # --init only picks the guess for --n
     for base in (SOLVE, CONTINUE):
         assert run(*base[:2], "--z", "-0.5,0,0.5", "--init", "stretch", *base[4:]).returncode == 1
@@ -159,7 +162,6 @@ def test_usage_errors_exit_one(run):
         ("xi", "--z", "-0.5,0.5", "--samples", "-3"),
         ("verify", "--seed", "-1"),
         ("energy", "--z", "-0.5,0.5", "--gamma", "nan"),
-        ("critical", "check-uniform", "--count", "6", "--gamma-max", "-1"),
         ("critical", "solve", "--n", "3", "--gamma", "2", "--max-iter", "0"),
         ("minimize", "--z", "-0.4,0.6", "--gamma", "5", "--max-cycles", "0"),
         ("critical", "solve", "--n", "3", "--gamma", "2", "--tol", "-1"),

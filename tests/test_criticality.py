@@ -28,6 +28,9 @@ from axisphere.energy import _frame_hessian
 from axisphere.errors import Asymptote, BranchLost, LeftDomain, NoConvergence, OutOfRange
 from axisphere.pattern import make_pattern
 
+# the solver's stopping state: max|r|, then the smallest gap and the pair that holds it
+STOPPED = r"max\|r\| = \d\.\d{3}e[+-]\d\d, min_gap = \d\.\d{3}e[+-]\d\d between z_\d+ and (?:z_\d+|the \w+ pole)"
+
 # gamma where the evenly spaced 3- and 4-interface placements are critical
 G3 = 1.0 / (2.0 * math.sqrt(3.0) * math.log(4.0 / 3.0))
 G4 = 15.607189587574723
@@ -93,8 +96,8 @@ def test_continuation_losing_the_branch():
 def test_continuation_without_a_start():
     """A seed the corrector cannot solve at gamma_start has no branch to halve back to."""
     with pytest.raises(BranchLost, match=r"^no solution at branch start gamma=20\.0, before any converged gamma: "
-                                         r"damping cannot restore interface ordering at iteration \d+: "
-                                         r"max\|r\| = \d\.\d{3}e[+-]\d\d, min_gap = \d\.\d{3}e[+-]\d\d$") as info:
+                                         r"damping cannot restore interface ordering at iteration \d+: " +
+                                         STOPPED + "$") as info:
         continue_gamma(12, 20.0, 30.0, 3, initial_guess(12))
     assert isinstance(info.value.__cause__, LeftDomain)
 
@@ -110,8 +113,8 @@ def test_lost_branch_names_where_it_ended():
         f"the second time at gamma={math.sqrt(gammas[2] * gammas[3])!r}: {info.value.__cause__}"
     )
     assert isinstance(info.value.__cause__, LeftDomain)
-    assert re.fullmatch(r"damping cannot restore interface ordering at iteration \d+: "
-                        r"max\|r\| = \d\.\d{3}e[+-]\d\d, min_gap = \d\.\d{3}e[+-]\d\d", str(info.value.__cause__))
+    assert re.fullmatch(r"damping cannot restore interface ordering at iteration \d+: " +
+                        STOPPED, str(info.value.__cause__))
 
 
 @pytest.mark.parametrize(
@@ -121,12 +124,12 @@ def test_lost_branch_names_where_it_ended():
                      id="negative-gamma"),
         pytest.param(lambda: uniform_pattern(0), OutOfRange, "must be positive", id="no-interfaces"),
         pytest.param(lambda: solve_critical(3, 2.0, initial_guess(3), SolveOptions(max_iter=1)), NoConvergence,
-                     r"^iteration budget spent at iteration 1: max\|r\| = 1\.965e-01, min_gap = 3\.852e-01$",
+                     r"^iteration budget spent at iteration 1: max\|r\| = 1\.965e-01, min_gap = 3\.852e-01 "
+                     r"between z_1 and the south pole$",
                      id="one-iteration"),
         # damped Newton from the evenly spaced n=12 guess at gamma=20 cannot keep the heights ordered
         pytest.param(lambda: solve_critical(12, 20.0, initial_guess(12)), LeftDomain,
-                     r"^damping cannot restore interface ordering at iteration \d+: "
-                     r"max\|r\| = \d\.\d{3}e[+-]\d\d, min_gap = \d\.\d{3}e[+-]\d\d$",
+                     r"^damping cannot restore interface ordering at iteration \d+: " + STOPPED + "$",
                      id="n12-gamma20"),
         pytest.param(lambda: solve_critical(2, 2.0, initial_guess(3)), OutOfRange,
                      r"^initial pattern has 3 interfaces, expected 2$", id="n-contradicts-init"),
@@ -208,32 +211,63 @@ def test_initial_guess_kinds():
 
 def test_uniform_check_small_counts():
     for c in (1, 2):
-        chk = uniform_criticality_check(c, 1e4)
+        chk = uniform_criticality_check(c)
         assert chk.all_gamma and chk.critical_gamma is None
-    chk3 = uniform_criticality_check(3, 1e4)
+    chk3 = uniform_criticality_check(3)
     assert not chk3.all_gamma
     assert chk3.critical_gamma == pytest.approx(G3, rel=1e-12)
-    chk4 = uniform_criticality_check(4, 1e4)
+    chk4 = uniform_criticality_check(4)
     assert chk4.critical_gamma == pytest.approx(G4, rel=1e-12)
     # central pair of the 4-placement is constraint-free
     assert chk4.pair_gammas[1] is None
 
 
+def _knot_floor(count: int) -> float:
+    """min over gamma >= 0 of max_k |a_k + gamma b_k|, taken at every knot: 0, each zero of a row, each crossing of +-rows."""
+    p = uniform_pattern(count)
+    a = residuals(p, 0.0)[:-1]
+    b = (residuals(p, 2.0**30)[:-1] - a) / 2.0**30
+    knots = [np.zeros(1)]
+    for sign in (1.0, -1.0):  # row i meets sign * row j where (a_i - sign a_j) + gamma (b_i - sign b_j) = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = -(a[:, None] - sign * a[None, :]) / (b[:, None] - sign * b[None, :])
+        knots.append(g[np.isfinite(g) & (g >= 0.0)])
+    knots = np.concatenate(knots)
+    return float(np.min(np.max(np.abs(a[None, :] + knots[:, None] * b[None, :]), axis=1)))
+
+
 def test_uniform_check_rigidity():
-    """Five or more evenly spaced circles are never critical."""
-    floors = {5: 0.7222304030109801, 6: 0.3939648797541395}
+    """Five or more evenly spaced circles are never critical, and the floor is the exact minimum over gamma >= 0."""
+    floors = {5: 0.7181820522461095, 6: 0.330672710524806}
     for count, floor in floors.items():
-        chk = uniform_criticality_check(count, 1e4)
+        chk = uniform_criticality_check(count)
         assert chk.critical_gamma is None
         assert chk.residual_floor is not None and chk.residual_floor >= 1e-3
-        assert chk.residual_floor == pytest.approx(floor, rel=1e-6)
-    assert "sign" in uniform_criticality_check(5, 1e4).obstruction
-    assert "different couplings" in uniform_criticality_check(6, 1e4).obstruction
-    # the floor is the minimum of the residual sweep, bit for bit
-    for count, gamma_max in ((5, 1e4), (6, 1e4), (9, 50.0), (12, 1e6)):
+        assert chk.residual_floor == pytest.approx(floor, rel=1e-12)
+    assert "sign" in uniform_criticality_check(5).obstruction
+    assert "different couplings" in uniform_criticality_check(6).obstruction
+    # never above a 60-point log-spaced residual sweep on [1e-3, gamma_max]
+    for count, gamma_max in ((5, 1e4), (6, 1e4), (9, 50.0), (12, 1e6), (200, 1e4)):
         p = uniform_pattern(count)
         sweep = [float(np.max(np.abs(residuals(p, float(g))[:-1]))) for g in np.geomspace(1e-3, gamma_max, 60)]
-        assert uniform_criticality_check(count, gamma_max).residual_floor == min(sweep)
+        assert uniform_criticality_check(count).residual_floor <= min(sweep), count
+    for count in range(5, 65):
+        assert uniform_criticality_check(count).residual_floor == pytest.approx(_knot_floor(count), rel=1e-12), count
+
+
+def test_residual_rows_are_affine_in_gamma():
+    """residuals(p, gamma) = r(0) + gamma b: the property the uniform floor and its pair couplings rest on."""
+    rng = np.random.default_rng(25)
+    means = []
+    for n in range(1, 41):
+        p = make_pattern(sorted(rng.uniform(-0.98, 0.98, n)))
+        means.append(abs(p.m))
+        r0 = residuals(p, 0.0)
+        b = (residuals(p, 2.0**30) - r0) / 2.0**30
+        for g in np.geomspace(1e-3, 1e6, 12):
+            r = residuals(p, float(g))
+            assert np.all(np.abs(r - (r0 + g * b)) <= 1e-12 * np.maximum(1.0, np.abs(r))), (n, g)
+    assert max(means) > 0.1
 
 
 def test_uniform_residuals_confirm_special_gammas():

@@ -68,3 +68,10 @@ def test_the_criticality_sign_has_one_owner():
     owners = {(mod, fn) for mod, fn, _ in _calls("_critical_frame")}
     for site in (("criticality", "solve_critical"), ("stability", "assemble_J")):
         assert site in owners and site not in {(mod, fn) for mod, fn, _ in frame_calls}, site
+
+
+def test_the_residual_rows_have_one_owner():
+    """``kappa_g`` is called only where the rows and the multipliers are built; ``v_diff`` also in verify's quadrature oracle."""
+    assert {(mod, fn) for mod, fn, _ in _calls("kappa_g")} == {("criticality", "residuals"),
+                                                               ("criticality", "lambda_values")}
+    assert {(mod, fn) for mod, fn, _ in _calls("v_diff")} == {("criticality", "residuals"), ("verify", "run_verify")}

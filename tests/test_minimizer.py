@@ -329,11 +329,12 @@ def test_stopping_sweep_never_raises_the_energy():
 
 
 def test_cycle_limit_raised():
-    """The error names the last sweep's drop, that cycle's largest move and the smallest gap."""
+    """The error names the last sweep's drop, that cycle's largest move and the smallest gap with its pair."""
     with pytest.raises(CycleLimit, match=r"^no fixed point within 1 sweep cycles: last sweep drop = 4\.483e-01, "
-                                         r"max_move = 1\.000e-01, min_gap = 5\.000e-01$"):
+                                         r"max_move = 1\.000e-01, min_gap = 5\.000e-01 between z_1 and the south pole$"):
         local_minimize(make_pattern([-0.4, 0.6]), 5.0, MinimizeOptions(max_cycles=1))
-    with pytest.raises(CycleLimit, match=r"^no fixed point within 0 sweep cycles: no cycle run, min_gap = 4\.000e-01$"):
+    with pytest.raises(CycleLimit, match=r"^no fixed point within 0 sweep cycles: no cycle run, "
+                                         r"min_gap = 4\.000e-01 between z_2 and the north pole$"):
         local_minimize(make_pattern([-0.4, 0.6]), 5.0, MinimizeOptions(max_cycles=0))
 
 
