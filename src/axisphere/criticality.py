@@ -4,12 +4,12 @@ A pattern is critical when kappa_g(z_k) + 4*gamma*v(z_k) takes the same
 value lambda on every interface.  Eliminating lambda gives the consecutive
 difference system
 
-    R_k = kappa_g(z_{k+1}) - kappa_g(z_k) + 4*gamma*(v(z_{k+1}) - v(z_k)),
-    k = 1..n-1,
+    R_k = a_k + gamma*b_k,  a_k = kappa_g(z_{k+1}) - kappa_g(z_k),
+    b_k = 4*(v(z_{k+1}) - v(z_k)),  k = 1..n-1,
 
-closed by the mean-value constraint R_n = m(z) - m_target, which
-``residuals`` evaluates band by band.  Up to alternating signs its rows
-are the energy's slopes at -gamma along the n-1 strip moves
+in ``_row_parts``' curvature part a and potential part b, closed by the
+mean-value row R_n = m(z) - m_target in ``residuals``.  Up to alternating
+signs its rows are the energy's slopes at -gamma along the n-1 strip moves
 (``_critical_frame``, the one owner of that sign, O(n), with a tridiagonal
 Hessian), so a damped Newton iteration on validated patterns over the frame
 offsets, plus one move of z_1 for the mass along its z_1 column, solves it
@@ -56,19 +56,28 @@ __all__ = [
 ]
 
 
-def residuals(p: AxisymPattern, gamma: float, m_target: float = 0.0) -> np.ndarray:
-    """Consecutive-difference residuals plus the mean-value constraint."""
-    out = np.empty(p.n)
+def _row_parts(p: AxisymPattern) -> tuple[list[float], list[float]]:
+    """The n - 1 difference rows in two parts, curvature a_k and potential b_k: row k is a_k + gamma b_k."""
+    a, b = [], []  # one pass, plain lists: no numpy or second loop at small n
     for k in range(1, p.n):
-        out[k - 1] = kappa_g(p, k + 1) - kappa_g(p, k) + 4.0 * gamma * v_diff(p, k)
-    out[p.n - 1] = p.m - m_target
-    return out
+        a.append(kappa_g(p, k + 1) - kappa_g(p, k))
+        b.append(4.0 * v_diff(p, k))
+    return a, b
+
+
+def residuals(p: AxisymPattern, gamma: float, m_target: float = 0.0) -> np.ndarray:
+    """a + gamma b of ``_row_parts`` plus the mass row m - m_target; b holds the exact 4, so 4 gamma is never formed."""
+    rows, b = _row_parts(p)
+    for k, y in enumerate(b):
+        rows[k] += gamma * y  # a_k + gamma b_k, in the fresh list of a
+    rows.append(p.m - m_target)
+    return np.array(rows)
 
 
 def lambda_values(p: AxisymPattern, gamma: float) -> tuple[float, ...]:
-    """Per-interface multiplier kappa_g(z_k) + 4*gamma*v(z_k)."""
+    """Per-interface multiplier kappa_g(z_k) + 4*gamma*v(z_k), scaled as ``residuals`` scales its rows."""
     pot = v_at_interfaces(p)
-    return tuple(kappa_g(p, k) + 4.0 * gamma * pot[k - 1] for k in range(1, p.n + 1))
+    return tuple(kappa_g(p, k) + gamma * (4.0 * pot[k - 1]) for k in range(1, p.n + 1))
 
 
 def lambda_spread(p: AxisymPattern, gamma: float) -> float:
@@ -150,8 +159,10 @@ def solve_critical(
                 trace = SolverTrace(iterations=it, damping_events=damping_events, init_label=init_label)
                 return CriticalPoint(pattern=pat, gamma=gamma, lam=lam, residual_norm=norm, trace=trace)
         solved = _tridiagonal_solve(diag, off, [-(a + r[-1] * b) for a, b in zip(g, col)])
-        if solved is None:
-            raise NoConvergence(_stopped("singular frame Hessian", it, r, pat))
+        if solved is None:  # or the LDL^T pass overflowed: it squares each off-diagonal
+            finite = all(map(math.isfinite, [*r, *diag, *col, *(v * v for v in off)]))
+            what = "singular frame Hessian" if finite else f"frame system overflows at gamma={gamma!r}"
+            raise NoConvergence(_stopped(what, it, r, pat))
         tau = solved[0]  # saddles are critical points too: the negative-pivot count is not read
         step = [a + b for a, b in zip([r[-1], *tau], [*tau, 0.0])]
         scale, old_sq = 1.0, sum(v * v for v in r)
@@ -354,9 +365,9 @@ def uniform_criticality_check(count: int) -> UniformCheck:
     """Decide for which couplings the evenly placed pattern is critical.
 
     One or two interfaces: critical for every gamma (all pairwise residuals
-    vanish identically).  Otherwise each ``residuals`` row is affine in
-    gamma, a_k + gamma b_k, read off at gamma = 0 and at a power-of-two
-    probe; pair k demands -a_k / b_k.  The floor min over gamma >= 0 of
+    vanish identically).  Otherwise each row is a_k + gamma b_k in the
+    curvature and potential parts of ``_row_parts``, and pair k demands
+    -a_k / b_k.  The floor min over gamma >= 0 of
     F(gamma) = max_k |a_k + gamma b_k| is convex and piecewise linear, so
     ``_bisect_root`` finds its minimizer gamma* on the sign of F's right
     slope.  The pattern is critical at gamma* when F(gamma*) <= 1e-9 *
@@ -368,11 +379,8 @@ def uniform_criticality_check(count: int) -> UniformCheck:
     if count <= 2:
         return UniformCheck(count=count, all_gamma=True, critical_gamma=None)
 
-    # The probe is a power of two, so the scaling is exact and a's rounding
-    # vanishes against it.  A pair with b_k at rounding noise (the central
-    # pair of the even-count placements) constrains nothing: None.
-    a = residuals(p, 0.0)[:-1]
-    b = (residuals(p, 2.0**30)[:-1] - a) / 2.0**30
+    # b_k at rounding noise (the central pair of even counts) constrains nothing: None
+    a, b = map(np.array, _row_parts(p))
     candidates = tuple(None if abs(bk) <= 4e-12 else float(-ak / bk) for ak, bk in zip(a, b))
 
     def slope(g: float) -> float:  # F's right slope at g: the largest row's

@@ -31,23 +31,16 @@ class QuadratureSpec:
 
 
 ORDER = 10  # Gauss-Legendre points of the low rule; the high rule doubles it
-_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _RULES:
-        _RULES[order] = np.polynomial.legendre.leggauss(order)
-    return _RULES[order]
+_XL, _WL = np.polynomial.legendre.leggauss(ORDER)
+_XH, _WH = np.polynomial.legendre.leggauss(2 * ORDER)
 
 
 def _panel_estimate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
     """Doubled-order value plus |high - low| error estimate."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    xl, wl = _rule(ORDER)
-    xh, wh = _rule(2 * ORDER)
-    lo = half * float(np.dot(wl, np.asarray(f(mid + half * xl), dtype=float)))
-    hi = half * float(np.dot(wh, np.asarray(f(mid + half * xh), dtype=float)))
+    lo = half * float(np.dot(_WL, np.asarray(f(mid + half * _XL), dtype=float)))
+    hi = half * float(np.dot(_WH, np.asarray(f(mid + half * _XH), dtype=float)))
     return hi, abs(hi - lo)
 
 

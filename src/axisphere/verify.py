@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criticality import (
+    _row_parts,
     gamma_of_z1_3,
     polar_cap_bound,
-    residuals,
     uniform_criticality_check,
     uniform_pattern,
 )
@@ -178,11 +178,9 @@ def run_verify(seed: int) -> list[VerifyCheck]:
     rot = float(np.max(np.abs(J.block(1) @ np.array([1.0, -1.0]))))
     checks.append(_check("rotation-zero-mode", rot <= 1e-10, f"|J1 v| {rot:.2e}"))
 
-    # Two-cap residuals vanish for every coupling.
-    worst = 0.0
-    for g in np.geomspace(1e-3, 1e4, 20):
-        worst = max(worst, float(np.max(np.abs(residuals(dc, float(g))))))
-    checks.append(_check("two-cap-critical-sweep", worst <= 1e-12, f"worst residual {worst:.2e}"))
+    # Two-cap residuals vanish for every coupling: both parts of its rows and its mass are exactly 0.
+    a, b = _row_parts(dc)
+    checks.append(_check("two-cap-critical-sweep", a == b == [0.0] and dc.m == 0.0, f"a={a!r}, b={b!r}, m={dc.m!r}"))
 
     # Explicit coupling curve endpoints.
     small = gamma_of_z1_3(1e-6)

@@ -193,6 +193,18 @@ def test_numerical_failures_exit_two(run):
     assert r.stderr.startswith("axisphere: numerical failure: no solution at branch start") and r.stderr.count("\n") == 1
 
 
+def test_solver_names_a_coupling_overflow(run):
+    """Past the float range the frame system overflows, and the solver says so with gamma, not "singular"."""
+    for n, gamma in (("8", "1e200"), ("16", "1e160"), ("3", "1e308"), ("2", "1e308")):
+        r = run("critical", "solve", "--n", n, "--gamma", gamma)
+        assert r.returncode == 2 and not r.stdout, (n, gamma)
+        assert r.stderr.startswith(f"axisphere: numerical failure: frame system overflows at gamma={float(gamma)!r} "
+                                   "at iteration 0: max|r| = ") and r.stderr.count("\n") == 1, (n, gamma)
+    # the rows scale their potential part, not 4 gamma, so a coupling within range of the rows still solves
+    r = run("critical", "solve", "--n", "2", "--gamma", "5e307")
+    assert r.returncode == 0 and json.loads(r.stdout)["residual"] == 0.0
+
+
 def test_descent_at_huge_gamma_exits_zero(run):
     """The frame Hessian's squared off-diagonal overflows to inf from gamma ~ 1e154, not to an OverflowError."""
     r = run("minimize", "--z", "-0.6,-0.1,0.5", "--gamma", "1e160")

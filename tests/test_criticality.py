@@ -9,6 +9,7 @@ from axisphere.criticality import (
     _bisect_root,
     _den_3,
     _den_4,
+    _row_parts,
     continue_gamma,
     denominator_root_3,
     denominator_root_4,
@@ -38,6 +39,7 @@ G4 = 15.607189587574723
 
 def test_double_cap_residuals_vanish_for_all_gamma():
     p = make_pattern([-0.5, 0.5])
+    assert _row_parts(p) == ([0.0], [0.0])  # both parts vanish exactly, so every coupling is critical
     for g in np.geomspace(1e-3, 1e3, 50):
         r = residuals(p, float(g))
         assert float(np.max(np.abs(r))) <= 1e-12
@@ -224,9 +226,7 @@ def test_uniform_check_small_counts():
 
 def _knot_floor(count: int) -> float:
     """min over gamma >= 0 of max_k |a_k + gamma b_k|, taken at every knot: 0, each zero of a row, each crossing of +-rows."""
-    p = uniform_pattern(count)
-    a = residuals(p, 0.0)[:-1]
-    b = (residuals(p, 2.0**30)[:-1] - a) / 2.0**30
+    a, b = map(np.array, _row_parts(uniform_pattern(count)))
     knots = [np.zeros(1)]
     for sign in (1.0, -1.0):  # row i meets sign * row j where (a_i - sign a_j) + gamma (b_i - sign b_j) = 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -256,17 +256,16 @@ def test_uniform_check_rigidity():
 
 
 def test_residual_rows_are_affine_in_gamma():
-    """residuals(p, gamma) = r(0) + gamma b: the property the uniform floor and its pair couplings rest on."""
+    """residuals(p, gamma) is a + gamma b of ``_row_parts`` bit for bit, plus the mass row: the uniform floor rests on it."""
     rng = np.random.default_rng(25)
     means = []
     for n in range(1, 41):
         p = make_pattern(sorted(rng.uniform(-0.98, 0.98, n)))
         means.append(abs(p.m))
-        r0 = residuals(p, 0.0)
-        b = (residuals(p, 2.0**30) - r0) / 2.0**30
+        a, b = map(np.array, _row_parts(p))
         for g in np.geomspace(1e-3, 1e6, 12):
             r = residuals(p, float(g))
-            assert np.all(np.abs(r - (r0 + g * b)) <= 1e-12 * np.maximum(1.0, np.abs(r))), (n, g)
+            assert np.array_equal(r[:-1], a + g * b) and r[-1] == p.m, (n, g)
     assert max(means) > 0.1
 
 
