@@ -15,9 +15,9 @@ of 32 is the command line's own), and a config value of null counts as left
 out.  check-uniform's residual_floor is the least max residual row over
 every gamma >= 0, exact.
 
-Exit codes: 0 success, 1 usage or input error, 2 numerical failure
-(no convergence, tolerance not met, lost branch, asymptote hit),
-3 self-verification failure.
+Exit codes: 0 success, 1 usage or input error (a size too large to
+allocate included), 2 numerical failure (no convergence, tolerance not
+met, lost branch, asymptote hit), 3 self-verification failure.
 
 Ranges are written start:end:count, inclusive of both endpoints.
 Relative --out paths resolve under $AXISPHERE_OUT_DIR when it is set.
@@ -443,7 +443,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         sys.stderr.write(f"{TOOL}: numerical failure: {exc}\n")
         return 2
-    except (AxisphereError, OSError, json.JSONDecodeError) as exc:
+    except (AxisphereError, OSError, json.JSONDecodeError, MemoryError) as exc:
         sys.stderr.write(f"{TOOL}: error: {exc}\n")
         return 1
 

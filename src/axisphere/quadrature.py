@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import count
 from typing import Callable
 
@@ -31,16 +32,21 @@ class QuadratureSpec:
 
 
 ORDER = 10  # Gauss-Legendre points of the low rule; the high rule doubles it
-_XL, _WL = np.polynomial.legendre.leggauss(ORDER)
-_XH, _WH = np.polynomial.legendre.leggauss(2 * ORDER)
+
+
+@cache
+def _rules() -> tuple:
+    """The low and high Gauss-Legendre rules, built on first use so an import runs no LAPACK call."""
+    return np.polynomial.legendre.leggauss(ORDER), np.polynomial.legendre.leggauss(2 * ORDER)
 
 
 def _panel_estimate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
     """Doubled-order value plus |high - low| error estimate."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    lo = half * float(np.dot(_WL, np.asarray(f(mid + half * _XL), dtype=float)))
-    hi = half * float(np.dot(_WH, np.asarray(f(mid + half * _XH), dtype=float)))
+    (xl, wl), (xh, wh) = _rules()
+    lo = half * float(np.dot(wl, np.asarray(f(mid + half * xl), dtype=float)))
+    hi = half * float(np.dot(wh, np.asarray(f(mid + half * xh), dtype=float)))
     return hi, abs(hi - lo)
 
 

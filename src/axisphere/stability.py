@@ -13,20 +13,19 @@ The kernel integrals reduce to
         = -(2pi/k) q^k,  q = b / (a + sqrt(a^2 - b^2)),      k >= 1
     integral_0^{2pi} log(a - b cos u) du = 2pi log((a + sqrt(a^2-b^2))/2)
 
-where a = r_i^2 + r_j^2 + (z_i - z_j)^2 and b = 2 r_i r_j encode the
-squared chord distance a - b cos u between points of the two circles.
-The q form keeps full precision in the self-interaction case a = b,
-where q = 1 and the integrand has a log singularity.
-
-fourier_log_integral evaluates this closed form elementwise on arrays
-and, given a sequence of wavenumbers, stacks them: one call gives every
-n x n kernel matrix k = 0..K as one (K+1, n, n) array, its q^k rows from
-one power call, and the assembly, the two-cap identity and the
-self-verification all share it.  Every block is -2 gamma (r_i r_j)
-F_k(a, b) plus the diagonal pi (k^2 - 1)/r_i + 4 pi gamma g_i r_i,
-applied to the whole stack at once, and the k = 0 slice is doubled in
-place (the constant mode has norm 2 pi instead of pi): JMatrix holds
-that one stack and nothing derived from it.
+where a - b cos u is the squared chord distance between points of two
+circles; fourier_log_integral is this closed form for one (a, b, k).
+On the unit sphere, with the circles at heights z_< <= z_>, the chord
+geometry collapses: q = t_< / t_> with t = sqrt((1 + z)/(1 - z)), and
+the k = 0 value is 2pi [log(1 - z_<) + log(1 + z_>)].  assemble_J reads
+the kernel in this form, q as one square root of the pole-distance ratio
+(1 + z_<)(1 - z_>) / ((1 - z_<)(1 + z_>)), so the self-interaction q is
+exactly 1 and close circles keep 1 - q to full relative precision.  Every
+block is -2 gamma (r_i r_j) times the kernel, plus the diagonal
+pi (k^2 - 1)/r_i + 4 pi gamma g_i r_i, applied to one (K+1, n, n) stack
+at once, and the k = 0 slice is doubled in place (the constant mode has
+norm 2 pi instead of pi): JMatrix holds that one stack and nothing
+derived from it.
 
 The k >= 1 diagonals grow like k^2, so most of those blocks cannot hold
 the smallest eigenvalue: a Gershgorin lower bound per block, with a
@@ -62,34 +61,20 @@ CRITICAL_TOL = 1e-8
 CERT_MODES = 6
 
 
-def fourier_log_integral(a, b, k):
-    """Fourier coefficient of log(a - b cos u) over a full period.
+def fourier_log_integral(a: float, b: float, k: int) -> float:
+    """Fourier coefficient of log(a - b cos u) over a full period, wavenumber k.
 
-    Elementwise in ``a`` and ``b`` (scalars or broadcastable arrays); one
-    entry outside a >= b >= 0, a > 0 rejects the whole call.  ``k`` is a
-    wavenumber or a sequence of them; a sequence stacks the coefficients
-    along a new leading axis, sharing one domain check and one sqrt.
+    The chord form of the kernel, for one circle pair given by a and b;
+    OutOfRange outside a >= b >= 0, a > 0 and for k < 0.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    bad = np.flatnonzero((a <= 0.0) | (b < 0.0) | (b > a))
-    if bad.size:
-        i = bad[0]
-        raise OutOfRange(f"need a >= b >= 0 with a > 0, got a={float(a.flat[i])!r}, b={float(b.flat[i])!r}")
-    stacked = np.ndim(k) > 0
-    ks = np.array([int(v) for v in k] if stacked else [int(k)], dtype=int)
-    if (ks < 0).any():
+    if not (a > 0.0 and 0.0 <= b <= a):
+        raise OutOfRange(f"need a >= b >= 0 with a > 0, got a={a!r}, b={b!r}")
+    if k < 0:
         raise OutOfRange("wavenumber must be nonnegative")
-    s = np.sqrt((a - b) * (a + b))
-    q = b / (a + s)
-    # one power call stacks every row; rows k = 1 and k = 2 keep numpy's
-    # scalar-exponent results q and q*q, which pow(q, 2.0) misses by an ulp
-    kcol = ks.reshape(-1, *(1,) * a.ndim)
-    out = q**kcol
-    out[ks == 1] = q
-    out[ks == 2] = q * q
-    out *= -2.0 * math.pi / np.maximum(kcol, 1)
-    out[ks == 0] = 2.0 * math.pi * np.log(0.5 * (a + s))
-    return out if stacked else out[0]
+    s = math.sqrt((a - b) * (a + b))
+    if k == 0:
+        return 2.0 * math.pi * math.log(0.5 * (a + s))
+    return (b / (a + s)) ** k * (-2.0 * math.pi / k)
 
 
 def doublecap_kernel_integral(k: int) -> float:
@@ -164,10 +149,12 @@ def assemble_J(p: AxisymPattern, gamma: float, K: int) -> JMatrix:
 
     Diagonal carries the curvature part ((k^2-1)/r_i weighted by the mode
     norm) and the normal derivative of the screened potential; every pair
-    of circles couples through the log-kernel Fourier coefficient at its
-    chord geometry.  All K+1 blocks are built in one stack, scaled and shifted
-    in place, and the constants block doubled in place; r_i r_j is formed
-    before scaling by gamma, so every block is exactly symmetric.
+    of circles couples through the sphere's closed form of the log kernel,
+    -(2pi/k) q^k with q = t_< / t_> for k >= 1 and the pole logs
+    2pi [log(1 - z_<) + log(1 + z_>)] at k = 0.  All K+1 blocks are built
+    in one stack from one integer-power call, scaled and shifted in place,
+    and the constants block doubled in place; q, the logs and r_i r_j are
+    symmetric as formed, so every block is exactly symmetric.
     NotCritical past CRITICAL_TOL on ``_critical_frame``; NumericalFailure
     when any entry of the finished stack overflows.
     """
@@ -180,10 +167,12 @@ def assemble_J(p: AxisymPattern, gamma: float, K: int) -> JMatrix:
     r = np.sqrt(1.0 - z * z)
     g = grad_v_normal(p)
     rr = r[:, None] * r[None, :]
-    a = r[:, None] ** 2 + r[None, :] ** 2 + (z[:, None] - z[None, :]) ** 2
-    ks = np.arange(K + 1.0)
+    lo, hi = np.minimum.outer(z, z), np.maximum.outer(z, z)
+    ks = np.arange(K + 1)
 
-    blocks = fourier_log_integral(a, 2.0 * rr, range(K + 1))
+    blocks = np.sqrt((1.0 + lo) * (1.0 - hi) / ((1.0 - lo) * (1.0 + hi))) ** ks[:, None, None]
+    blocks[1:] *= -2.0 * math.pi / ks[1:, None, None]
+    blocks[0] = 2.0 * math.pi * (np.log1p(-lo) + np.log1p(hi))
     diag = np.arange(p.n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, without a warning
         blocks *= -2.0 * gamma * rr

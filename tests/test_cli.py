@@ -177,6 +177,15 @@ def test_usage_errors_exit_one(run):
     ):
         r = run(*argv)
         assert r.returncode == 1 and "finite" in r.stderr and not r.stdout, argv
+    # a size too large to allocate ends in one line: 728 TiB exceeds the address space, so no memory is touched
+    for argv in (
+        ("bounds", "--gamma", "0:1:100000000000000"),
+        ("xi", "--z", "0.5", "--samples", "100000000000000"),
+        ("stability", "--z", "-0.5,0.5", "--gamma", "1", "--K", "100000000000000"),
+    ):
+        r = run(*argv)
+        assert r.returncode == 1 and not r.stdout, argv
+        assert r.stderr.startswith("axisphere: error: Unable to allocate") and r.stderr.count("\n") == 1, argv
     # no abbreviated flags
     assert run("minimize", "--z", "-0.4,0.6", "--gamma", "5", "--max", "3").returncode == 1
     assert run("energy", "--z", "-0.5,0.5", "--gam", "1").returncode == 1

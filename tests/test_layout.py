@@ -75,3 +75,9 @@ def test_the_residual_rows_have_one_owner():
     assert {(mod, fn) for mod, fn, _ in _calls("kappa_g")} == {("criticality", "_row_parts"),
                                                                ("criticality", "lambda_values")}
     assert {(mod, fn) for mod, fn, _ in _calls("v_diff")} == {("criticality", "_row_parts"), ("verify", "run_verify")}
+
+
+def test_the_chord_kernel_is_a_scalar_reference():
+    """``fourier_log_integral`` serves only the two-cap identity and verify's quadrature check; the assembly reads the sphere's q."""
+    assert {(mod, fn) for mod, fn, _ in _calls("fourier_log_integral")} == {("stability", "doublecap_kernel_integral"),
+                                                                          ("verify", "run_verify")}

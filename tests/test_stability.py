@@ -64,55 +64,11 @@ def test_fourier_log_integral_property():
         worst = max(worst, abs(got - _fourier_log_quad(a, b, k)))
     assert worst <= 1e-8, f"worst abs gap {worst:.3e}"
 
-    # array form: entry by entry the scalar value, a = b diagonal included;
-    # numpy's vectorized pow may round q^k an ulp away from the scalar one
-    b = rng.uniform(0.05, 4.0, size=(6, 6))
-    a = b + rng.uniform(1e-6, 5.0, size=(6, 6))
-    np.fill_diagonal(a, np.diag(b))
-    for k in range(0, 9):
-        got = fourier_log_integral(a, b, k)
-        assert got.shape == (6, 6)
-        want = [[fourier_log_integral(float(a[i, j]), float(b[i, j]), k) for j in range(6)] for i in range(6)]
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
-    # one entry out of domain rejects the whole array
-    for i, j, bad_a, bad_b in ((2, 3, 0.0, 0.0), (4, 1, 1.0, -0.5), (0, 5, 1.0, 1.5)):
-        a_bad, b_bad = a.copy(), b.copy()
-        a_bad[i, j], b_bad[i, j] = bad_a, bad_b
+    for bad_a, bad_b in ((0.0, 0.0), (1.0, -0.5), (1.0, 1.5)):
         with pytest.raises(OutOfRange, match=r"^need a >= b >= 0 with a > 0, got a=" + f"{bad_a!r}, b={bad_b!r}$"):
-            fourier_log_integral(a_bad, b_bad, 3)
-
-
-def test_fourier_log_integral_stacks_wavenumbers():
-    """A wavenumber sequence stacks exactly the scalar-k results, k = 2 included."""
-    rng = np.random.default_rng(8)
-    b = rng.uniform(0.05, 4.0, size=(12, 12))
-    a = b + rng.uniform(1e-6, 5.0, size=(12, 12))
-    np.fill_diagonal(a, np.diag(b))
-    stack = fourier_log_integral(a, b, range(131))
-    assert stack.shape == (131, 12, 12)
-    for k in range(131):
-        assert np.array_equal(stack[k], fourier_log_integral(a, b, k)), k
-    assert np.array_equal(fourier_log_integral(5.0, 3.0, [2, 0, 7]),
-                          [fourier_log_integral(5.0, 3.0, k) for k in (2, 0, 7)])
-    with pytest.raises(OutOfRange):
-        fourier_log_integral(a, b, [0, 3, -1])
-    a_bad = a.copy()
-    a_bad[3, 4] = 0.5 * b[3, 4]
-    with pytest.raises(OutOfRange, match="need a >= b >= 0 with a > 0"):
-        fourier_log_integral(a_bad, b, range(4))
-
-
-def test_fourier_log_integral_edges():
-    """An empty wavenumber sequence stacks nothing; a numpy integer acts as a Python int."""
-    a, b = np.array([[2.0, 5.0], [1.0, 0.3]]), np.array([[2.0, 3.0], [0.5, 0.0]])
-    assert fourier_log_integral(a, b, []).shape == (0, 2, 2)
-    assert fourier_log_integral(5.0, 3.0, range(0)).shape == (0,)
-    for k in (0, 1, 2, 3, 17):
-        got = fourier_log_integral(a, b, np.int64(k))
-        assert got.shape == (2, 2)
-        assert np.array_equal(got, fourier_log_integral(a, b, k)), k
-        assert np.array_equal(fourier_log_integral(a, b, [np.int32(k)]), fourier_log_integral(a, b, [k])), k
-    assert np.array_equal(fourier_log_integral(a, b, np.arange(9)), fourier_log_integral(a, b, range(9)))
+            fourier_log_integral(bad_a, bad_b, 3)
+    with pytest.raises(OutOfRange, match=r"^wavenumber must be nonnegative$"):
+        fourier_log_integral(5.0, 3.0, -1)
 
 
 @pytest.mark.parametrize(
@@ -153,19 +109,23 @@ def test_doublecap_kernel_closed_form():
 
 
 _SYMMETRY_CASES = [
-    (3, 2.0, SolveOptions()),
+    (3, 2.0, SolveOptions(), 8),
     # nonzero mean: the critical pattern is not equatorially symmetric
-    (5, 20.0, SolveOptions(m_target=-0.2)),
+    (5, 20.0, SolveOptions(m_target=-0.2), 8),
+    # the benchmark's branch traffic: close circles at large gamma, every cutoff it runs
+    (8, 700.0, SolveOptions(), 8),
+    (16, 1500.0, SolveOptions(), 32),
+    (32, 3000.0, SolveOptions(), 128),
 ]
 
 
 def test_assembled_blocks_are_symmetric():
     """Every block, the constants block included, is a symmetric view of the one (K+1, n, n) stack JMatrix holds."""
-    for n, gamma, opts in _SYMMETRY_CASES:
+    for n, gamma, opts, K in _SYMMETRY_CASES:
         p = solve_critical(n, gamma, initial_guess(n), opts).pattern
-        J = assemble_J(p, gamma, K=8)
-        assert [f.name for f in fields(J)] == ["pattern", "gamma", "blocks"] and J.K == 8
-        for k in range(0, 9):
+        J = assemble_J(p, gamma, K)
+        assert [f.name for f in fields(J)] == ["pattern", "gamma", "blocks"] and J.K == K
+        for k in range(0, K + 1):
             blk = J.block(k)
             assert blk.shape == (n, n) and np.shares_memory(blk, J.blocks)
             assert float(np.max(np.abs(blk - blk.T))) == 0.0
