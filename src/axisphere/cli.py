@@ -34,8 +34,6 @@ import re
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import __version__
 from .criticality import (
     SolveOptions,
@@ -53,9 +51,7 @@ from .criticality import (
 from .energy import total_energy, two_interface_grid
 from .errors import Asymptote, AxisphereError, NoEscape, NumericalFailure, OutOfRange
 from .minimizer import BoundaryPattern, MinimizeOptions, boundary_escape, escape_pole_frame, local_minimize
-from .pattern import make_pattern, xi_eval, xi_profile
-from .stability import stability_report
-from .verify import run_verify
+from .pattern import _linspace, make_pattern, xi_eval, xi_profile
 
 TOOL = "axisphere"
 OUT_DIR_ENV = "AXISPHERE_OUT_DIR"
@@ -99,7 +95,7 @@ def parse_range(text: str) -> tuple[float, ...]:
         raise OutOfRange("range count must be positive")
     if count == 1 and start != end:
         raise OutOfRange("a single-point range needs start == end")
-    return tuple(float(v) for v in np.linspace(start, end, count))
+    return tuple(_linspace(start, end, count))
 
 
 def _checked(kind, ok, what: str):
@@ -237,6 +233,8 @@ def cmd_xi(args):
         "slopes": list(prof.slopes),
     }
     if args.samples:
+        import numpy as np
+
         zs = np.linspace(-1.0, 1.0, args.samples)
         payload["sample_z"] = zs.tolist()
         payload["sample_xi"] = xi_eval(p, zs).tolist()
@@ -307,7 +305,7 @@ def cmd_minimize(args):
         "pattern": {"z": list(result.pattern.z), "m": result.pattern.m},
         "energy": _energy_fields(result.energy),
         "cycles": len(result.cycles),
-        "residual_max": float(np.max(np.abs(res))),
+        "residual_max": float(abs(res).max()),
     }
 
 
@@ -325,11 +323,19 @@ def cmd_escape(args):
     return {**base, "escaped": True, "pattern": {"z": list(moved.z), "m": moved.m}, "total_over_pi": br.total_over_pi}
 
 
+def cmd_stability(args):
+    from .stability import stability_report
+
+    return _stability_fields(stability_report(make_pattern(parse_floats(args.z)), args.gamma, K=args.K))
+
+
 def cmd_bounds(args):
     return _csv(args, "gamma,z1_bound", ((g, polar_cap_bound(g)) for g in parse_range(args.gamma)))
 
 
 def cmd_verify(args):
+    from .verify import run_verify
+
     checks = run_verify(seed=args.seed)
     lines = [f"# {TOOL} {__version__} config_sha256={_meta(args)['config_sha256']} seed={args.seed}"]
     for c in checks:
@@ -398,8 +404,7 @@ COMMANDS = (
         [("--alpha", dict(type=FINITE, required=True, help="pole-window left root")),
          ("--z", dict(required=True, help="degenerate configuration (merged pair or pole contact)"))],
         _GAMMA)),
-    (("stability",), "second-variation report",
-     lambda args: _stability_fields(stability_report(make_pattern(parse_floats(args.z)), args.gamma, K=args.K)), (
+    (("stability",), "second-variation report", cmd_stability, (
         _Z, _GAMMA, ("--K", dict(type=int, default=32, help="Fourier mode cutoff")))),
     (("bounds",), "polar-cap lower-bound table (CSV)", cmd_bounds, (("--gamma", dict(required=True, help=_RANGE)),)),
     (("verify",), "self-verification suite (exit 3 on failure)", cmd_verify, (

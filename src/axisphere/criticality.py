@@ -26,13 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .energy import _frame_hessian, _tridiagonal_solve
 from .errors import Asymptote, BranchLost, LeftDomain, NoConvergence, NonIncreasing, OutOfRange
-from .pattern import AxisymPattern, _band_terms, _min_gap_text, kappa_g, make_pattern, xi_profile
+from .pattern import AxisymPattern, _band_terms, _floats, _linspace, _min_gap_text, kappa_g, make_pattern, xi_profile
 from .potential import v_at_interfaces, v_diff
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SolveOptions",
@@ -67,6 +69,8 @@ def _row_parts(p: AxisymPattern) -> tuple[list[float], list[float]]:
 
 def residuals(p: AxisymPattern, gamma: float, m_target: float = 0.0) -> np.ndarray:
     """a + gamma b of ``_row_parts`` plus the mass row m - m_target; b holds the exact 4, so 4 gamma is never formed."""
+    import numpy as np
+
     rows, b = _row_parts(p)
     for k, y in enumerate(b):
         rows[k] += gamma * y  # a_k + gamma b_k, in the fresh list of a
@@ -145,6 +149,8 @@ def solve_critical(
     (damping cannot restore ordering) and NoConvergence name the
     iteration, max|r| and the smallest gap with the pair that holds it.
     """
+    import numpy as np
+
     if init.n != n:
         raise OutOfRange(f"initial pattern has {init.n} interfaces, expected {n}")
     pat = make_pattern(init.z)
@@ -201,6 +207,8 @@ def continue_gamma(
     with BranchLost, whose message names the last converged gamma, the
     gamma that failed and the solver's own stopping state.
     """
+    import numpy as np
+
     if steps < 2:
         raise OutOfRange("continuation needs at least two steps")
     if gamma_start <= 0.0 or gamma_end <= 0.0:
@@ -316,12 +324,10 @@ def uniform_pattern(count: int) -> AxisymPattern:
     """
     if count < 1:
         raise OutOfRange("interface count must be positive")
-    if count % 2 == 1:
-        n = (count + 1) // 2
-        zs = [-1.0 + i / n for i in range(1, count + 1)]
-    else:
-        n = count // 2
-        zs = [-1.0 + (2 * i - 1) / (2 * n) for i in range(1, count + 1)]
+    zs = _floats(count)
+    n = (count + 1) // 2  # count is 2n - 1 or 2n
+    for i in range(1, count + 1):
+        zs[i - 1] = -1.0 + i / n if count % 2 == 1 else -1.0 + (2 * i - 1) / (2 * n)
     return make_pattern(zs)
 
 
@@ -339,8 +345,7 @@ def initial_guess(count: int, kind: str = "uniform") -> AxisymPattern:
         if count == 1:
             return base
         hi = math.atanh(base.z[-1])
-        ts = np.linspace(-hi, hi, count)
-        return make_pattern([math.tanh(t) for t in ts])
+        return make_pattern([math.tanh(t) for t in _linspace(-hi, hi, count)])
     raise OutOfRange(f"unknown initial-guess kind {kind!r}")
 
 
@@ -375,6 +380,8 @@ def uniform_criticality_check(count: int) -> UniformCheck:
     interfaces.  Five or more are not; the first incompatible consecutive
     pair of demanded couplings is reported with its gap and the floor.
     """
+    import numpy as np
+
     p = uniform_pattern(count)
     if count <= 2:
         return UniformCheck(count=count, all_gamma=True, critical_gamma=None)
@@ -428,6 +435,8 @@ def polar_cap_bound(gamma: float) -> float:
 
 def stretched_gap_variance(p: AxisymPattern) -> float:
     """Variance of the gaps atanh(z_{k+1}) - atanh(z_k), each (L1 + L2)/2 of ``_band_terms``."""
+    import numpy as np
+
     prof = xi_profile(p)
     gaps = [0.5 * (l1 + l2) for _, _, l1, l2 in (_band_terms(p, prof, k) for k in range(1, p.n))]
     return float(np.var(gaps)) if gaps else 0.0

@@ -58,11 +58,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .energy import EnergyBreakdown, _frame_hessian, _tridiagonal_solve, total_energy
 from .errors import CycleLimit, NoEscape, NonIncreasing, OutOfRange
-from .pattern import AxisymPattern, _band_terms, _min_gap_text, is_symmetric, make_pattern, mass_of_interfaces, xi_profile
+from .pattern import (
+    AxisymPattern,
+    _band_terms,
+    _linspace,
+    _min_gap_text,
+    is_symmetric,
+    make_pattern,
+    mass_of_interfaces,
+    xi_profile,
+)
 
 __all__ = [
     "MinimizeOptions",
@@ -133,17 +140,17 @@ def pole_limit(alpha: float, gamma: float) -> float:
 
 
 def _prescan(f, lo: float, hi: float, samples: int):
-    """(x_i, f(x_i), i, a, b): the best of samples grid points lo + i*step, and its bracket.
+    """(x_i, f(x_i), i, a, b): the best inner point of np.linspace(lo, hi, samples + 2), and its bracket.
 
-    The grid is bit-identical to np.linspace(lo, hi, samples + 2)[1:-1]; a and b
-    are x_i's neighbours, or the ends padded by 1e-13 of the width.
+    The best is np.argmin's: the first NaN if there is one, else the first of the
+    least values.  a and b are x_i's neighbours, or the ends padded by 1e-13 of the width.
     """
     if not hi > lo:
         raise OutOfRange(f"empty bracket ({lo!r}, {hi!r})")
-    step = (hi - lo) / (samples + 1)
-    xs = [lo + i * step for i in range(1, samples + 1)]
+    xs = _linspace(lo, hi, samples + 2)[1:-1]
     vals = [f(x) for x in xs]
-    i = int(np.argmin(vals))
+    nans = [j for j, v in enumerate(vals) if v != v]
+    i = nans[0] if nans else vals.index(min(vals))
     a = xs[i - 1] if i > 0 else lo + 1e-13 * (hi - lo)
     b = xs[i + 1] if i < samples - 1 else hi - 1e-13 * (hi - lo)
     return xs[i], vals[i], i, a, b

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import NonIncreasing, OutOfRange
 
 __all__ = [
@@ -110,6 +108,30 @@ def mass_of_interfaces(zs: Sequence[float]) -> float:
     return 0.5 * total
 
 
+def _floats(count: int) -> list[float]:
+    """count zeros in one allocation, so a size too large for memory fails at once, as numpy's array request does."""
+    try:
+        return [0.0] * count
+    except (MemoryError, OverflowError):
+        raise MemoryError(f"Unable to allocate {count} floats") from None
+
+
+def _linspace(start: float, end: float, count: int) -> list[float]:
+    """np.linspace(start, end, count) as floats, bit for bit: i * step + start, and the last value end exactly."""
+    values = _floats(count)
+    delta, div = end - start, count - 1
+    step = delta / div if div else 0.0
+    if step:
+        for i in range(count):
+            values[i] = i * step + start
+    else:  # numpy's rule for one value, or a step that underflows to zero: divide first, then scale
+        for i in range(count):
+            values[i] = (i / div if div else i) * delta + start
+    if div:
+        values[-1] = end
+    return values
+
+
 def make_pattern(zs: Iterable[float], expect_mass: float | None = None) -> AxisymPattern:
     """Build a pattern from interface heights, computing its mean.
 
@@ -182,6 +204,8 @@ def _band_terms(p: AxisymPattern, prof: XiProfile, j: int) -> tuple[float, float
 
 def xi_eval(p: AxisymPattern, z):
     """Evaluate xi at a height z in [-1, 1] (a float), or at an array of them (an array)."""
+    import numpy as np
+
     zz = np.asarray(z, dtype=float)
     if not np.all((-1.0 <= zz) & (zz <= 1.0)):
         raise OutOfRange(f"height {z!r} outside [-1, 1]")

@@ -13,10 +13,14 @@ difference, so every reported value equals the integral of xi/(1-z^2) from
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from .errors import OutOfRange
 from .pattern import AxisymPattern, XiProfile, _band_terms, xi_profile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["v_diff", "v_at_interfaces", "grad_v_normal"]
 
@@ -40,7 +44,7 @@ def v_diff(p: AxisymPattern, k: int) -> float:
 def v_at_interfaces(p: AxisymPattern) -> tuple[float, ...]:
     """Potential values v(z_k), k = 1..n, accumulated from the south pole over one xi profile."""
     prof = xi_profile(p)
-    return tuple(np.cumsum([_band_diff(p, prof, k) for k in range(p.n)]).tolist())  # sequential sums
+    return tuple(accumulate(_band_diff(p, prof, k) for k in range(p.n)))  # sequential sums, as np.cumsum's
 
 
 def grad_v_normal(p: AxisymPattern) -> np.ndarray:
@@ -52,6 +56,8 @@ def grad_v_normal(p: AxisymPattern) -> np.ndarray:
     closed form term by term, and the rigid rotation generator lies in the
     kernel of the assembled second variation.
     """
+    import numpy as np
+
     z = np.array(p.z)
     sign = np.where(np.arange(p.n) % 2 == 0, 1.0, -1.0)
     return sign * np.array(xi_profile(p).nodes[1:-1]) / np.sqrt(1.0 - z * z)

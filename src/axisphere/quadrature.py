@@ -14,11 +14,12 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import count
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import NoConvergence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["QuadratureSpec", "integrate_adaptive"]
 
@@ -37,11 +38,15 @@ ORDER = 10  # Gauss-Legendre points of the low rule; the high rule doubles it
 @cache
 def _rules() -> tuple:
     """The low and high Gauss-Legendre rules, built on first use so an import runs no LAPACK call."""
+    import numpy as np
+
     return np.polynomial.legendre.leggauss(ORDER), np.polynomial.legendre.leggauss(2 * ORDER)
 
 
 def _panel_estimate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
     """Doubled-order value plus |high - low| error estimate."""
+    import numpy as np
+
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     (xl, wl), (xh, wh) = _rules()

@@ -215,11 +215,13 @@ def min_eig_constrained(J: JMatrix) -> StabilityReport:
     no constraint.
     With the constants minimum solved (inf when n = 1), a block k >= 1
     whose Gershgorin lower bound, less 16 n ulps of its norm, lies
-    strictly above it cannot hold the minimum and is skipped; when every
-    block is skipped the constants block is the report.  The blocks left
-    go through one batched eigvalsh (ties to the constants block, then to
-    the lowest wavenumber) and one eigh of the winning block for its
-    mode, so the screen changes no result.
+    strictly above it, or above some block's least diagonal entry plus
+    that block's margin (an upper bound on its least eigenvalue), cannot
+    hold the minimum and is skipped; when every block is skipped the
+    constants block is the report.  The blocks left go through one batched
+    eigvalsh (ties to the constants block, then to the lowest wavenumber)
+    and one eigh of the winning block for its mode, so the screen changes
+    no result.
     Degenerate cos/sin pairs are reported with the cos tag, and the mode
     circle is the lowest one among components tied for the largest.
     """
@@ -232,15 +234,18 @@ def min_eig_constrained(J: JMatrix) -> StabilityReport:
         Q = q_full[:, 1:]
         vals, vecs = np.linalg.eigh(Q.T @ J.blocks[0] @ Q)
         best, best_mode = float(vals[0]), (_lead_circle(Q @ vecs[:, 0]), 0, "constant")
-    # Gershgorin screen of every k >= 1 block against the constants minimum:
-    # for k >= 1 the off-diagonals all share the sign of gamma, so a row's
-    # radius is |row sum - diagonal| and needs no copy of the stack; a margin
-    # of 16 n ulps of the block's norm covers eigvalsh's backward error, so a
-    # skipped block could not have won
+    # Gershgorin screen of every k >= 1 block against the constants minimum
+    # and against each block's least diagonal entry, which bounds that
+    # block's least eigenvalue from above: for k >= 1 the off-diagonals all
+    # share the sign of gamma, so a row's radius is |row sum - diagonal| and
+    # needs no copy of the stack; a margin of 16 n ulps of the block's norm
+    # covers eigvalsh's backward error on either side, so a skipped block
+    # could not have won, nor tied
     diag = np.diagonal(J.blocks[1:], axis1=1, axis2=2)
     radius = np.abs(J.blocks[1:].sum(axis=2) - diag)
     margin = 16 * n * np.finfo(float).eps * (np.abs(diag) + radius).max(axis=1)
-    live = np.flatnonzero((diag - radius).min(axis=1) - margin <= best)  # ascending k: the lowest wins a tie
+    bound = min(best, float((diag.min(axis=1) + margin).min()))
+    live = np.flatnonzero((diag - radius).min(axis=1) - margin <= bound)  # ascending k: the lowest wins a tie
     if live.size:
         k = 1 + int(live[np.argmin(np.linalg.eigvalsh(J.blocks[1 + live])[:, 0])])
         vals, vecs = np.linalg.eigh(J.blocks[k])

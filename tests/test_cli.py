@@ -1,7 +1,8 @@
 """Runs of the command line through ``cli.main``, including exit codes and determinism.
 
-All tests but one call ``main`` in this process; ``test_module_entry_point``
-starts ``python -m axisphere.cli`` as a child process.
+All tests but two call ``main`` in this process; ``test_module_entry_point``
+starts ``python -m axisphere.cli`` as a child process, and
+``test_numpy_free_subcommands_never_import_numpy`` a fresh interpreter.
 """
 
 import json
@@ -44,6 +45,36 @@ def test_readme_commands_exit_zero(run, tmp_path, monkeypatch):
     assert lines
     for line in lines:
         assert run(*shlex.split(line, comments=True)[1:]).returncode == 0, line
+
+
+NUMPY_FREE = ("energy", "sweep2", "gamma-curve", "escape", "bounds")
+
+_NUMPY_PROBE = """
+import json, sys
+from axisphere import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        codes.append(cli.main(argv))
+    except SystemExit as exc:
+        codes.append(exc.code)
+sys.stderr.write(json.dumps([codes, "numpy" in sys.modules]) + "\\n")
+"""
+
+
+def test_numpy_free_subcommands_never_import_numpy(tmp_path):
+    """One fresh interpreter runs the README examples of the subcommands that compute with floats alone, and
+    --version: each exits 0 and numpy is never imported (the others import it once their handler runs)."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    argvs = [shlex.split(line, comments=True)[1:] for line in readme.read_text().splitlines()
+             if line.startswith("axisphere ") and line.split()[1] in NUMPY_FREE]
+    assert len(argvs) == 6  # escape has two modes
+    env = dict(os.environ, PYTHONPATH=SRC, **{cli.OUT_DIR_ENV: str(tmp_path)})
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps([*argvs, ["--version"]])],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert codes == [0] * 7 and not loaded
 
 
 def test_module_entry_point():
@@ -182,6 +213,8 @@ def test_usage_errors_exit_one(run):
         ("bounds", "--gamma", "0:1:100000000000000"),
         ("xi", "--z", "0.5", "--samples", "100000000000000"),
         ("stability", "--z", "-0.5,0.5", "--gamma", "1", "--K", "100000000000000"),
+        ("critical", "solve", "--n", "100000000000000", "--gamma", "2"),
+        ("critical", "check-uniform", "--count", "100000000000000"),
     ):
         r = run(*argv)
         assert r.returncode == 1 and not r.stdout, argv

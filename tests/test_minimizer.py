@@ -92,6 +92,21 @@ def test_prescan_grid_is_linspace():
             assert seen[:samples] == list(np.linspace(lo, hi, samples + 2)[1:-1])
 
 
+def test_prescan_picks_as_argmin_does():
+    """The best grid point is np.argmin's: the lowest index among tied minima, else the first NaN."""
+    xs = list(np.linspace(0.0, 1.0, 11)[1:-1])
+    cases = (
+        ([3.0, 1.0, 2.0, 1.0, 5.0, 4.0, 1.5, 7.0, 8.0], 1),
+        ([3.0, 1.0, 2.0, 1.0, 5.0, math.nan, 0.0, math.nan, 8.0], 5),
+        ([math.nan, 1.0, 2.0, 1.0, 5.0, math.nan, 0.0, 6.0, 8.0], 0),
+    )
+    for vals, want in cases:
+        assert int(np.argmin(vals)) == want
+        x, fx, i, a, b = _prescan(lambda t: vals[xs.index(t)], 0.0, 1.0, len(xs))
+        assert (i, x) == (want, xs[want]) and fx is vals[want]
+        assert a == (xs[i - 1] if i else 1e-13) and b == xs[i + 1]
+
+
 def test_window_profile_localizes_the_energy():
     """Moving one strip changes e and the full energy by the same amount."""
     rng = np.random.default_rng(19)

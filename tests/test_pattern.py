@@ -1,11 +1,15 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from axisphere.errors import NonIncreasing, OutOfRange
 from axisphere.pattern import (
     AxisymPattern,
+    _linspace,
     kappa_g,
     make_pattern,
     is_symmetric,
@@ -134,3 +138,20 @@ def test_stored_mass_is_honored():
     # narrow central band: mostly -1 phase, mean well below zero
     p = AxisymPattern(z=(-0.25, 0.25), m=mass_of_interfaces((-0.25, 0.25)))
     assert p.m == -0.5
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(FINITE_FLOATS, FINITE_FLOATS, st.integers(1, 200), st.booleans())
+@example(0.0, 5e-324, 3, False)  # the step underflows to zero
+@example(-1e308, 1e308, 3, False)  # the width overflows
+@example(0.0, -0.0, 3, False)
+def test_linspace_is_numpys(start, end, count, equal_ends):
+    """``_linspace`` returns np.linspace's values bit for bit, reversed and equal ends included."""
+    end = start if equal_ends else end
+    with np.errstate(all="ignore"):
+        want = np.linspace(start, end, count).tolist()
+    got = _linspace(start, end, count)
+    assert struct.pack(f"{count}d", *got) == struct.pack(f"{count}d", *want), (got, want)
