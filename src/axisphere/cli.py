@@ -233,11 +233,8 @@ def cmd_xi(args):
         "slopes": list(prof.slopes),
     }
     if args.samples:
-        import numpy as np
-
-        zs = np.linspace(-1.0, 1.0, args.samples)
-        payload["sample_z"] = zs.tolist()
-        payload["sample_xi"] = xi_eval(p, zs).tolist()
+        payload["sample_z"] = _linspace(-1.0, 1.0, args.samples)
+        payload["sample_xi"] = xi_eval(p, payload["sample_z"]).tolist()
     return payload
 
 
@@ -305,7 +302,7 @@ def cmd_minimize(args):
         "pattern": {"z": list(result.pattern.z), "m": result.pattern.m},
         "energy": _energy_fields(result.energy),
         "cycles": len(result.cycles),
-        "residual_max": float(abs(res).max()),
+        "residual_max": max(map(abs, res)),
     }
 
 

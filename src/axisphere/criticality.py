@@ -26,15 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .energy import _frame_hessian, _tridiagonal_solve
 from .errors import Asymptote, BranchLost, LeftDomain, NoConvergence, NonIncreasing, OutOfRange
 from .pattern import AxisymPattern, _band_terms, _floats, _linspace, _min_gap_text, kappa_g, make_pattern, xi_profile
 from .potential import v_at_interfaces, v_diff
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "SolveOptions",
@@ -67,15 +63,13 @@ def _row_parts(p: AxisymPattern) -> tuple[list[float], list[float]]:
     return a, b
 
 
-def residuals(p: AxisymPattern, gamma: float, m_target: float = 0.0) -> np.ndarray:
-    """a + gamma b of ``_row_parts`` plus the mass row m - m_target; b holds the exact 4, so 4 gamma is never formed."""
-    import numpy as np
+def residuals(p: AxisymPattern, gamma: float, m_target: float = 0.0) -> tuple[float, ...]:
+    """a + gamma b of ``_row_parts`` plus the mass row m - m_target, a tuple as ``lambda_values`` is.
 
-    rows, b = _row_parts(p)
-    for k, y in enumerate(b):
-        rows[k] += gamma * y  # a_k + gamma b_k, in the fresh list of a
-    rows.append(p.m - m_target)
-    return np.array(rows)
+    b holds the exact 4, so 4 gamma is never formed.
+    """
+    a, b = _row_parts(p)
+    return (*(x + gamma * y for x, y in zip(a, b)), p.m - m_target)
 
 
 def lambda_values(p: AxisymPattern, gamma: float) -> tuple[float, ...]:
@@ -93,6 +87,7 @@ def lambda_spread(p: AxisymPattern, gamma: float) -> float:
 
 
 MAX_HALVINGS = 40  # Newton step halvings before a damping failure
+COLLAPSE_GAP = 1e-9  # a converged point with a smaller gap has merged a pair or met a pole: LeftDomain
 
 
 @dataclass(frozen=True)
@@ -145,12 +140,11 @@ def solve_critical(
     the border of H: one tridiagonal solve that ignores H's inertia, halved
     until the trial is a valid pattern with a smaller |r|^2.  Once
     max|r| <= tol, ``residuals`` confirms the point and gives
-    ``residual_norm``, or the iteration goes on.  LeftDomain
-    (damping cannot restore ordering) and NoConvergence name the
-    iteration, max|r| and the smallest gap with the pair that holds it.
+    ``residual_norm``, or the iteration goes on.  LeftDomain (damping
+    cannot restore ordering, or the point has a gap below COLLAPSE_GAP)
+    and NoConvergence name the iteration, max|r| and the smallest gap
+    with the pair that holds it.
     """
-    import numpy as np
-
     if init.n != n:
         raise OutOfRange(f"initial pattern has {init.n} interfaces, expected {n}")
     pat = make_pattern(init.z)
@@ -159,11 +153,14 @@ def solve_critical(
     for it in range(opts.max_iter):
         r = [*g, pat.m - opts.m_target]
         if max(map(abs, r)) <= opts.tol:
-            norm = float(np.max(np.abs(residuals(pat, gamma, opts.m_target))))
-            if norm <= opts.tol:
-                lam = float(np.mean(lambda_values(pat, gamma)))
+            res = residuals(pat, gamma, opts.m_target)
+            if all(abs(v) <= opts.tol for v in res):  # a NaN row fails this
+                if pat.min_gap() < COLLAPSE_GAP:
+                    raise LeftDomain(_stopped(f"converged with a gap below {COLLAPSE_GAP:g}", it, r, pat))
+                lams = lambda_values(pat, gamma)
                 trace = SolverTrace(iterations=it, damping_events=damping_events, init_label=init_label)
-                return CriticalPoint(pattern=pat, gamma=gamma, lam=lam, residual_norm=norm, trace=trace)
+                return CriticalPoint(pattern=pat, gamma=gamma, lam=sum(lams) / len(lams),
+                                     residual_norm=max(map(abs, res)), trace=trace)
         solved = _tridiagonal_solve(diag, off, [-(a + r[-1] * b) for a, b in zip(g, col)])
         if solved is None:  # or the LDL^T pass overflowed: it squares each off-diagonal
             finite = all(map(math.isfinite, [*r, *diag, *col, *(v * v for v in off)]))
@@ -213,7 +210,8 @@ def continue_gamma(
         raise OutOfRange("continuation needs at least two steps")
     if gamma_start <= 0.0 or gamma_end <= 0.0:
         raise OutOfRange("continuation expects positive gamma endpoints")
-    gammas = [float(g) for g in np.geomspace(gamma_start, gamma_end, steps)]
+    _floats(steps)  # a schedule too long for memory is a MemoryError here; numpy's is a ValueError past 2**60
+    gammas = np.geomspace(gamma_start, gamma_end, steps).tolist()  # not C pow: catalogs pin numpy's rounding
     out: list[CriticalPoint] = []
     current = seed
     prev_gamma = None
@@ -380,27 +378,25 @@ def uniform_criticality_check(count: int) -> UniformCheck:
     interfaces.  Five or more are not; the first incompatible consecutive
     pair of demanded couplings is reported with its gap and the floor.
     """
-    import numpy as np
-
     p = uniform_pattern(count)
     if count <= 2:
         return UniformCheck(count=count, all_gamma=True, critical_gamma=None)
 
     # b_k at rounding noise (the central pair of even counts) constrains nothing: None
-    a, b = map(np.array, _row_parts(p))
-    candidates = tuple(None if abs(bk) <= 4e-12 else float(-ak / bk) for ak, bk in zip(a, b))
+    a, b = _row_parts(p)
+    candidates = tuple(None if abs(bk) <= 4e-12 else -ak / bk for ak, bk in zip(a, b))
 
-    def slope(g: float) -> float:  # F's right slope at g: the largest row's
-        r = a + g * b
-        k = int(np.argmax(np.abs(r)))
-        return float(b[k] * np.sign(r[k]))
+    def slope(g: float) -> float:  # F's right slope at g: the first largest row's
+        r = [x + g * y for x, y in zip(a, b)]
+        k = max(range(len(r)), key=lambda i: abs(r[i]))
+        return b[k] * ((r[k] > 0.0) - (r[k] < 0.0))
 
-    a_max = float(np.max(np.abs(a)))
+    a_max = max(map(abs, a))
     # beyond 3 a_max / max|b| every F exceeds F(0), so the slope is positive there
-    g_star = 0.0 if slope(0.0) >= 0.0 else _bisect_root(slope, 0.0, 3.0 * a_max / float(np.max(np.abs(b))))
-    floor = float(np.max(np.abs(a + g_star * b)))
+    g_star = 0.0 if slope(0.0) >= 0.0 else _bisect_root(slope, 0.0, 3.0 * a_max / max(map(abs, b)))
+    floor = max(abs(x + g_star * y) for x, y in zip(a, b))
     if floor <= 1e-9 * max(1.0, a_max) and g_star > 0.0:
-        return UniformCheck(count=count, all_gamma=False, critical_gamma=float(g_star), pair_gammas=candidates)
+        return UniformCheck(count=count, all_gamma=False, critical_gamma=g_star, pair_gammas=candidates)
 
     pair = gap = None
     for c, d in zip(candidates, candidates[1:]):
@@ -434,9 +430,10 @@ def polar_cap_bound(gamma: float) -> float:
 
 
 def stretched_gap_variance(p: AxisymPattern) -> float:
-    """Variance of the gaps atanh(z_{k+1}) - atanh(z_k), each (L1 + L2)/2 of ``_band_terms``."""
-    import numpy as np
-
+    """Population variance of the gaps atanh(z_{k+1}) - atanh(z_k), each (L1 + L2)/2 of ``_band_terms``."""
     prof = xi_profile(p)
     gaps = [0.5 * (l1 + l2) for _, _, l1, l2 in (_band_terms(p, prof, k) for k in range(1, p.n))]
-    return float(np.var(gaps)) if gaps else 0.0
+    if not gaps:
+        return 0.0
+    mean = sum(gaps) / len(gaps)
+    return sum((g - mean) * (g - mean) for g in gaps) / len(gaps)

@@ -13,14 +13,11 @@ difference, so every reported value equals the integral of xi/(1-z^2) from
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
-from typing import TYPE_CHECKING
 
 from .errors import OutOfRange
 from .pattern import AxisymPattern, XiProfile, _band_terms, xi_profile
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["v_diff", "v_at_interfaces", "grad_v_normal"]
 
@@ -47,17 +44,14 @@ def v_at_interfaces(p: AxisymPattern) -> tuple[float, ...]:
     return tuple(accumulate(_band_diff(p, prof, k) for k in range(p.n)))  # sequential sums, as np.cumsum's
 
 
-def grad_v_normal(p: AxisymPattern) -> np.ndarray:
+def grad_v_normal(p: AxisymPattern) -> tuple[float, ...]:
     """Normal derivatives of v on the n circles, each signed by its upper phase.
 
-    Entry k-1 equals u(z_k+) * xi(z_k) / sqrt(1 - z_k^2); all n come from
-    one xi profile.  The sign convention is pinned by two facts checked in
-    the stability tests: the single-circle mode expansion reproduces its
-    closed form term by term, and the rigid rotation generator lies in the
-    kernel of the assembled second variation.
+    Entry k-1 of the tuple equals u(z_k+) * xi(z_k) / sqrt(1 - z_k^2); all
+    n come from one xi profile.  The sign convention is pinned by two facts
+    checked in the stability tests: the single-circle mode expansion
+    reproduces its closed form term by term, and the rigid rotation
+    generator lies in the kernel of the assembled second variation.
     """
-    import numpy as np
-
-    z = np.array(p.z)
-    sign = np.where(np.arange(p.n) % 2 == 0, 1.0, -1.0)
-    return sign * np.array(xi_profile(p).nodes[1:-1]) / np.sqrt(1.0 - z * z)
+    xi = xi_profile(p).nodes[1:-1]
+    return tuple((x if k % 2 == 0 else -x) / math.sqrt(1.0 - z * z) for k, (z, x) in enumerate(zip(p.z, xi)))

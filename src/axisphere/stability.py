@@ -42,7 +42,7 @@ import numpy as np
 
 from .criticality import _critical_frame
 from .errors import NotCritical, NumericalFailure, OutOfRange
-from .pattern import AxisymPattern, is_symmetric
+from .pattern import AxisymPattern, _floats, is_symmetric
 from .potential import grad_v_normal
 
 __all__ = [
@@ -165,9 +165,10 @@ def assemble_J(p: AxisymPattern, gamma: float, K: int) -> JMatrix:
         raise NotCritical(f"pattern residual {worst:.3e} exceeds {CRITICAL_TOL}")
     z = np.array(p.z)
     r = np.sqrt(1.0 - z * z)
-    g = grad_v_normal(p)
+    g = np.array(grad_v_normal(p))
     rr = r[:, None] * r[None, :]
     lo, hi = np.minimum.outer(z, z), np.maximum.outer(z, z)
+    _floats(K + 1)  # a cutoff too large for memory is a MemoryError here; numpy's is a ValueError past 2**60
     ks = np.arange(K + 1)
 
     blocks = np.sqrt((1.0 + lo) * (1.0 - hi) / ((1.0 - lo) * (1.0 + hi))) ** ks[:, None, None]

@@ -47,7 +47,8 @@ def test_readme_commands_exit_zero(run, tmp_path, monkeypatch):
         assert run(*shlex.split(line, comments=True)[1:]).returncode == 0, line
 
 
-NUMPY_FREE = ("energy", "sweep2", "gamma-curve", "escape", "bounds")
+NUMPY_FREE = ("energy", "sweep2", "gamma-curve", "escape", "bounds", "critical solve", "critical check-uniform",
+              "minimize")
 
 _NUMPY_PROBE = """
 import json, sys
@@ -67,14 +68,14 @@ def test_numpy_free_subcommands_never_import_numpy(tmp_path):
     --version: each exits 0 and numpy is never imported (the others import it once their handler runs)."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     argvs = [shlex.split(line, comments=True)[1:] for line in readme.read_text().splitlines()
-             if line.startswith("axisphere ") and line.split()[1] in NUMPY_FREE]
-    assert len(argvs) == 6  # escape has two modes
+             if any(line.startswith(f"axisphere {cmd} ") for cmd in NUMPY_FREE)]
+    assert len(argvs) == 9  # escape has two modes
     env = dict(os.environ, PYTHONPATH=SRC, **{cli.OUT_DIR_ENV: str(tmp_path)})
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps([*argvs, ["--version"]])],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stderr.splitlines()[-1])
-    assert codes == [0] * 7 and not loaded
+    assert codes == [0] * 10 and not loaded
 
 
 def test_module_entry_point():
@@ -208,11 +209,16 @@ def test_usage_errors_exit_one(run):
     ):
         r = run(*argv)
         assert r.returncode == 1 and "finite" in r.stderr and not r.stdout, argv
-    # a size too large to allocate ends in one line: 728 TiB exceeds the address space, so no memory is touched
+    # a size too large to allocate ends in one line: 728 TiB exceeds the address space, so no memory is touched,
+    # and past 2**63 no size fits an index at all
     for argv in (
         ("bounds", "--gamma", "0:1:100000000000000"),
         ("xi", "--z", "0.5", "--samples", "100000000000000"),
+        ("xi", "--z", "0.5", "--samples", "1000000000000000000000000"),
         ("stability", "--z", "-0.5,0.5", "--gamma", "1", "--K", "100000000000000"),
+        ("stability", "--z", "-0.5,0.5", "--gamma", "1", "--K", "1000000000000000000000000"),
+        ("critical", "continue", "--n", "3", "--gamma-start", "1", "--gamma-end", "2", "--steps",
+         "1000000000000000000000000"),
         ("critical", "solve", "--n", "100000000000000", "--gamma", "2"),
         ("critical", "check-uniform", "--count", "100000000000000"),
     ):

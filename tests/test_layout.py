@@ -81,3 +81,37 @@ def test_the_chord_kernel_is_a_scalar_reference():
     """``fourier_log_integral`` serves only the two-cap identity and verify's quadrature check; the assembly reads the sphere's q."""
     assert {(mod, fn) for mod, fn, _ in _calls("fourier_log_integral")} == {("stability", "doublecap_kernel_integral"),
                                                                           ("verify", "run_verify")}
+
+
+def _numpy_sites() -> set[tuple[str, str]]:
+    """(module, place) of each numpy import in the library: its function, ``TYPE_CHECKING`` or ``<module>``."""
+    sites = set()
+
+    def visit(module: str, node: ast.AST, place: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in child.names) or (
+                    isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "numpy"):
+                sites.add((module, place))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(module, child, child.name)
+            elif isinstance(child, ast.If) and getattr(child.test, "id", None) == "TYPE_CHECKING":
+                visit(module, child, "TYPE_CHECKING")
+            else:
+                visit(module, child, place)
+
+    for path in sorted(Path(axisphere.__file__).parent.glob("*.py")):
+        visit(path.stem, ast.parse(path.read_text()), "<module>")
+    return sites
+
+
+def test_numpy_is_imported_only_where_arrays_are_the_data():
+    """Module-wide in the array modules; elsewhere only inside the functions whose inputs or outputs are arrays."""
+    assert _numpy_sites() == {
+        ("stability", "<module>"),
+        ("verify", "<module>"),
+        ("pattern", "xi_eval"),
+        ("quadrature", "_rules"),
+        ("quadrature", "_panel_estimate"),
+        ("quadrature", "TYPE_CHECKING"),
+        ("criticality", "continue_gamma"),
+    }
