@@ -35,22 +35,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .criticality import (
-    SolveOptions,
-    continue_gamma,
-    gamma_of_z1_3,
-    gamma_of_z1_4,
-    initial_guess,
-    lambda_spread,
-    polar_cap_bound,
-    residuals,
-    solve_critical,
-    stretched_gap_variance,
-    uniform_criticality_check,
-)
-from .energy import total_energy, two_interface_grid
 from .errors import Asymptote, AxisphereError, NoEscape, NumericalFailure, OutOfRange
-from .minimizer import BoundaryPattern, MinimizeOptions, boundary_escape, escape_pole_frame, local_minimize
 from .pattern import _linspace, make_pattern, xi_eval, xi_profile
 
 TOOL = "axisphere"
@@ -58,7 +43,20 @@ OUT_DIR_ENV = "AXISPHERE_OUT_DIR"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant exiting 1 (not 2) on usage errors."""
+    """argparse variant exiting 1 (not 2) on usage errors.
+
+    A command's parser holds the flags of its command-table row in ``flags``
+    and adds them when argparse routes a command line to it, so a process
+    builds, and imports the library defaults of, its own command's flags alone.
+    """
+
+    flags = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.flags is not None:
+            _add_flags(self, self.flags() if callable(self.flags) else self.flags)
+            self.flags = None
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -186,6 +184,8 @@ def _csv(args: argparse.Namespace, header: str, rows) -> str:
 # A handler returns a dict (written as JSON under a meta block), a str (written
 # as is), or an exit code after writing its own output.  Every column and field
 # name of the artifacts is written in this module; the JSON field maps follow.
+# Each handler imports the library functions it calls, so a process loads only
+# the modules its own command computes with.
 
 
 def _energy_fields(br) -> dict:
@@ -211,12 +211,16 @@ def _stability_fields(rep) -> dict:
 
 
 def cmd_energy(args):
+    from .energy import total_energy
+
     p = make_pattern(parse_floats(args.z), expect_mass=args.m_target)
     br = total_energy(p, args.gamma)
     return {"z": list(p.z), "m": p.m, "gamma": args.gamma, **_energy_fields(br), "per_segment": list(br.per_segment)}
 
 
 def cmd_sweep2(args):
+    from .energy import two_interface_grid
+
     grid = two_interface_grid(parse_range(args.z1), parse_range(args.gamma))
     rows = ((z1, g, e) for z1, row in zip(grid.z1, grid.energy_over_pi) for g, e in zip(grid.gamma, row))
     return _csv(args, "z1,gamma,energy_over_pi", rows)
@@ -234,12 +238,14 @@ def cmd_xi(args):
     }
     if args.samples:
         payload["sample_z"] = _linspace(-1.0, 1.0, args.samples)
-        payload["sample_xi"] = xi_eval(p, payload["sample_z"]).tolist()
+        payload["sample_xi"] = xi_eval(p, payload["sample_z"])
     return payload
 
 
 def _start(args):
     """Start pattern from --z, or the --init guess for --n; returns it, its label and the Newton options."""
+    from .criticality import SolveOptions, initial_guess
+
     if args.z is not None:
         init, label = make_pattern(parse_floats(args.z)), "explicit"
         if args.n is not None and args.n != init.n:
@@ -253,6 +259,8 @@ def _start(args):
 
 
 def cmd_solve(args):
+    from .criticality import lambda_spread, solve_critical, stretched_gap_variance
+
     init, label, opts = _start(args)
     cp = solve_critical(init.n, args.gamma, init, opts, init_label=label)
     trace = cp.trace
@@ -266,12 +274,16 @@ def cmd_solve(args):
 
 def cmd_continue(args):
     """Trace the branch from the start pattern as JSON lines; its first point is the solve at --gamma-start."""
+    from .criticality import continue_gamma
+
     init, _, opts = _start(args)
     points = continue_gamma(init.n, args.gamma_start, args.gamma_end, args.steps, init, opts)
     return "".join(json.dumps(rec) + "\n" for rec in [{"meta": _meta(args)}, *map(_catalog_fields, points)])
 
 
 def cmd_gamma_curve(args):
+    from .criticality import gamma_of_z1_3, gamma_of_z1_4
+
     curve = gamma_of_z1_3 if args.branch == 3 else gamma_of_z1_4
     tag = f"{args.branch}-interface"
     rows = []
@@ -288,7 +300,16 @@ def cmd_gamma_curve(args):
     return _csv(args, "z1,gamma,branch", rows)
 
 
+def cmd_check_uniform(args):
+    from .criticality import uniform_criticality_check
+
+    return asdict(uniform_criticality_check(args.count))
+
+
 def cmd_minimize(args):
+    from .criticality import residuals
+    from .minimizer import MinimizeOptions, local_minimize
+
     p0 = make_pattern(parse_floats(args.z), expect_mass=args.m_target)
     opts = MinimizeOptions(max_cycles=args.max_cycles, symmetric=args.symmetric)
     result = local_minimize(p0, args.gamma, opts)
@@ -307,6 +328,9 @@ def cmd_minimize(args):
 
 
 def cmd_escape(args):
+    from .energy import total_energy
+    from .minimizer import BoundaryPattern, boundary_escape, escape_pole_frame
+
     if args.alpha is not None:
         probe = escape_pole_frame(args.alpha, args.gamma)
         return {"mode": "pole-window", **asdict(probe), "escaped": probe.escaped}
@@ -327,6 +351,8 @@ def cmd_stability(args):
 
 
 def cmd_bounds(args):
+    from .criticality import polar_cap_bound
+
     return _csv(args, "gamma,z1_bound", ((g, polar_cap_bound(g)) for g in parse_range(args.gamma)))
 
 
@@ -347,8 +373,10 @@ def cmd_verify(args):
 #
 # Rows are (command path, help, handler, flags); a row without a handler holds
 # the actions after it.  A flag is (name, argparse keywords); a list of flags is
-# a mutually exclusive group, required when its flags are.  Every command also
-# takes --config and, unless one of its groups holds it, --out.
+# a mutually exclusive group, required when its flags are.  A row whose flags
+# default to a library's options gives them as a function, which imports those
+# options when its parser is used.  Every command also takes --config and,
+# unless one of its groups holds it, --out.
 
 _OUT = ("--out", dict(help=f"output path (relative paths resolve under ${OUT_DIR_ENV})"))
 _CONFIG = ("--config", dict(help="JSON file of flag values (flags override)"))
@@ -360,11 +388,25 @@ _START = [
     ("--init", dict(choices=["uniform", "stretch"], help="initial guess for --n (default uniform)")),
     ("--z", dict(help="explicit initial interfaces (--n, if given, must match)")),
 ]
-_NEWTON = (
-    ("--m-target", dict(type=FINITE, default=SolveOptions.m_target)),
-    ("--tol", dict(type=POSITIVE, default=SolveOptions.tol)),
-    ("--max-iter", dict(type=POSITIVE_INT, default=SolveOptions.max_iter)),
-)
+
+
+def _newton():
+    """The Newton flags of `critical solve` and `continue`, defaulting to SolveOptions' fields."""
+    from .criticality import SolveOptions
+
+    return (
+        ("--m-target", dict(type=FINITE, default=SolveOptions.m_target)),
+        ("--tol", dict(type=POSITIVE, default=SolveOptions.tol)),
+        ("--max-iter", dict(type=POSITIVE_INT, default=SolveOptions.max_iter)),
+    )
+
+
+def _max_cycles():
+    """minimize's --max-cycles, defaulting to MinimizeOptions' field."""
+    from .minimizer import MinimizeOptions
+
+    return ("--max-cycles", dict(type=POSITIVE_INT, default=MinimizeOptions.max_cycles))
+
 
 COMMANDS = (
     (("energy",), "energy breakdown of one pattern", cmd_energy, (
@@ -375,27 +417,27 @@ COMMANDS = (
     (("xi",), "antiderivative profile dump", cmd_xi, (
         _Z, ("--samples", dict(type=NONNEGATIVE_INT, default=0, help="also sample xi on a uniform grid")))),
     (("critical",), "critical-point solver and checks", None, ()),
-    (("critical", "solve"), "damped Newton solve at one coupling", cmd_solve, (_N, _GAMMA, _START, *_NEWTON)),
-    (("critical", "continue"), "gamma continuation of a branch (JSON lines)", cmd_continue, (
+    (("critical", "solve"), "damped Newton solve at one coupling", cmd_solve,
+     lambda: (_N, _GAMMA, _START, *_newton())),
+    (("critical", "continue"), "gamma continuation of a branch (JSON lines)", cmd_continue, lambda: (
         _N,
         ("--gamma-start", dict(type=FINITE, required=True)),
         ("--gamma-end", dict(type=FINITE, required=True)),
         ("--steps", dict(type=int, default=20)),
         _START,
-        *_NEWTON,
+        *_newton(),
         [("--catalog", dict(dest="out", metavar="CATALOG", help="JSON-lines output path, same as --out")), _OUT])),
-    (("critical", "check-uniform"), "criticality of evenly spaced patterns",
-     lambda args: asdict(uniform_criticality_check(args.count)), (
+    (("critical", "check-uniform"), "criticality of evenly spaced patterns", cmd_check_uniform, (
         ("--count", dict(type=int, required=True, help="interface count")),)),
     (("gamma-curve",), "explicit coupling curves (CSV)", cmd_gamma_curve, (
         ("--branch", dict(type=int, choices=[3, 4], required=True)),
         ("--z1", dict(required=True, help=_RANGE)))),
-    (("minimize",), "cyclic strip-move descent", cmd_minimize, (
+    (("minimize",), "cyclic strip-move descent", cmd_minimize, lambda: (
         _Z,
         _GAMMA,
         ("--m-target", dict(type=FINITE)),
         ("--symmetric", dict(action="store_true")),
-        ("--max-cycles", dict(type=POSITIVE_INT, default=MinimizeOptions.max_cycles)),
+        _max_cycles(),
         ("--trace", dict(help="per-cycle CSV path")))),
     (("escape",), "boundary-escape probe", cmd_escape, (
         [("--alpha", dict(type=FINITE, required=True, help="pole-window left root")),
@@ -409,6 +451,18 @@ COMMANDS = (
 )
 
 
+def _add_flags(sp: _Parser, flags) -> None:
+    """One command's flags, then --config and, unless one of its groups holds it, --out."""
+    grouped_out = any(isinstance(flag, list) and _OUT in flag for flag in flags)
+    for flag in (*flags, _CONFIG) if grouped_out else (*flags, _CONFIG, _OUT):
+        if isinstance(flag, list):
+            group = sp.add_mutually_exclusive_group(required=all(kw.get("required") for _, kw in flag))
+            for name, kw in flag:
+                group.add_argument(name, **{k: v for k, v in kw.items() if k != "required"})
+        else:
+            sp.add_argument(flag[0], **flag[1])
+
+
 def build_parser() -> _Parser:
     ap = _Parser(prog=TOOL, description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter,
                  allow_abbrev=False)
@@ -419,14 +473,7 @@ def build_parser() -> _Parser:
         if func is None:
             subs[path] = sp.add_subparsers(dest="action", required=True, parser_class=_Parser)
             continue
-        grouped_out = any(isinstance(flag, list) and _OUT in flag for flag in flags)
-        for flag in (*flags, _CONFIG) if grouped_out else (*flags, _CONFIG, _OUT):
-            if isinstance(flag, list):
-                group = sp.add_mutually_exclusive_group(required=all(kw.get("required") for _, kw in flag))
-                for name, kw in flag:
-                    group.add_argument(name, **{k: v for k, v in kw.items() if k != "required"})
-            else:
-                sp.add_argument(flag[0], **flag[1])
+        sp.flags = flags
         sp.set_defaults(func=func)
     return ap
 

@@ -16,6 +16,7 @@ potential: it is piecewise linear, vanishes at both poles, and has slope
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -203,18 +204,21 @@ def _band_terms(p: AxisymPattern, prof: XiProfile, j: int) -> tuple[float, float
 
 
 def xi_eval(p: AxisymPattern, z):
-    """Evaluate xi at a height z in [-1, 1] (a float), or at an array of them (an array)."""
-    import numpy as np
-
-    zz = np.asarray(z, dtype=float)
-    if not np.all((-1.0 <= zz) & (zz <= 1.0)):
-        raise OutOfRange(f"height {z!r} outside [-1, 1]")
+    """Evaluate xi at a height z in [-1, 1] (a float gives a float), or at each height of a sequence (a list)."""
     prof = xi_profile(p)
-    nodes_z = np.asarray(p.nodes())
-    j = np.minimum(np.searchsorted(nodes_z, zz, side="right") - 1, p.n)  # band containing z
-    xi = np.asarray(prof.nodes)[j] + np.asarray(prof.slopes)[j] * (zz - nodes_z[j])
-    xi = np.where(np.abs(zz) == 1.0, 0.0, xi)  # the poles, exactly
-    return float(xi) if xi.ndim == 0 else xi
+    nodes_z = p.nodes()
+
+    def at(h: float) -> float:
+        if not -1.0 <= h <= 1.0:  # NaN fails too
+            raise OutOfRange(f"height {h!r} outside [-1, 1]")
+        if abs(h) == 1.0:  # the poles, exactly
+            return 0.0
+        j = bisect_right(nodes_z, h) - 1  # band containing h
+        return prof.nodes[j] + prof.slopes[j] * (h - nodes_z[j])
+
+    if isinstance(z, (int, float)):
+        return at(float(z))
+    return [at(float(h)) for h in z]
 
 
 def reflect(p: AxisymPattern) -> AxisymPattern:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -64,18 +65,26 @@ def _tent_roots(p: AxisymPattern) -> list[float]:
     return roots + [1.0]
 
 
+@cache
+def _kernel_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The angles and the matrix log(5 - 3cos(th - al)) of ``kernel_integral_2d``, built once and read-only."""
+    points = 384
+    th = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
+    ker = np.log(5.0 - 3.0 * np.cos(th[None, :] - th[:, None]))
+    th.flags.writeable = ker.flags.writeable = False
+    return th, ker
+
+
 def kernel_integral_2d(k: int, parity: str) -> float:
     """Periodic-grid double integral of log(5 - 3cos(th - al)) with k-modes, on 384 points per angle.
 
     The integrand is analytic and periodic, so the uniform grid converges
     spectrally; this route never touches the Fourier closed form.
     """
-    points = 384
-    th = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
-    ker = np.log(5.0 - 3.0 * np.cos(th[None, :] - th[:, None]))
+    th, ker = _kernel_grid()
     trig = np.cos if parity == "cos" else np.sin
     w = trig(k * th)
-    cell = (2.0 * math.pi / points) ** 2
+    cell = (2.0 * math.pi / len(th)) ** 2
     return float(w @ ker @ w) * cell
 
 
@@ -112,7 +121,7 @@ def run_verify(seed: int) -> list[VerifyCheck]:
         p = random_tent_pattern(int(rng.integers(2, 6)), rng)
         for k in range(1, p.n):
             direct = integrate_adaptive(
-                lambda z: xi_eval(p, z) / (1.0 - z * z), p.z[k - 1], p.z[k], spec, abs_tol=1e-13
+                lambda z: np.array(xi_eval(p, z)) / (1.0 - z * z), p.z[k - 1], p.z[k], spec, abs_tol=1e-13
             )
             worst = max(worst, abs(direct - v_diff(p, k)))
     checks.append(_check("potential-diff-vs-quadrature", worst <= 1e-9, f"worst abs {worst:.2e}"))

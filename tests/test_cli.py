@@ -1,8 +1,9 @@
 """Runs of the command line through ``cli.main``, including exit codes and determinism.
 
-All tests but two call ``main`` in this process; ``test_module_entry_point``
-starts ``python -m axisphere.cli`` as a child process, and
-``test_numpy_free_subcommands_never_import_numpy`` a fresh interpreter.
+All tests but three call ``main`` in this process; ``test_module_entry_point``
+starts ``python -m axisphere.cli`` as a child process,
+``test_numpy_free_subcommands_never_import_numpy`` a fresh interpreter, and
+``test_each_subcommand_loads_only_its_own_modules`` one per README example.
 """
 
 import json
@@ -11,12 +12,15 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
 from axisphere import cli
+from axisphere.criticality import SolveOptions
 from axisphere.energy import total_energy
+from axisphere.minimizer import MinimizeOptions
 from axisphere.pattern import make_pattern
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -47,7 +51,7 @@ def test_readme_commands_exit_zero(run, tmp_path, monkeypatch):
         assert run(*shlex.split(line, comments=True)[1:]).returncode == 0, line
 
 
-NUMPY_FREE = ("energy", "sweep2", "gamma-curve", "escape", "bounds", "critical solve", "critical check-uniform",
+NUMPY_FREE = ("energy", "sweep2", "xi", "gamma-curve", "escape", "bounds", "critical solve", "critical check-uniform",
               "minimize")
 
 _NUMPY_PROBE = """
@@ -69,13 +73,59 @@ def test_numpy_free_subcommands_never_import_numpy(tmp_path):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     argvs = [shlex.split(line, comments=True)[1:] for line in readme.read_text().splitlines()
              if any(line.startswith(f"axisphere {cmd} ") for cmd in NUMPY_FREE)]
-    assert len(argvs) == 9  # escape has two modes
+    assert len(argvs) == 10  # escape has two modes
     env = dict(os.environ, PYTHONPATH=SRC, **{cli.OUT_DIR_ENV: str(tmp_path)})
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps([*argvs, ["--version"]])],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stderr.splitlines()[-1])
-    assert codes == [0] * 10 and not loaded
+    assert codes == [0] * 11 and not loaded
+
+
+_CRITICALITY = {"criticality", "energy", "potential", "quadrature", "pattern", "errors"}
+# The library modules a process loads besides cli: those its command computes with, and theirs.
+OWN_MODULES = {
+    "energy": {"energy", "quadrature", "pattern", "errors"},
+    "sweep2": {"energy", "quadrature", "pattern", "errors"},
+    "xi": {"pattern", "errors"},
+    "gamma-curve": _CRITICALITY,
+    "critical solve": _CRITICALITY,
+    "critical continue": _CRITICALITY,
+    "critical check-uniform": _CRITICALITY,
+    "bounds": _CRITICALITY,
+    "minimize": _CRITICALITY | {"minimizer"},
+    "escape": {"minimizer", "energy", "quadrature", "pattern", "errors"},
+    "stability": _CRITICALITY | {"stability"},
+    "verify": _CRITICALITY | {"minimizer", "stability", "verify"},
+}
+
+_MODULES_PROBE = """
+import json, sys
+from axisphere import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write(json.dumps([code, sorted(m for m in sys.modules if m.startswith("axisphere."))]) + "\\n")
+"""
+
+
+def test_each_subcommand_loads_only_its_own_modules(tmp_path):
+    """A fresh interpreter per README example loads only its command's modules: energy and sweep2 load neither
+    criticality nor minimizer, xi only pattern and errors, and only minimize, escape and verify load minimizer."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    env = dict(os.environ, PYTHONPATH=SRC, **{cli.OUT_DIR_ENV: str(tmp_path)})
+    seen = set()
+    for line in readme.read_text().splitlines():
+        if not line.startswith("axisphere "):
+            continue
+        argv = shlex.split(line, comments=True)[1:]
+        cmd = " ".join(argv[:2]) if argv[0] == "critical" else argv[0]
+        proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv], capture_output=True, text=True, env=env)
+        code, loaded = json.loads(proc.stderr.splitlines()[-1])
+        assert code == 0 and set(loaded) == {f"axisphere.{m}" for m in {"cli", *OWN_MODULES[cmd]}}, (line, loaded)
+        seen.add(cmd)
+    assert seen == OWN_MODULES.keys()
 
 
 def test_module_entry_point():
@@ -156,6 +206,17 @@ def test_negative_values_after_flags_are_accepted(run):
 SOLVE = ("critical", "solve", "--n", "3", "--gamma", "2")
 CONTINUE = ("critical", "continue", "--n", "3", "--gamma-start", "1.05", "--gamma-end", "2")
 UNIFORM = ("critical", "check-uniform", "--count", "4")
+
+
+@pytest.mark.parametrize("argv, options", [
+    pytest.param(SOLVE, SolveOptions(), id="critical-solve"),
+    pytest.param(CONTINUE, SolveOptions(), id="critical-continue"),
+    pytest.param(("minimize", "--z=-0.4,0.6", "--gamma", "5"), MinimizeOptions(), id="minimize"),
+])
+def test_flags_left_out_take_the_library_options(argv, options):
+    """The Newton and descent flags default to the fields of SolveOptions() and MinimizeOptions(), their one owner."""
+    args = cli.build_parser().parse_args(argv)
+    assert {f.name: getattr(args, f.name) for f in fields(options)} == asdict(options)
 
 
 def test_usage_errors_exit_one(run):

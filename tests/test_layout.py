@@ -109,7 +109,6 @@ def test_numpy_is_imported_only_where_arrays_are_the_data():
     assert _numpy_sites() == {
         ("stability", "<module>"),
         ("verify", "<module>"),
-        ("pattern", "xi_eval"),
         ("quadrature", "_rules"),
         ("quadrature", "_panel_estimate"),
         ("quadrature", "TYPE_CHECKING"),

@@ -81,17 +81,46 @@ def test_xi_eval_is_piecewise_linear():
     prof = xi_profile(p)
     nodes = p.nodes()
     # interior points reproduce the straight chord through the band nodes
-    zz = np.linspace(-1.0, 1.0, 257)
+    zz = _linspace(-1.0, 1.0, 257)
     chord = np.interp(zz, nodes, prof.nodes)
-    got = np.array([xi_eval(p, float(z)) for z in zz])
-    assert all(isinstance(xi_eval(p, float(z)), float) for z in zz[:3])
-    assert float(np.max(np.abs(got - chord))) <= 1e-15
-    # an array of heights gives the same values, bit for bit, in its own shape
-    assert np.array_equal(xi_eval(p, zz), got)
-    assert xi_eval(p, zz.reshape(1, -1)).shape == (1, zz.size)
-    assert xi_eval(p, np.array([-1.0, 1.0])).tolist() == [0.0, 0.0]
-    with pytest.raises(OutOfRange):
-        xi_eval(p, np.array([0.0, 1.5]))
+    got = [xi_eval(p, z) for z in zz]
+    assert all(type(v) is float for v in got)
+    assert float(np.max(np.abs(np.array(got) - chord))) <= 1e-15
+    # a sequence of heights gives the same values, bit for bit, as a list of floats
+    for seq in (zz, tuple(zz), np.array(zz)):
+        listed = xi_eval(p, seq)
+        assert type(listed) is list and all(type(v) is float for v in listed)
+        assert struct.pack("257d", *listed) == struct.pack("257d", *got)
+    assert xi_eval(p, [-1.0, 1.0]) == [0.0, 0.0] and xi_eval(p, []) == []
+    for bad in (1.5, math.nan, -1.0 - 2.0**-52, [0.0, 1.5], [0.0, math.nan]):
+        with pytest.raises(OutOfRange, match=r"^height .* outside \[-1, 1\]$"):
+            xi_eval(p, bad)
+
+
+def _xi_eval_array(p, heights) -> list[float]:
+    """xi by numpy's band lookup: node value plus slope times the offset, and exact zeros at the poles."""
+    zz = np.asarray(heights, dtype=float)
+    prof = xi_profile(p)
+    nodes_z = np.asarray(p.nodes())
+    j = np.minimum(np.searchsorted(nodes_z, zz, side="right") - 1, p.n)
+    xi = np.asarray(prof.nodes)[j] + np.asarray(prof.slopes)[j] * (zz - nodes_z[j])
+    return np.where(np.abs(zz) == 1.0, 0.0, xi).tolist()
+
+
+OPEN_HEIGHTS = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(OPEN_HEIGHTS, min_size=1, max_size=8, unique=True), st.lists(st.floats(-1.0, 1.0), max_size=16))
+def test_xi_eval_is_the_array_formula(zs, extra):
+    """Bit for bit numpy's band lookup at the poles, on each band node and beside it, and at random heights."""
+    p = make_pattern(sorted(zs))
+    beside = [math.nextafter(z, side) for z in p.z for side in (-1.0, 1.0)]
+    heights = [-1.0, 1.0, *p.z, *beside, *extra]
+    got = xi_eval(p, heights)
+    count = len(heights)
+    assert struct.pack(f"{count}d", *got) == struct.pack(f"{count}d", *_xi_eval_array(p, heights))
+    assert struct.pack(f"{count}d", *got) == struct.pack(f"{count}d", *(xi_eval(p, h) for h in heights))
 
 
 def test_kappa_sign_convention():
