@@ -13,8 +13,8 @@ signs its rows are the energy's slopes at -gamma along the n-1 strip moves
 (``_critical_frame``, the one owner of that sign, O(n), with a tridiagonal
 Hessian), so a damped Newton iteration on validated patterns over the frame
 offsets, plus one move of z_1 for the mass along its z_1 column, solves it
-with one tridiagonal solve per step.
-Gamma families are traced by predictor-corrector continuation.
+with one tridiagonal solve per step.  Natural-parameter continuation
+traces gamma families: each converged point starts the next solve.
 
 Two one-parameter families admit closed-form couplings gamma(z1): the
 symmetric three-interface family {-z1, 0, z1} and the four-interface
@@ -196,25 +196,22 @@ def continue_gamma(
     seed: AxisymPattern,
     opts: SolveOptions = SolveOptions(),
 ) -> list[CriticalPoint]:
-    """Trace a critical branch over a log-spaced gamma schedule.
+    """Trace a critical branch over a log-spaced gamma schedule: exp of ``_linspace`` of the logs, ends exact.
 
     ``seed`` starts the solve at gamma_start, the first point, and each
-    solution seeds the next correction.  On a Newton failure the
+    solution starts the next solve.  On a Newton failure the
     gamma increment is halved and retried once; a second failure aborts
     with BranchLost, whose message names the last converged gamma, the
     gamma that failed and the solver's own stopping state.
     """
-    import numpy as np
-
     if steps < 2:
         raise OutOfRange("continuation needs at least two steps")
-    if gamma_start <= 0.0 or gamma_end <= 0.0:
-        raise OutOfRange("continuation expects positive gamma endpoints")
-    _floats(steps)  # a schedule too long for memory is a MemoryError here; numpy's is a ValueError past 2**60
-    gammas = np.geomspace(gamma_start, gamma_end, steps).tolist()  # not C pow: catalogs pin numpy's rounding
+    if not (0.0 < gamma_start < math.inf and 0.0 < gamma_end < math.inf):  # NaN fails both
+        raise OutOfRange("continuation expects finite positive gamma endpoints")
+    gammas = [math.exp(t) for t in _linspace(math.log(gamma_start), math.log(gamma_end), steps)]
+    gammas[0], gammas[-1] = float(gamma_start), float(gamma_end)  # exact ends, as np.geomspace pins them
     out: list[CriticalPoint] = []
-    current = seed
-    prev_gamma = None
+    current, prev_gamma = seed, None
     for g in gammas:
         try:
             cp = solve_critical(n, g, current, opts, init_label="continuation")

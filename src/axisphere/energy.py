@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import NumericalFailure, OutOfRange
 from .pattern import AxisymPattern, _band_terms, make_pattern, xi_profile
-from .quadrature import QuadratureSpec, integrate_adaptive
+
+if TYPE_CHECKING:
+    from .quadrature import QuadratureSpec
 
 __all__ = [
     "EnergyBreakdown",
@@ -77,17 +79,18 @@ def nonlocal_closed(p: AxisymPattern, gamma: float) -> tuple[float, tuple[float,
     return sum(per), tuple(per)
 
 
-def nonlocal_quadrature(
-    p: AxisymPattern, gamma: float, spec: QuadratureSpec = QuadratureSpec()
-) -> float:
-    """Long-range energy by adaptive panel quadrature (oracle route).
+def nonlocal_quadrature(p: AxisymPattern, gamma: float, spec: QuadratureSpec | None = None) -> float:
+    """Long-range energy by adaptive panel quadrature (oracle route), the only energy code that loads ``quadrature``.
 
     Pole bands use the reduced integrands s^2 (1+z)/(1-z) and
     s^2 (1-z)/(1+z): xi vanishes linearly there and cancels one factor of
     the denominator, so every band integrand is smooth on its closure.
     """
+    from .quadrature import QuadratureSpec, integrate_adaptive
+
     if gamma == 0.0:
         return 0.0
+    spec = QuadratureSpec() if spec is None else spec
     prof, nodes_z = xi_profile(p), p.nodes()
     total = 0.0
     for j, (s, xa) in enumerate(zip(prof.slopes, prof.nodes)):

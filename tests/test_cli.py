@@ -51,8 +51,8 @@ def test_readme_commands_exit_zero(run, tmp_path, monkeypatch):
         assert run(*shlex.split(line, comments=True)[1:]).returncode == 0, line
 
 
-NUMPY_FREE = ("energy", "sweep2", "xi", "gamma-curve", "escape", "bounds", "critical solve", "critical check-uniform",
-              "minimize")
+NUMPY_FREE = ("energy", "sweep2", "xi", "gamma-curve", "escape", "bounds", "critical solve", "critical continue",
+              "critical check-uniform", "minimize")
 
 _NUMPY_PROBE = """
 import json, sys
@@ -73,20 +73,21 @@ def test_numpy_free_subcommands_never_import_numpy(tmp_path):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     argvs = [shlex.split(line, comments=True)[1:] for line in readme.read_text().splitlines()
              if any(line.startswith(f"axisphere {cmd} ") for cmd in NUMPY_FREE)]
-    assert len(argvs) == 10  # escape has two modes
+    assert len(argvs) == 11  # escape has two modes
     env = dict(os.environ, PYTHONPATH=SRC, **{cli.OUT_DIR_ENV: str(tmp_path)})
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps([*argvs, ["--version"]])],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stderr.splitlines()[-1])
-    assert codes == [0] * 11 and not loaded
+    assert codes == [0] * 12 and not loaded
 
 
-_CRITICALITY = {"criticality", "energy", "potential", "quadrature", "pattern", "errors"}
+_CRITICALITY = {"criticality", "energy", "potential", "pattern", "errors"}
 # The library modules a process loads besides cli: those its command computes with, and theirs.
+# Only verify runs the quadrature oracle, so only verify loads quadrature.
 OWN_MODULES = {
-    "energy": {"energy", "quadrature", "pattern", "errors"},
-    "sweep2": {"energy", "quadrature", "pattern", "errors"},
+    "energy": {"energy", "pattern", "errors"},
+    "sweep2": {"energy", "pattern", "errors"},
     "xi": {"pattern", "errors"},
     "gamma-curve": _CRITICALITY,
     "critical solve": _CRITICALITY,
@@ -94,9 +95,9 @@ OWN_MODULES = {
     "critical check-uniform": _CRITICALITY,
     "bounds": _CRITICALITY,
     "minimize": _CRITICALITY | {"minimizer"},
-    "escape": {"minimizer", "energy", "quadrature", "pattern", "errors"},
+    "escape": {"minimizer", "energy", "pattern", "errors"},
     "stability": _CRITICALITY | {"stability"},
-    "verify": _CRITICALITY | {"minimizer", "stability", "verify"},
+    "verify": _CRITICALITY | {"minimizer", "stability", "quadrature", "verify"},
 }
 
 _MODULES_PROBE = """

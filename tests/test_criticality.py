@@ -109,12 +109,32 @@ def test_continuation_without_a_start():
     assert isinstance(info.value.__cause__, LeftDomain)
 
 
+def _schedule(gamma_start, gamma_end, steps):
+    """continue_gamma's own gamma schedule: one interface at z = 0 is critical at every gamma in zero iterations."""
+    return [cp.gamma for cp in continue_gamma(1, gamma_start, gamma_end, steps, initial_guess(1))]
+
+
+def test_gamma_schedule_is_geomspace():
+    """Ends exact, strictly monotone and within 1e-13 relative of np.geomspace: ascending, descending, two steps,
+    and equal ends, where every value is the endpoint to that tolerance."""
+    rng = np.random.default_rng(31)
+    cases = [(1.05, 20.0, 16), (20.0, 2.0, 6), (1e-3, 1e6, 2), (7.5, 7.5, 5)]
+    cases += [(*(10.0 ** rng.uniform(-3.0, 6.0, 2)).tolist(), int(rng.integers(2, 60))) for _ in range(200)]
+    for a, b, steps in cases:
+        gammas = _schedule(a, b, steps)
+        assert len(gammas) == steps and gammas[0] == a and gammas[-1] == b
+        assert np.allclose(gammas, np.geomspace(a, b, steps), rtol=1e-13, atol=0.0), (a, b, steps)
+        if a != b:
+            sign = 1.0 if b > a else -1.0
+            assert all(sign * (y - x) > 0.0 for x, y in zip(gammas, gammas[1:])), (a, b, steps)
+
+
 def test_lost_branch_names_where_it_ended():
     """The message names both gammas and the solver's stopping state, which the CLI prints on exit 2."""
     seed = solve_critical(8, 20.0, initial_guess(8)).pattern
     with pytest.raises(BranchLost) as info:
         continue_gamma(8, 20.0, 2.0, 6, seed)
-    gammas = [float(g) for g in np.geomspace(20.0, 2.0, 6)]
+    gammas = _schedule(20.0, 2.0, 6)
     assert str(info.value) == (
         f"corrector failed twice stepping from converged gamma={gammas[2]!r} to gamma={gammas[3]!r}, "
         f"the second time at gamma={math.sqrt(gammas[2] * gammas[3])!r}: {info.value.__cause__}"
@@ -129,6 +149,10 @@ def test_lost_branch_names_where_it_ended():
     [
         pytest.param(lambda: continue_gamma(3, -1.0, 2.0, 3, initial_guess(3)), OutOfRange, "positive gamma",
                      id="negative-gamma"),
+        pytest.param(lambda: continue_gamma(3, math.nan, 2.0, 3, initial_guess(3)), OutOfRange,
+                     r"^continuation expects finite positive gamma endpoints$", id="nan-gamma"),
+        pytest.param(lambda: continue_gamma(3, 1.05, math.inf, 3, initial_guess(3)), OutOfRange,
+                     r"^continuation expects finite positive gamma endpoints$", id="infinite-gamma"),
         pytest.param(lambda: uniform_pattern(0), OutOfRange, "must be positive", id="no-interfaces"),
         pytest.param(lambda: solve_critical(3, 2.0, initial_guess(3), SolveOptions(max_iter=1)), NoConvergence,
                      r"^iteration budget spent at iteration 1: max\|r\| = 1\.965e-01, min_gap = 3\.852e-01 "

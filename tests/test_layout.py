@@ -112,5 +112,4 @@ def test_numpy_is_imported_only_where_arrays_are_the_data():
         ("quadrature", "_rules"),
         ("quadrature", "_panel_estimate"),
         ("quadrature", "TYPE_CHECKING"),
-        ("criticality", "continue_gamma"),
     }
