@@ -32,7 +32,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from .errors import Asymptote, AxisphereError, NoEscape, NumericalFailure, OutOfRange
@@ -303,7 +302,7 @@ def cmd_gamma_curve(args):
 def cmd_check_uniform(args):
     from .criticality import uniform_criticality_check
 
-    return asdict(uniform_criticality_check(args.count))
+    return uniform_criticality_check(args.count)._asdict()
 
 
 def cmd_minimize(args):
@@ -333,7 +332,7 @@ def cmd_escape(args):
 
     if args.alpha is not None:
         probe = escape_pole_frame(args.alpha, args.gamma)
-        return {"mode": "pole-window", **asdict(probe), "escaped": probe.escaped}
+        return {"mode": "pole-window", **probe._asdict(), "escaped": probe.escaped}
     bp = BoundaryPattern(z=parse_floats(args.z))
     base = {"mode": bp.kind, "z": list(bp.z), "gamma": args.gamma}
     try:
@@ -395,9 +394,9 @@ def _newton():
     from .criticality import SolveOptions
 
     return (
-        ("--m-target", dict(type=FINITE, default=SolveOptions.m_target)),
-        ("--tol", dict(type=POSITIVE, default=SolveOptions.tol)),
-        ("--max-iter", dict(type=POSITIVE_INT, default=SolveOptions.max_iter)),
+        ("--m-target", dict(type=FINITE, default=SolveOptions._field_defaults["m_target"])),
+        ("--tol", dict(type=POSITIVE, default=SolveOptions._field_defaults["tol"])),
+        ("--max-iter", dict(type=POSITIVE_INT, default=SolveOptions._field_defaults["max_iter"])),
     )
 
 
@@ -405,7 +404,7 @@ def _max_cycles():
     """minimize's --max-cycles, defaulting to MinimizeOptions' field."""
     from .minimizer import MinimizeOptions
 
-    return ("--max-cycles", dict(type=POSITIVE_INT, default=MinimizeOptions.max_cycles))
+    return ("--max-cycles", dict(type=POSITIVE_INT, default=MinimizeOptions._field_defaults["max_cycles"]))
 
 
 COMMANDS = (

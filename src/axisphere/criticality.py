@@ -25,7 +25,7 @@ interior abscissa, located here by sign-change bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .energy import _frame_hessian, _tridiagonal_solve
 from .errors import Asymptote, BranchLost, LeftDomain, NoConvergence, NonIncreasing, OutOfRange
@@ -90,22 +90,19 @@ MAX_HALVINGS = 40  # Newton step halvings before a damping failure
 COLLAPSE_GAP = 1e-9  # a converged point with a smaller gap has merged a pair or met a pole: LeftDomain
 
 
-@dataclass(frozen=True)
-class SolveOptions:
+class SolveOptions(NamedTuple):
     tol: float = 1e-11  # on the max-norm of the residual vector
     max_iter: int = 60
     m_target: float = 0.0
 
 
-@dataclass(frozen=True)
-class SolverTrace:
+class SolverTrace(NamedTuple):
     iterations: int
     damping_events: int
     init_label: str
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     pattern: AxisymPattern
     gamma: float
     lam: float
@@ -344,8 +341,7 @@ def initial_guess(count: int, kind: str = "uniform") -> AxisymPattern:
     raise OutOfRange(f"unknown initial-guess kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class UniformCheck:
+class UniformCheck(NamedTuple):
     """Outcome of probing an evenly placed pattern for criticality.
 
     ``residual_floor``: the least max |residuals| row over every gamma >= 0, exact.
@@ -354,7 +350,7 @@ class UniformCheck:
     count: int
     all_gamma: bool
     critical_gamma: float | None
-    pair_gammas: tuple[float | None, ...] = field(default=())
+    pair_gammas: tuple[float | None, ...] = ()
     obstruction: str | None = None
     obstruction_pair: tuple[float, float] | None = None
     obstruction_gap: float | None = None

@@ -18,8 +18,7 @@ sign, the critical-point solver and the stability gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import NumericalFailure, OutOfRange
 from .pattern import AxisymPattern, _band_terms, make_pattern, xi_profile
@@ -40,8 +39,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(NamedTuple):
     """Perimeter and long-range parts; total is always their sum.
 
     ``per_segment`` lists each band's contribution to the long-range term
@@ -185,8 +183,7 @@ def _tridiagonal_solve(diag: list, off: list, rhs: list) -> tuple[list[float], i
 # ------------------------------------------------------------------ sweeps
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(NamedTuple):
     """Energy-over-pi surface for the two-interface family z_2 = z_1 + 1."""
 
     z1: tuple[float, ...]

@@ -56,7 +56,7 @@ strictly beats the degenerate limit value decides escape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .energy import EnergyBreakdown, _frame_hessian, _tridiagonal_solve, total_energy
 from .errors import CycleLimit, NoEscape, NonIncreasing, OutOfRange
@@ -216,23 +216,20 @@ def move_range(p: AxisymPattern, k: int) -> tuple[float, float]:
 # ------------------------------------------------------------- minimization
 
 
-@dataclass(frozen=True)
-class MinimizeOptions:
+class MinimizeOptions(NamedTuple):
     """Cycle cap and symmetric mode of ``local_minimize``; every line search ends at width ``X_TOL``."""
 
     max_cycles: int = 200
     symmetric: bool = False
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple):
     cycle: int
     energy_over_pi: float
     max_move: float
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
+class MinimizeResult(NamedTuple):
     pattern: AxisymPattern
     energy: EnergyBreakdown
     cycles: tuple[CycleRecord, ...]
@@ -441,27 +438,26 @@ def _newton_step(p: AxisymPattern, gamma: float, symmetric: bool) -> list[float]
 # --------------------------------------------------------- boundary escapes
 
 
-@dataclass(frozen=True)
-class BoundaryPattern:
+class BoundaryPattern(NamedTuple("BoundaryPattern", [("z", tuple)])):
     """Degenerate configuration: one interface at a pole or one merged pair.
 
     Entries are nondecreasing within [-1, 1] with exactly one degeneracy.
     """
 
-    z: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        zs = self.z
-        if len(zs) < 2:
+    def __new__(cls, z: tuple):
+        if len(z) < 2:
             raise OutOfRange("boundary configuration needs at least two entries")
-        if any(not -1.0 <= v <= 1.0 for v in zs):
+        if any(not -1.0 <= v <= 1.0 for v in z):
             raise OutOfRange("entries must lie in [-1, 1]")
-        if any(b < a for a, b in zip(zs, zs[1:])):
+        if any(b < a for a, b in zip(z, z[1:])):
             raise NonIncreasing("entries must be nondecreasing")
-        merged = sum(1 for a, b in zip(zs, zs[1:]) if a == b)
-        pole = (zs[0] == -1.0) + (zs[-1] == 1.0)
+        merged = sum(1 for a, b in zip(z, z[1:]) if a == b)
+        pole = (z[0] == -1.0) + (z[-1] == 1.0)
         if merged + pole != 1:
             raise OutOfRange("expected exactly one degeneracy (pole contact or merged pair)")
+        return super().__new__(cls, z)
 
     @property
     def kind(self) -> str:
@@ -482,8 +478,7 @@ def _beats(value: float, limit: float) -> bool:
     return value < limit - 1e-12 * max(1.0, abs(limit))
 
 
-@dataclass(frozen=True)
-class EscapeProbe:
+class EscapeProbe(NamedTuple):
     """Lemma-level pole check on a single window (alpha, 1)."""
 
     alpha: float

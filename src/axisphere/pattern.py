@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import NonIncreasing, OutOfRange
@@ -35,8 +34,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AxisymPattern:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Slotted value type: ``__init__`` sets the fields once; compared, hashed, shown and pickled by value."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
+
+
+class AxisymPattern(_Frozen):
     """Interface heights plus the mean value they induce.
 
     Construction enforces the invariant: ``z`` is non-empty, lies inside
@@ -46,11 +71,9 @@ class AxisymPattern:
     sphere, determined by ``z`` (stored to let moves carry it bit-exactly).
     """
 
-    z: tuple[float, ...]
-    m: float
+    __slots__ = ("z", "m")  # z: tuple[float, ...], m: float
 
-    def __post_init__(self):
-        z = self.z
+    def __init__(self, z: tuple[float, ...], m: float):
         if not z:
             raise OutOfRange("need at least one interface")
         for v in z:
@@ -59,6 +82,8 @@ class AxisymPattern:
         for a, b in zip(z, z[1:]):
             if not a < b:
                 raise NonIncreasing(f"heights not strictly increasing near {a!r}")
+        _set(self, "z", z)
+        _set(self, "m", m)
 
     @property
     def n(self) -> int:
@@ -83,16 +108,18 @@ def _min_gap_text(p: AxisymPattern) -> str:
     return f"min_gap = {gaps[i]:.3e} between {where}"
 
 
-@dataclass(frozen=True)
-class XiProfile:
+class XiProfile(_Frozen):
     """Piecewise-linear antiderivative of (pattern - mean).
 
     ``nodes[k]`` is xi(z_k) for k = 0..n+1 with the pole values pinned to
     exactly 0.0; ``slopes[j]`` is the slope on band j.
     """
 
-    nodes: tuple[float, ...]
-    slopes: tuple[float, ...]
+    __slots__ = ("nodes", "slopes")  # both tuple[float, ...]
+
+    def __init__(self, nodes: tuple[float, ...], slopes: tuple[float, ...]):
+        _set(self, "nodes", nodes)
+        _set(self, "slopes", slopes)
 
 
 def mass_of_interfaces(zs: Sequence[float]) -> float:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import count
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import NoConvergence
 
@@ -24,8 +23,7 @@ if TYPE_CHECKING:
 __all__ = ["QuadratureSpec", "integrate_adaptive"]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(NamedTuple):
     """Tolerance and refinement limits for the panel scheme."""
 
     rel_tol: float = 1e-10

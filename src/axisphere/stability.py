@@ -36,7 +36,7 @@ lies above the constants minimum, and one batched eigvalsh solves the rest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +59,7 @@ __all__ = [
 
 CRITICAL_TOL = 1e-8
 CERT_MODES = 6
+EPS = float(np.finfo(float).eps)
 
 
 def fourier_log_integral(a: float, b: float, k: int) -> float:
@@ -121,8 +122,7 @@ def axisym_pm_bound(z_n: float, gamma: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class JMatrix:
+class JMatrix(NamedTuple):
     """Assembled second-variation blocks for one critical pattern.
 
     ``blocks`` is the (K+1, n, n) stack that assemble_J fills: index 0 is
@@ -184,8 +184,7 @@ def assemble_J(p: AxisymPattern, gamma: float, K: int) -> JMatrix:
     return JMatrix(pattern=p, gamma=gamma, blocks=blocks)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     gamma: float
     K: int
     min_eig: float
@@ -197,14 +196,16 @@ class StabilityReport:
     verdict: str
 
 
-def _lead_circle(v: np.ndarray) -> int:
-    """Lowest 1-based circle whose |component| is within 1e-9 (relative) of the largest.
+def _lead_circle(v: np.ndarray, vals: np.ndarray, gamma: float) -> int:
+    """Lowest 1-based circle whose |component| lies within the eigenvector's rounding of the largest.
 
-    Components equal in exact arithmetic (a rigid rotation, the double
-    cap's constant mode) then name the same circle whatever the rounding.
+    The band, n eps (||B|| + 4 pi |gamma|) / gap relative in [1e-9, 1], holds B's entries' rounding (their terms reach
+    4 pi |gamma|) over the gap of ``vals``: a rigid rotation, the double cap's constant mode, mirror circles tie.
     """
-    mag = np.abs(v)
-    return int(np.flatnonzero(mag >= (1.0 - 1e-9) * mag.max())[0]) + 1
+    mag, gap = np.abs(v), float(vals[1] - vals[0]) if len(vals) > 1 else math.inf
+    scale = len(v) * EPS * (max(-float(vals[0]), float(vals[-1])) + 4.0 * math.pi * abs(gamma))
+    band = 1.0 if scale >= gap else max(1e-9, scale / gap)
+    return int(np.flatnonzero(mag >= (1.0 - band) * mag.max())[0]) + 1
 
 
 def min_eig_constrained(J: JMatrix) -> StabilityReport:
@@ -231,10 +232,9 @@ def min_eig_constrained(J: JMatrix) -> StabilityReport:
     best, best_mode = math.inf, None
     if n >= 2:
         z = np.array(p.z)
-        q_full, _ = np.linalg.qr((2.0 * math.pi * np.sqrt(1.0 - z * z)).reshape(n, 1), mode="complete")
-        Q = q_full[:, 1:]
+        Q = np.linalg.qr((2.0 * math.pi * np.sqrt(1.0 - z * z)).reshape(n, 1), mode="complete")[0][:, 1:]
         vals, vecs = np.linalg.eigh(Q.T @ J.blocks[0] @ Q)
-        best, best_mode = float(vals[0]), (_lead_circle(Q @ vecs[:, 0]), 0, "constant")
+        best, best_mode = float(vals[0]), (_lead_circle(Q @ vecs[:, 0], vals, J.gamma), 0, "constant")
     # Gershgorin screen of every k >= 1 block against the constants minimum
     # and against each block's least diagonal entry, which bounds that
     # block's least eigenvalue from above: for k >= 1 the off-diagonals all
@@ -244,15 +244,14 @@ def min_eig_constrained(J: JMatrix) -> StabilityReport:
     # could not have won, nor tied
     diag = np.diagonal(J.blocks[1:], axis1=1, axis2=2)
     radius = np.abs(J.blocks[1:].sum(axis=2) - diag)
-    margin = 16 * n * np.finfo(float).eps * (np.abs(diag) + radius).max(axis=1)
+    margin = 16 * n * EPS * (np.abs(diag) + radius).max(axis=1)
     bound = min(best, float((diag.min(axis=1) + margin).min()))
     live = np.flatnonzero((diag - radius).min(axis=1) - margin <= bound)  # ascending k: the lowest wins a tie
     if live.size:
         k = 1 + int(live[np.argmin(np.linalg.eigvalsh(J.blocks[1 + live])[:, 0])])
         vals, vecs = np.linalg.eigh(J.blocks[k])
         if vals[0] < best:
-            best = float(vals[0])
-            best_mode = (_lead_circle(vecs[:, 0]), k, "cos")
+            best, best_mode = float(vals[0]), (_lead_circle(vecs[:, 0], vals, J.gamma), k, "cos")
 
     single: tuple = ()
     pm = None

@@ -10,8 +10,8 @@ runs the whole list and fails the process if any check fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ from .stability import assemble_J, doublecap_kernel_integral, fourier_log_integr
 __all__ = ["VerifyCheck", "random_tent_pattern", "kernel_integral_2d", "run_verify"]
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
+class VerifyCheck(NamedTuple):
     name: str
     passed: bool
     detail: str

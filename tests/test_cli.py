@@ -12,7 +12,6 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -107,13 +106,16 @@ try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-sys.stderr.write(json.dumps([code, sorted(m for m in sys.modules if m.startswith("axisphere."))]) + "\\n")
+loaded = sorted(m for m in sys.modules if m.startswith("axisphere."))
+watched = [m for m in ("dataclasses", "inspect", "numpy") if m in sys.modules]
+sys.stderr.write(json.dumps([code, loaded, watched]) + "\\n")
 """
 
 
 def test_each_subcommand_loads_only_its_own_modules(tmp_path):
     """A fresh interpreter per README example loads only its command's modules: energy and sweep2 load neither
-    criticality nor minimizer, xi only pattern and errors, and only minimize, escape and verify load minimizer."""
+    criticality nor minimizer, xi only pattern and errors, and only minimize, escape and verify load minimizer.
+    No process loads dataclasses, nor inspect unless numpy, which imports inspect itself, is loaded."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     env = dict(os.environ, PYTHONPATH=SRC, **{cli.OUT_DIR_ENV: str(tmp_path)})
     seen = set()
@@ -123,8 +125,9 @@ def test_each_subcommand_loads_only_its_own_modules(tmp_path):
         argv = shlex.split(line, comments=True)[1:]
         cmd = " ".join(argv[:2]) if argv[0] == "critical" else argv[0]
         proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv], capture_output=True, text=True, env=env)
-        code, loaded = json.loads(proc.stderr.splitlines()[-1])
+        code, loaded, watched = json.loads(proc.stderr.splitlines()[-1])
         assert code == 0 and set(loaded) == {f"axisphere.{m}" for m in {"cli", *OWN_MODULES[cmd]}}, (line, loaded)
+        assert "dataclasses" not in watched and ("inspect" not in watched or "numpy" in watched), (line, watched)
         seen.add(cmd)
     assert seen == OWN_MODULES.keys()
 
@@ -217,7 +220,7 @@ UNIFORM = ("critical", "check-uniform", "--count", "4")
 def test_flags_left_out_take_the_library_options(argv, options):
     """The Newton and descent flags default to the fields of SolveOptions() and MinimizeOptions(), their one owner."""
     args = cli.build_parser().parse_args(argv)
-    assert {f.name: getattr(args, f.name) for f in fields(options)} == asdict(options)
+    assert {name: getattr(args, name) for name in options._fields} == options._asdict()
 
 
 def test_usage_errors_exit_one(run):

@@ -1,7 +1,6 @@
 import json
 import math
 import warnings
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from axisphere import cli
 from axisphere.criticality import SolveOptions, initial_guess, solve_critical
 from axisphere.energy import total_energy
 from axisphere.errors import NotCritical, NumericalFailure, OutOfRange
-from axisphere.pattern import make_pattern
+from axisphere.pattern import is_symmetric, make_pattern
 from axisphere.potential import grad_v_normal
 from axisphere.quadrature import QuadratureSpec, integrate_adaptive
 from axisphere.stability import (
@@ -124,7 +123,7 @@ def test_assembled_blocks_are_symmetric():
     for n, gamma, opts, K in _SYMMETRY_CASES:
         p = solve_critical(n, gamma, initial_guess(n), opts).pattern
         J = assemble_J(p, gamma, K)
-        assert [f.name for f in fields(J)] == ["pattern", "gamma", "blocks"] and J.K == K
+        assert J._fields == ("pattern", "gamma", "blocks") and J.K == K
         for k in range(0, K + 1):
             blk = J.block(k)
             assert blk.shape == (n, n) and np.shares_memory(blk, J.blocks)
@@ -208,8 +207,22 @@ def test_mode_circle_breaks_ties_toward_the_lowest_circle():
     J = assemble_J(make_pattern([-0.5, 0.5]), 0.8, K=4)
     blocks = J.blocks.copy()
     blocks[1] = np.diag([1.0, -5.0])
-    J = replace(J, blocks=blocks)
+    J = J._replace(blocks=blocks)
     assert min_eig_constrained(J).mode_circle == 2
+
+
+def test_mirror_circles_name_the_lower_one():
+    """On an equatorially symmetric critical point the mode's mirror circles carry equal components in exact
+    arithmetic, so the report names the lower one even where eigh's near-degenerate pair mixes them."""
+    p = solve_critical(24, 2377.2, initial_guess(24)).pattern  # k = 4: |v_1| / |v_24| - 1 = -6.8e-5, gap 1.6e-12 ||B||
+    assert stability_report(p, 2377.2, K=32).mode_circle == 1
+    rng = np.random.default_rng(29)
+    for n in range(2, 33):
+        gamma = math.exp(rng.uniform(math.log(8.0 * n * n), math.log(16.0 * n * n)))  # the uniform start converges
+        p = solve_critical(n, gamma, initial_guess(n)).pattern
+        assert is_symmetric(p)
+        for K in (8, 32):
+            assert stability_report(p, gamma, K=K).mode_circle <= math.ceil(n / 2), (n, gamma, K)
 
 
 def test_single_cap_marginal_at_zero_coupling():
@@ -273,29 +286,32 @@ def test_eigen_residual_small():
         assert res <= 1e-10
 
 
-def _lead(v):
-    mag = np.abs(v)
-    return int(np.flatnonzero(mag >= (1.0 - 1e-9) * mag.max())[0]) + 1
+def _lead(v, vals, gamma):
+    """The library's rule: the lowest circle within n eps (||B|| + 4 pi |gamma|) / gap, in [1e-9, 1], of the largest."""
+    mag, gap = np.abs(v), float(vals[1] - vals[0]) if len(vals) > 1 else math.inf
+    scale = len(v) * float(np.finfo(float).eps) * (float(np.abs(vals).max()) + 4.0 * math.pi * abs(gamma))
+    band = min(1.0, max(1e-9, scale / gap)) if gap > 0.0 else 1.0
+    return int(np.flatnonzero(mag >= (1.0 - band) * mag.max())[0]) + 1
 
 
 def _constants_min(J):
-    """Smallest eigenvalue of the constants block on w . c = 0, and its mode on the circles."""
+    """Smallest eigenvalue of the constants block on w . c = 0, its mode on the circles, and every eigenvalue."""
     z = np.array(J.pattern.z)
     Q = np.linalg.qr((2.0 * math.pi * np.sqrt(1.0 - z * z)).reshape(-1, 1), mode="complete")[0][:, 1:]
     vals, vecs = np.linalg.eigh(Q.T @ J.block(0) @ Q)
-    return float(vals[0]), Q @ vecs[:, 0]
+    return float(vals[0]), Q @ vecs[:, 0], vals
 
 
 def _report_by_loop(J):
     """(min_eig, mode_k, mode_circle) from one eigh per block, the first strict minimum kept."""
     best, mode = math.inf, None
     if J.pattern.n >= 2:
-        best, v = _constants_min(J)
-        mode = (0, _lead(v))
+        best, v, vals = _constants_min(J)
+        mode = (0, _lead(v, vals, J.gamma))
     for k in range(1, J.K + 1):
         vals, vecs = np.linalg.eigh(J.block(k))
         if vals[0] < best:
-            best, mode = float(vals[0]), (k, _lead(vecs[:, 0]))
+            best, mode = float(vals[0]), (k, _lead(vecs[:, 0], vals, J.gamma))
     return best, *mode
 
 
@@ -317,12 +333,12 @@ def _report_unscreened(J):
     """(min_eig, mode_k, mode_circle, mode_parity): one batched eigvalsh over every k >= 1 block, no screen."""
     best, mode = math.inf, None
     if J.pattern.n >= 2:
-        best, v = _constants_min(J)
-        mode = (0, _lead(v), "constant")
+        best, v, vals = _constants_min(J)
+        mode = (0, _lead(v, vals, J.gamma), "constant")
     i = int(np.argmin(np.linalg.eigvalsh(J.blocks[1:])[:, 0]))
     vals, vecs = np.linalg.eigh(J.blocks[1 + i])
     if vals[0] < best:
-        best, mode = float(vals[0]), (i + 1, _lead(vecs[:, 0]), "cos")
+        best, mode = float(vals[0]), (i + 1, _lead(vecs[:, 0], vals, J.gamma), "cos")
     return best, *mode
 
 
