@@ -56,7 +56,7 @@ strictly beats the degenerate limit value decides escape.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .energy import EnergyBreakdown, _frame_hessian, _tridiagonal_solve, total_energy
 from .errors import CycleLimit, NoEscape, NonIncreasing, OutOfRange
@@ -446,7 +446,8 @@ class BoundaryPattern(NamedTuple("BoundaryPattern", [("z", tuple)])):
 
     __slots__ = ()
 
-    def __new__(cls, z: tuple):
+    def __new__(cls, z: Sequence[float]):
+        z = tuple(z)
         if len(z) < 2:
             raise OutOfRange("boundary configuration needs at least two entries")
         if any(not -1.0 <= v <= 1.0 for v in z):

@@ -73,7 +73,8 @@ class AxisymPattern(_Frozen):
 
     __slots__ = ("z", "m")  # z: tuple[float, ...], m: float
 
-    def __init__(self, z: tuple[float, ...], m: float):
+    def __init__(self, z: Sequence[float], m: float):
+        z = tuple(z)
         if not z:
             raise OutOfRange("need at least one interface")
         for v in z:

@@ -7,30 +7,26 @@ wavenumber or parity never couple and the quadratic form splits into
 small symmetric blocks, one pair (cos, sin) per wavenumber plus one
 constants block carrying the zero-mean constraint.
 
-The kernel integrals reduce to
+The kernel between the circles at heights lo <= hi is log|x - y|^2, and
+its coefficients over the angle difference u have the sphere's closed form
 
-    integral_0^{2pi} log(a - b cos u) cos(ku) du
-        = -(2pi/k) q^k,  q = b / (a + sqrt(a^2 - b^2)),      k >= 1
-    integral_0^{2pi} log(a - b cos u) du = 2pi log((a + sqrt(a^2-b^2))/2)
+    integral_0^{2pi} log|x - y|^2 cos(ku) du = -(2pi/k) q^k,        k >= 1
+    integral_0^{2pi} log|x - y|^2 du = 2pi [log(1 - lo) + log(1 + hi)]
 
-where a - b cos u is the squared chord distance between points of two
-circles; fourier_log_integral is this closed form for one (a, b, k).
-On the unit sphere, with the circles at heights z_< <= z_>, the chord
-geometry collapses: q = t_< / t_> with t = sqrt((1 + z)/(1 - z)), and
-the k = 0 value is 2pi [log(1 - z_<) + log(1 + z_>)].  assemble_J reads
-the kernel in this form, q as one square root of the pole-distance ratio
-(1 + z_<)(1 - z_>) / ((1 - z_<)(1 + z_>)), so the self-interaction q is
-exactly 1 and close circles keep 1 - q to full relative precision.  Every
-block is -2 gamma (r_i r_j) times the kernel, plus the diagonal
-pi (k^2 - 1)/r_i + 4 pi gamma g_i r_i, applied to one (K+1, n, n) stack
-at once, and the k = 0 slice is doubled in place (the constant mode has
-norm 2 pi instead of pi): JMatrix holds that one stack and nothing
-derived from it.
+with q = t_lo / t_hi, t = sqrt((1 + z)/(1 - z)).  _kernel takes q as one
+square root of (1 + lo)(1 - hi) / ((1 - lo)(1 + hi)), so the
+self-interaction q is exactly 1 and close circles keep 1 - q to full
+relative precision.  Every block is -2 gamma (r_i r_j) times the kernel,
+plus the diagonal pi (k^2 - 1)/r_i + 4 pi gamma g_i r_i, on one
+(K+1, n, n) stack, and the k = 0 slice is doubled in place (the constant
+mode has norm 2 pi instead of pi): JMatrix holds that one stack and
+nothing derived from it.
 
 The k >= 1 diagonals grow like k^2, so most of those blocks cannot hold
 the smallest eigenvalue: a Gershgorin lower bound per block, with a
 margin above eigvalsh's backward error, screens out every block that
-lies above the constants minimum, and one batched eigvalsh solves the rest.
+lies above the constants minimum or above some block's least diagonal
+entry plus that margin, and one batched eigvalsh solves the rest.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ from .potential import grad_v_normal
 __all__ = [
     "JMatrix",
     "StabilityReport",
-    "fourier_log_integral",
     "doublecap_kernel_integral",
     "single_mode_J",
     "axisym_pm_bound",
@@ -62,32 +57,29 @@ CERT_MODES = 6
 EPS = float(np.finfo(float).eps)
 
 
-def fourier_log_integral(a: float, b: float, k: int) -> float:
-    """Fourier coefficient of log(a - b cos u) over a full period, wavenumber k.
+def _kernel(lo, hi, K: int) -> np.ndarray:
+    """Integrals of log|x - y|^2 cos(ku) over the angle difference u of the circles at heights lo <= hi, k = 0..K on axis 0.
 
-    The chord form of the kernel, for one circle pair given by a and b;
-    OutOfRange outside a >= b >= 0, a > 0 and for k < 0.
+    lo and hi are floats or matching arrays (assemble_J's min and max outer products of the heights).
     """
-    if not (a > 0.0 and 0.0 <= b <= a):
-        raise OutOfRange(f"need a >= b >= 0 with a > 0, got a={a!r}, b={b!r}")
-    if k < 0:
-        raise OutOfRange("wavenumber must be nonnegative")
-    s = math.sqrt((a - b) * (a + b))
-    if k == 0:
-        return 2.0 * math.pi * math.log(0.5 * (a + s))
-    return (b / (a + s)) ** k * (-2.0 * math.pi / k)
+    ks = np.arange(K + 1).reshape((-1,) + (1,) * np.ndim(lo))
+    kernel = np.sqrt((1.0 + lo) * (1.0 - hi) / ((1.0 - lo) * (1.0 + hi))) ** ks
+    kernel[1:] *= -2.0 * math.pi / ks[1:]
+    kernel[0] = 2.0 * math.pi * (np.log1p(-lo) + np.log1p(hi))
+    return kernel
 
 
 def doublecap_kernel_integral(k: int) -> float:
     """Double integral of log(5 - 3cos(th-al)) cos(k th) cos(k al).
 
     Integrating the angle difference first leaves a single cos^2 average,
-    so the value is pi times the single-circle coefficient; equals
+    so the value is pi times ``_kernel``'s coefficient for the circles at
+    heights -1/2 and 1/2, whose squared chord is (5 - 3cos)/2; equals
     -2 pi^2 / (k 3^k).  The sin-sin variant gives the same number.
     """
     if k < 1:
         raise OutOfRange("wavenumber must be at least 1")
-    return math.pi * fourier_log_integral(5.0, 3.0, k)
+    return math.pi * float(_kernel(-0.5, 0.5, k)[k])
 
 
 def single_mode_J(z_n: float, gamma: float, k: int) -> float:
@@ -149,12 +141,11 @@ def assemble_J(p: AxisymPattern, gamma: float, K: int) -> JMatrix:
 
     Diagonal carries the curvature part ((k^2-1)/r_i weighted by the mode
     norm) and the normal derivative of the screened potential; every pair
-    of circles couples through the sphere's closed form of the log kernel,
-    -(2pi/k) q^k with q = t_< / t_> for k >= 1 and the pole logs
-    2pi [log(1 - z_<) + log(1 + z_>)] at k = 0.  All K+1 blocks are built
-    in one stack from one integer-power call, scaled and shifted in place,
-    and the constants block doubled in place; q, the logs and r_i r_j are
-    symmetric as formed, so every block is exactly symmetric.
+    of circles couples through ``_kernel``, the sphere's closed form of the
+    log kernel.  All K+1 blocks are built in one stack from one
+    integer-power call, scaled and shifted in place, and the constants
+    block doubled in place; q, the logs and r_i r_j are symmetric as
+    formed, so every block is exactly symmetric.
     NotCritical past CRITICAL_TOL on ``_critical_frame``; NumericalFailure
     when any entry of the finished stack overflows.
     """
@@ -170,10 +161,7 @@ def assemble_J(p: AxisymPattern, gamma: float, K: int) -> JMatrix:
     lo, hi = np.minimum.outer(z, z), np.maximum.outer(z, z)
     _floats(K + 1)  # a cutoff too large for memory is a MemoryError here; numpy's is a ValueError past 2**60
     ks = np.arange(K + 1)
-
-    blocks = np.sqrt((1.0 + lo) * (1.0 - hi) / ((1.0 - lo) * (1.0 + hi))) ** ks[:, None, None]
-    blocks[1:] *= -2.0 * math.pi / ks[1:, None, None]
-    blocks[0] = 2.0 * math.pi * (np.log1p(-lo) + np.log1p(hi))
+    blocks = _kernel(lo, hi, K)
     diag = np.arange(p.n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, without a warning
         blocks *= -2.0 * gamma * rr

@@ -31,7 +31,7 @@ from .minimizer import (
 from .pattern import AxisymPattern, make_pattern, xi_eval
 from .potential import v_diff
 from .quadrature import QuadratureSpec, integrate_adaptive
-from .stability import assemble_J, doublecap_kernel_integral, fourier_log_integral, single_mode_J
+from .stability import _kernel, assemble_J, doublecap_kernel_integral, single_mode_J
 
 __all__ = ["VerifyCheck", "random_tent_pattern", "kernel_integral_2d", "run_verify"]
 
@@ -140,25 +140,25 @@ def run_verify(seed: int) -> list[VerifyCheck]:
         worst = max(worst, abs(de_profile - de_full))
     checks.append(_check("move-profile-localization", worst <= 1e-10, f"worst abs {worst:.2e}"))
 
-    # Log-kernel Fourier coefficients against adaptive quadrature,
-    # including the singular self-interaction family a = b.
+    # The stability blocks' kernel coefficients against adaptive quadrature
+    # of log(chord^2) cos(ku), including the singular equal-height pairs.
     worst = 0.0
     qspec = QuadratureSpec(rel_tol=1e-11, max_depth=52)
     for _ in range(40):
-        b = float(rng.uniform(0.0, 3.0))
-        a = b if rng.uniform() < 0.3 else b + float(rng.uniform(1e-6, 3.0))
-        if a == 0.0:
-            a = 1.0
+        lo = float(rng.uniform(-0.999, 0.999))
+        hi = lo if rng.uniform() < 0.3 else float(rng.uniform(-0.999, 0.999))
+        lo, hi = min(lo, hi), max(lo, hi)
         k = int(rng.integers(0, 7))
+        r_lo, r_hi = math.sqrt(1.0 - lo * lo), math.sqrt(1.0 - hi * hi)
 
-        def f(u, a=a, b=b, k=k):
-            # half-angle form keeps a - b*cos(u) away from rounding to 0
-            val = np.log((a - b) + 2.0 * b * np.sin(0.5 * u) ** 2)
+        def f(u, d0=(hi - lo) ** 2 + (r_hi - r_lo) ** 2, rr=4.0 * r_lo * r_hi, k=k):
+            # the chord at u = 0 plus a half-angle term: no difference rounds below 0
+            val = np.log(d0 + rr * np.sin(0.5 * u) ** 2)
             return val * np.cos(k * u) if k else val
 
         direct = integrate_adaptive(f, 0.0, 2.0 * math.pi, qspec, abs_tol=1e-11)
-        worst = max(worst, abs(direct - fourier_log_integral(a, b, k)))
-    checks.append(_check("fourier-log-vs-quadrature", worst <= 1e-8, f"worst abs {worst:.2e}"))
+        worst = max(worst, abs(direct - float(_kernel(lo, hi, k)[k])))
+    checks.append(_check("kernel-vs-quadrature", worst <= 1e-8, f"worst abs {worst:.2e}"))
 
     # Two-cap kernel double integral: closed form, 2D grid, sin parity.
     worst = 0.0

@@ -77,10 +77,13 @@ def test_the_residual_rows_have_one_owner():
     assert {(mod, fn) for mod, fn, _ in _calls("v_diff")} == {("criticality", "_row_parts"), ("verify", "run_verify")}
 
 
-def test_the_chord_kernel_is_a_scalar_reference():
-    """``fourier_log_integral`` serves only the two-cap identity and verify's quadrature check; the assembly reads the sphere's q."""
-    assert {(mod, fn) for mod, fn, _ in _calls("fourier_log_integral")} == {("stability", "doublecap_kernel_integral"),
-                                                                          ("verify", "run_verify")}
+def test_the_kernel_has_one_closed_form():
+    """The library has no chord-form kernel; ``_kernel`` serves the assembly, the two-cap identity and verify."""
+    for path in Path(axisphere.__file__).parent.glob("*.py"):
+        assert "fourier_log_integral" not in path.read_text(), path.name
+    assert {(mod, fn) for mod, fn, _ in _calls("_kernel")} == {("stability", "assemble_J"),
+                                                              ("stability", "doublecap_kernel_integral"),
+                                                              ("verify", "run_verify")}
 
 
 def _numpy_sites() -> set[tuple[str, str]]:

@@ -477,6 +477,8 @@ def test_boundary_pattern_validation():
         BoundaryPattern(z=(1.0,))
     assert BoundaryPattern(z=(-0.5, 1.0)).kind == "pole"
     assert BoundaryPattern(z=(-0.3, 0.1, 0.1, 0.8)).kind == "merged"
+    bp = BoundaryPattern(z=[-0.5, 1.0])  # a list is stored as its tuple, so the pattern hashes by value
+    assert bp.z == (-0.5, 1.0) and bp == BoundaryPattern(z=(-0.5, 1.0)) and hash(bp) == hash(BoundaryPattern(z=(-0.5, 1.0)))
 
 
 def test_pole_escape_moves_inward():

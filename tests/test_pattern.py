@@ -1,4 +1,5 @@
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -158,9 +159,23 @@ def test_is_symmetric():
 
 
 def test_pattern_is_frozen():
-    p = make_pattern([0.2])
-    with pytest.raises(Exception):
-        p.m = 0.5  # type: ignore[misc]
+    """Built from a list or a tuple, a pattern is compared, hashed, shown and pickled by value, and cannot change."""
+    p, q = AxisymPattern(z=[-0.5, 0.5], m=0.0), make_pattern((-0.5, 0.5))
+    assert p.z == (-0.5, 0.5) and p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != make_pattern([-0.5, 0.6]) and p != AxisymPattern(z=(-0.5, 0.5), m=1e-17) and p != (-0.5, 0.5)
+    assert repr(p) == "AxisymPattern(z=(-0.5, 0.5), m=0.0)"
+    assert repr(xi_profile(p)) == "XiProfile(nodes=(0.0, -0.5, 0.5, 0.0), slopes=(-1.0, 1.0, -1.0))"
+    for v in (p, xi_profile(p)):
+        w = pickle.loads(pickle.dumps(v))
+        assert type(w) is type(v) and w == v and hash(w) == hash(v) and w is not v
+    for name in ("z", "m", "extra"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field {name!r}$"):
+            setattr(p, name, (0.1,))
+        with pytest.raises(AttributeError, match=f"^cannot delete field {name!r}$"):
+            delattr(p, name)
+    with pytest.raises(AttributeError):
+        p.z.append(0.9)  # type: ignore[attr-defined]
+    assert p == q and p.n == 2
 
 
 def test_stored_mass_is_honored():
