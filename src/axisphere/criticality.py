@@ -412,9 +412,10 @@ def polar_cap_bound(gamma: float) -> float:
 
     a / sqrt(1 + a^2) with a = -6*gamma/e - 1/sqrt(3); tends to -1/2 as
     gamma -> 0 and to -1 for strong coupling, which it returns once a^2
-    overflows (the bound is -1 to double precision there).
+    overflows (the bound is -1 to double precision there).  Raises
+    OutOfRange for a negative or NaN gamma.
     """
-    if gamma < 0.0:
+    if not gamma >= 0.0:  # NaN fails it
         raise OutOfRange("coupling must be nonnegative")
     a = -6.0 * gamma / math.e - 1.0 / math.sqrt(3.0)
     if math.isinf(a * a):

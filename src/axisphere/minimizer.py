@@ -36,11 +36,11 @@ Cyclic sweeps of the per-frame scalar minimization drive a pattern to a
 fixed point, linearly (a per-cycle contraction near 0.9 at n=8), so each
 improving cycle ends with one second-order step: the O(n) Newton step
 -H^{-1} g over the strip moves, which span the tangent space of the mass
-(``energy._frame_hessian``), when H is positive definite, otherwise the
-Aitken limit z + rho/(1 - rho) d along the cycle's displacement d,
-rho = |d| / |d_prev| in (0, 1).  Either step, or half of it, is kept only
-when it strictly lowers the energy; both are sums of strip moves, so they
-carry the mean.  Every move builds its result through the validating
+(``energy._frame_hessian``), tried only when H is positive definite.  The
+step, or half of it, is kept only when it strictly lowers the energy; it
+is a sum of strip moves, so it carries the mean.  Where H is indefinite,
+as on a collapse onto a pole, the sweeps go on alone and may end in
+``CycleLimit``.  Every move builds its result through the validating
 ``AxisymPattern`` constructor, so no sweep, step or escape returns heights
 that are out of order, coincident or on a pole: ``apply_elementary_move``
 raises the constructor's NonIncreasing or OutOfRange on such a move, and a
@@ -327,13 +327,13 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
     """Cyclic frame sweeps until a full cycle stops improving the energy.
 
     A sweep ends the descent when it lowers the energy E by less than
-    ``DECREASE_TOL * max(1, |E|)``.  After each sweep that does not, a
-    Newton step, or failing that an Aitken step (see the module docstring),
-    is tried through the ``AxisymPattern`` constructor with the stored mean
-    and kept only when ``total_energy`` strictly drops; the cycle's record
-    then carries the energy after the step, and its ``max_move`` includes
-    the step's largest height change.  The stop rule reads only the sweep's
-    own improvement, so the result is a sweep fixed point; a stopping sweep
+    ``DECREASE_TOL * max(1, |E|)``.  After each sweep that does not, the
+    Newton step (see the module docstring), or half of it, is tried through
+    the ``AxisymPattern`` constructor with the stored mean and kept only
+    when ``total_energy`` strictly drops; the cycle's record then carries
+    the energy after the step, and its ``max_move`` includes the step's
+    largest height change.  The stop rule reads only the sweep's own
+    improvement, so the result is a sweep fixed point; a stopping sweep
     that raised ``total_energy`` (on rounding) is undone, so no record rises.
     ``CycleLimit`` names the last sweep's drop in E, that cycle's
     ``max_move`` and the pattern's ``min_gap`` with the pair that holds it.
@@ -351,7 +351,6 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
     energy = total_energy(p, gamma)
     records: list[CycleRecord] = []
     frames = range(p.n - 1)
-    last_step = 0.0  # length of the previous cycle's sweep displacement
     for cycle in range(opts.max_cycles):
         start = p
         max_move = 0.0
@@ -380,18 +379,9 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
         if improved < 0.0:  # kept frame drops that sum to a rise on rounding: undo the sweep
             p, max_move, new_energy = start, 0.0, energy
         energy = new_energy
-        if not done:
-            d = [b - a for a, b in zip(start.z, p.z)]
-            step = math.hypot(*d)
-            newton = _newton_step(p, gamma, opts.symmetric)
-            taken = newton and _extrapolate(p, newton, 1.0, energy, gamma)
-            if not taken and 0.0 < step < last_step:
-                rho = step / last_step  # the contraction, in (0, 1)
-                taken = _extrapolate(p, d, rho / (1.0 - rho), energy, gamma)
-            if taken:
-                p, energy, jump = taken
-                max_move = max(max_move, jump)
-            last_step = step
+        if not done and (taken := _newton_step(p, gamma, energy, opts.symmetric)):
+            p, energy, jump = taken
+            max_move = max(max_move, jump)
         records.append(CycleRecord(cycle=cycle, energy_over_pi=energy.total_over_pi, max_move=max_move))
         if done:
             return MinimizeResult(pattern=p, energy=energy, cycles=tuple(records))
@@ -399,30 +389,13 @@ def local_minimize(p0: AxisymPattern, gamma: float, opts: MinimizeOptions = Mini
     raise CycleLimit(f"no fixed point within {opts.max_cycles} sweep cycles: {last}, {_min_gap_text(p)}")
 
 
-def _extrapolate(p: AxisymPattern, d: list[float], s: float, energy: EnergyBreakdown, gamma: float):
-    """Step s*d past a sweep's end, s halved once on failure: (pattern, energy, largest height change).
-
-    d is a sum of strip moves, so the step keeps the mean and ``p.m`` is
-    carried.  A step is taken only when it builds a valid pattern and
-    strictly lowers the energy; otherwise None is returned.
-    """
-    for scale in (s, 0.5 * s):
-        try:
-            trial = AxisymPattern(z=tuple(z + scale * dz for z, dz in zip(p.z, d)), m=p.m)
-        except (NonIncreasing, OutOfRange):
-            continue
-        trial_energy = total_energy(trial, gamma)
-        if trial_energy.total < energy.total:
-            return trial, trial_energy, scale * max(map(abs, d))
-    return None
-
-
-def _newton_step(p: AxisymPattern, gamma: float, symmetric: bool) -> list[float] | None:
-    """Height change of the Newton step -H^{-1} g over the frames, or None when H is not positive definite.
+def _newton_step(p: AxisymPattern, gamma: float, energy: EnergyBreakdown, symmetric: bool):
+    """Newton step -H^{-1} g over the frames, halved once on failure: (pattern, energy, largest height change) or None.
 
     One ``_tridiagonal_solve`` on ``_frame_hessian``'s H, None on a zero pivot or any negative one (H's Morse
     index); frame k's offset moves heights k and k+1.  In symmetric mode the change is projected onto
     mirror-symmetric ones, dz <- (dz - reversed(dz)) / 2, so a symmetric pattern stays exactly symmetric.
+    The step carries ``p.m`` and is taken only when it builds a valid pattern of strictly lower energy.
     """
     g, diag, off, _ = _frame_hessian(p, gamma)
     solved = _tridiagonal_solve(diag, off, [-v for v in g])
@@ -432,7 +405,15 @@ def _newton_step(p: AxisymPattern, gamma: float, symmetric: bool) -> list[float]
     dz = [a + b for a, b in zip([0.0, *tau], [*tau, 0.0])]
     if symmetric:
         dz = [0.5 * (a - b) for a, b in zip(dz, reversed(dz))]
-    return dz
+    for scale in (1.0, 0.5):
+        try:
+            trial = AxisymPattern(z=tuple(z + scale * d for z, d in zip(p.z, dz)), m=p.m)
+        except (NonIncreasing, OutOfRange):
+            continue
+        trial_energy = total_energy(trial, gamma)
+        if trial_energy.total < energy.total:
+            return trial, trial_energy, scale * max(map(abs, dz))
+    return None
 
 
 # --------------------------------------------------------- boundary escapes
@@ -496,10 +477,13 @@ class EscapeProbe(NamedTuple):
 def escape_pole_frame(alpha: float, gamma: float) -> EscapeProbe:
     """Minimize the pole window profile on its slope and compare with its x -> 1 limit.
 
-    The pre-scan grid is ``POLE_SAMPLES``, twice the descent's.
+    The pre-scan grid is ``POLE_SAMPLES``, twice the descent's.  Raises
+    OutOfRange for alpha outside (0, 1) or a non-finite gamma.
     """
     if not 0.0 < alpha < 1.0:
         raise OutOfRange(f"alpha={alpha!r} outside (0, 1)")
+    if not math.isfinite(gamma):
+        raise OutOfRange(f"gamma={gamma!r} is not finite")
     x_star, e_star = _slope_min(
         lambda x: segment_energy(x, alpha, 1.0, gamma), lambda x: _segment_slope(x, alpha, 1.0, gamma),
         alpha, 1.0, X_TOL, POLE_SAMPLES,

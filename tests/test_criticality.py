@@ -315,8 +315,10 @@ def test_polar_cap_bound_values():
     vals = [polar_cap_bound(float(g)) for g in gs]
     assert all(b < a for a, b in zip(vals, vals[1:]))  # tightens toward -1
     assert vals[-1] > -1.0
-    with pytest.raises(OutOfRange):
-        polar_cap_bound(-0.5)
+    assert polar_cap_bound(math.inf) == -1.0
+    for bad in (-0.5, math.nan):
+        with pytest.raises(OutOfRange, match="^coupling must be nonnegative$"):
+            polar_cap_bound(bad)
 
 
 def test_catalogued_points_respect_polar_cap_bound():

@@ -74,6 +74,8 @@ def test_profile_f_basics():
         pytest.param(lambda: _prescan(abs, 0.3, 0.3, 4), r"^empty bracket \(0\.3, 0\.3\)$", id="prescan"),
         pytest.param(lambda: apply_elementary_move(make_pattern([-0.5, 0.5]), 1, 0.1),
                      r"^frame index 1 outside 0\.\.0$", id="apply_elementary_move"),
+        pytest.param(lambda: escape_pole_frame(0.6, math.nan), r"^gamma=nan is not finite$", id="escape_pole_frame-nan"),
+        pytest.param(lambda: escape_pole_frame(0.6, math.inf), r"^gamma=inf is not finite$", id="escape_pole_frame-inf"),
     ],
 )
 def test_window_and_frame_input_errors(call, message):
@@ -300,7 +302,7 @@ def test_local_minimize_traces_never_increase():
 def test_local_minimize_traces_never_increase_at_large_gamma(kind):
     """Over the benchmark's range (n 3..8, gamma 300..1000) traces never rise and the mean is carried.
 
-    This includes the extrapolation steps, each kept only when it lowers the
+    This includes the Newton steps, each kept only when it lowers the
     energy and taken along a sum of strip moves.
     """
     rng = np.random.default_rng({"tent": 3, "jitter": 4, "symmetric": 5}[kind])
@@ -713,9 +715,8 @@ def test_extrapolated_sweeps_converge_in_few_cycles():
     """An interior n=8 tent start at gamma 300 ends in 5 cycles, where plain sweeps take 128.
 
     Plain cyclic sweeps contract the moves by about 0.9 per cycle at this
-    size; with an Aitken step after each improving cycle they take 38, and
-    with a Newton step on the frame Hessian 5.  The result is still
-    stationary along every frame.
+    size; with a Newton step on the frame Hessian after each improving
+    cycle they take 5.  The result is still stationary along every frame.
     """
     p = random_tent_pattern(7, np.random.default_rng(0))
     assert p.n == 8
@@ -793,15 +794,15 @@ def _negative_eigenvalues(diag, off) -> int:
 def test_negative_pivots_are_the_frame_hessians_inertia():
     """``_tridiagonal_solve``'s negative-pivot count is the number of negative eigenvalues of H.
 
-    Pinned on descent results next to walls, on critical points (H at
-    ``_critical_frame``'s sign) and on seeded random tridiagonals, all well
-    conditioned; the solution solves H x = rhs whatever the inertia.
+    Pinned on descent results, two of them within 1e-8 of the south pole, on
+    critical points (H at ``_critical_frame``'s sign) and on seeded random
+    tridiagonals, all well conditioned; the solution solves H x = rhs
+    whatever the inertia.
     """
     for p0, gamma, index in [
-        (initial_guess(8), 20.0, 3),
         (initial_guess(8), 50.0, 2),
         (initial_guess(8), 1000.0, 0),
-        (make_pattern([-0.584, -0.361, -0.139, 0.075, 0.413, 0.654]), 13.9, 2),
+        (make_pattern([-0.453, -0.383, 0.597]), 5.0, 1),
     ]:
         g, diag, off, _ = _frame_hessian(local_minimize(p0, gamma).pattern, gamma)
         assert _tridiagonal_solve(diag, off, g)[1] == _negative_eigenvalues(diag, off) == index, (p0.n, gamma)
@@ -828,7 +829,8 @@ def test_negative_pivots_are_the_frame_hessians_inertia():
 def test_newton_steps_end_interior_descents_in_few_cycles(n, gamma):
     """Newton steps on the frame Hessian end these descents in at most 10 cycles.
 
-    Sweeps with Aitken steps alone took 133, 116 and 42 cycles.
+    Sweeps with only an extrapolation along each cycle's displacement took
+    133, 116 and 42 cycles.
     """
     res = local_minimize(initial_guess(n), gamma)
     assert len(res.cycles) <= 10
@@ -845,10 +847,15 @@ def test_newton_steps_end_interior_descents_in_few_cycles(n, gamma):
     ],
     ids=["n8-gamma20", "n16-gamma300", "n6-gamma13.9"],
 )
-def test_pole_collapse_starts_still_return(z, gamma):
-    """Where H is not positive definite the Aitken fallback still ends these descents (154, 114 and 50 cycles)."""
-    p = make_pattern(z)
-    _assert_valid(local_minimize(p, gamma).pattern, p.m)
+def test_pole_collapse_starts_raise_cycle_limit(z, gamma):
+    """Where H is not positive definite no second-order step is taken, and these collapses onto the south pole raise.
+
+    Sweeps alone do not reach a fixed point within the cycle cap; the error
+    names the wall the descent is pressed against rather than returning a
+    degenerate pattern.
+    """
+    with pytest.raises(CycleLimit, match=r"between z_1 and the south pole$"):
+        local_minimize(make_pattern(z), gamma)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
