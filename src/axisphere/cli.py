@@ -142,6 +142,8 @@ def _splice_config(argv: list[str]) -> list[str]:
     tokens: list[str] = []
     for key, val in sorted(cfg.items()):
         flag = "--" + key.replace("_", "-")
+        if isinstance(val, dict):
+            raise OutOfRange(f"config value {key!r} must be a flag value, not an object: {val!r}")
         if isinstance(val, list):
             try:
                 val = ",".join(repr(float(v)) for v in val)
@@ -491,7 +493,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         sys.stderr.write(f"{TOOL}: numerical failure: {exc}\n")
         return 2
-    except (AxisphereError, OSError, json.JSONDecodeError, MemoryError) as exc:
+    except (AxisphereError, OSError, json.JSONDecodeError, UnicodeDecodeError, MemoryError) as exc:
         sys.stderr.write(f"{TOOL}: error: {exc}\n")
         return 1
 

@@ -8,13 +8,14 @@ difference system
     b_k = 4*(v(z_{k+1}) - v(z_k)),  k = 1..n-1,
 
 in ``_row_parts``' curvature part a and potential part b, closed by the
-mean-value row R_n = m(z) - m_target in ``residuals``.  Up to alternating
-signs its rows are the energy's slopes at -gamma along the n-1 strip moves
-(``_critical_frame``, the one owner of that sign, O(n), with a tridiagonal
-Hessian), so a damped Newton iteration on validated patterns over the frame
-offsets, plus one move of z_1 for the mass along its z_1 column, solves it
-with one tridiagonal solve per step.  Natural-parameter continuation
-traces gamma families: each converged point starts the next solve.
+mean-value row R_n = m(z) - m_target in ``residuals``.  With alternating
+signs its rows are, bit for bit, the energy's slopes at -gamma along the
+n-1 strip moves (``_critical_frame``, the one owner of that sign, O(n),
+with a tridiagonal Hessian), so a damped Newton iteration on validated
+patterns over the frame offsets, plus one move of z_1 for the mass along
+its z_1 column, solves it with one tridiagonal solve per step and stops
+on the rows it iterates on.  Natural-parameter continuation traces gamma
+families: each converged point starts the next solve.
 
 Two one-parameter families admit closed-form couplings gamma(z1): the
 symmetric three-interface family {-z1, 0, z1} and the four-interface
@@ -28,7 +29,7 @@ import math
 from typing import NamedTuple
 
 from .energy import _frame_hessian, _tridiagonal_solve
-from .errors import Asymptote, BranchLost, LeftDomain, NoConvergence, NonIncreasing, OutOfRange
+from .errors import Asymptote, BranchLost, LeftDomain, NoConvergence, NonIncreasing, NumericalFailure, OutOfRange
 from .pattern import AxisymPattern, _band_terms, _floats, _linspace, _min_gap_text, kappa_g, make_pattern, xi_profile
 from .potential import v_at_interfaces, v_diff
 
@@ -56,11 +57,8 @@ __all__ = [
 
 def _row_parts(p: AxisymPattern) -> tuple[list[float], list[float]]:
     """The n - 1 difference rows in two parts, curvature a_k and potential b_k: row k is a_k + gamma b_k."""
-    a, b = [], []  # one pass, plain lists: no numpy or second loop at small n
-    for k in range(1, p.n):
-        a.append(kappa_g(p, k + 1) - kappa_g(p, k))
-        b.append(4.0 * v_diff(p, k))
-    return a, b
+    kap = kappa_g(p)
+    return [y - x for x, y in zip(kap, kap[1:])], [4.0 * v_diff(p, k) for k in range(1, p.n)]
 
 
 def residuals(p: AxisymPattern, gamma: float, m_target: float = 0.0) -> tuple[float, ...]:
@@ -74,8 +72,7 @@ def residuals(p: AxisymPattern, gamma: float, m_target: float = 0.0) -> tuple[fl
 
 def lambda_values(p: AxisymPattern, gamma: float) -> tuple[float, ...]:
     """Per-interface multiplier kappa_g(z_k) + 4*gamma*v(z_k), scaled as ``residuals`` scales its rows."""
-    pot = v_at_interfaces(p)
-    return tuple(kappa_g(p, k) + gamma * (4.0 * pot[k - 1]) for k in range(1, p.n + 1))
+    return tuple(kap + gamma * (4.0 * v) for kap, v in zip(kappa_g(p), v_at_interfaces(p)))
 
 
 def lambda_spread(p: AxisymPattern, gamma: float) -> float:
@@ -115,7 +112,7 @@ def _stopped(what: str, it: int, r: list[float], p: AxisymPattern) -> str:
 
 
 def _critical_frame(p: AxisymPattern, gamma: float) -> tuple[list[float], list[float], list[float], list[float]]:
-    """``_frame_hessian`` at -gamma, as a test pins residuals(p, gamma)[k] = (-1)^k g_k(p, -gamma), k < n - 1.
+    """``_frame_hessian`` at -gamma: g_k(p, -gamma) == (-1)^k residuals(p, gamma)[k] bit for bit, k < n - 1.
 
     The sign is open (ROADMAP): settling it flips this argument and v' in ``potential.py``, nothing else.
     """
@@ -131,16 +128,16 @@ def solve_critical(
 ) -> CriticalPoint:
     """Damped Newton over the frame offsets on ``_critical_frame``'s O(n) slopes g and tridiagonal H.
 
-    r = (g, m - m_target) is ``residuals`` up to signs.  A step
-    moves z_1 alone by delta = m - m_target and the frames by
+    r = (g, m - m_target) is ``residuals`` with alternating signs, bit for
+    bit.  A step moves z_1 alone by delta = m - m_target and the frames by
     tau = -H^{-1}(g + delta c), where c is ``_critical_frame``'s z_1 column,
     the border of H: one tridiagonal solve that ignores H's inertia, halved
-    until the trial is a valid pattern with a smaller |r|^2.  Once
-    max|r| <= tol, ``residuals`` confirms the point and gives
-    ``residual_norm``, or the iteration goes on.  LeftDomain (damping
-    cannot restore ordering, or the point has a gap below COLLAPSE_GAP)
-    and NoConvergence name the iteration, max|r| and the smallest gap
-    with the pair that holds it.
+    until the trial is a valid pattern with a smaller |r|^2.  It stops once
+    max|r| <= tol, with ``residual_norm`` = max|r| = max|residuals|.
+    LeftDomain (damping cannot restore ordering, or the point has a gap
+    below COLLAPSE_GAP) and NoConvergence name the iteration, max|r| and
+    the smallest gap with the pair that holds it; NumericalFailure names
+    gamma when the mean multiplier ``lam`` overflows.
     """
     if init.n != n:
         raise OutOfRange(f"initial pattern has {init.n} interfaces, expected {n}")
@@ -149,15 +146,15 @@ def solve_critical(
     damping_events = 0
     for it in range(opts.max_iter):
         r = [*g, pat.m - opts.m_target]
-        if max(map(abs, r)) <= opts.tol:
-            res = residuals(pat, gamma, opts.m_target)
-            if all(abs(v) <= opts.tol for v in res):  # a NaN row fails this
-                if pat.min_gap() < COLLAPSE_GAP:
-                    raise LeftDomain(_stopped(f"converged with a gap below {COLLAPSE_GAP:g}", it, r, pat))
-                lams = lambda_values(pat, gamma)
-                trace = SolverTrace(iterations=it, damping_events=damping_events, init_label=init_label)
-                return CriticalPoint(pattern=pat, gamma=gamma, lam=sum(lams) / len(lams),
-                                     residual_norm=max(map(abs, res)), trace=trace)
+        if all(abs(v) <= opts.tol for v in r):  # a NaN row fails this
+            if pat.min_gap() < COLLAPSE_GAP:
+                raise LeftDomain(_stopped(f"converged with a gap below {COLLAPSE_GAP:g}", it, r, pat))
+            lams = lambda_values(pat, gamma)
+            lam = sum(lams) / len(lams)
+            if not math.isfinite(lam):
+                raise NumericalFailure(f"multiplier overflows at gamma={gamma!r}")
+            trace = SolverTrace(iterations=it, damping_events=damping_events, init_label=init_label)
+            return CriticalPoint(pattern=pat, gamma=gamma, lam=lam, residual_norm=max(map(abs, r)), trace=trace)
         solved = _tridiagonal_solve(diag, off, [-(a + r[-1] * b) for a, b in zip(g, col)])
         if solved is None:  # or the LDL^T pass overflowed: it squares each off-diagonal
             finite = all(map(math.isfinite, [*r, *diag, *col, *(v * v for v in off)]))

@@ -21,7 +21,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import NumericalFailure, OutOfRange
-from .pattern import AxisymPattern, _band_terms, make_pattern, xi_profile
+from .pattern import AxisymPattern, _band_diff, _band_terms, kappa_g, make_pattern, xi_profile
 
 if TYPE_CHECKING:
     from .quadrature import QuadratureSpec
@@ -126,8 +126,11 @@ def total_energy(p: AxisymPattern, gamma: float) -> EnergyBreakdown:
 def _frame_hessian(p: AxisymPattern, gamma: float) -> tuple[list[float], list[float], list[float], list[float]]:
     """Slopes g of the frames' ``minimizer._move_energy`` at t = 0, their Hessian and g's z_1 column: (g, diag, off, col).
 
-    Up to terms linear in z that strip moves keep fixed, E/(2*pi) sums over
-    interfaces i (0-based, bands i and i+1 below and above) the terms
+    g_k = (-1)^k (a_k - gamma b_k) in ``criticality._row_parts``' two parts,
+    read from ``kappa_g`` and ``_band_diff`` alike, so g is ``residuals`` at
+    -gamma with alternating signs, bit for bit.  Up to terms linear in z that
+    strip moves keep fixed, E/(2*pi) sums over interfaces i (0-based, bands
+    i and i+1 below and above) the terms
 
         sqrt(1 - z_i^2) + gamma/2 [(c1_{i+1}^2 - c1_i^2) log(1 - z_i) + (c2_i^2 - c2_{i+1}^2) log(1 + z_i)]
 
@@ -140,21 +143,21 @@ def _frame_hessian(p: AxisymPattern, gamma: float) -> tuple[list[float], list[fl
     so col_k is (-1)^k 4 gamma L2 of band k+1, and col_0 also subtracts
     d_1 = (1 - z_1^2)^(-3/2) - 4 gamma xi(z_1) / (1 - z_1^2).
     """
-    prof, q = xi_profile(p), 1.0 - p.z[0] * p.z[0]
+    prof, q, kap = xi_profile(p), 1.0 - p.z[0] * p.z[0], kappa_g(p)
     c1, c2, l1, l2 = zip(*(_band_terms(p, prof, j) for j in range(p.n + 1)))
     d_1 = 1.0 / (q * math.sqrt(q)) - 4.0 * gamma * prof.nodes[1] / q
-    gz, dzz, d_below, d_above = [], [], [], []  # per interface: dE/dz, d2E/dz2, d2E/dz dc for the bands below and above
+    dzz, d_below, d_above = [], [], []  # per interface: d2E/dz2, d2E/dz dc for the bands below and above
     for i, z in enumerate(p.z):
         u, v, r = 1.0 / (1.0 - z), 1.0 / (1.0 + z), math.sqrt(1.0 - z * z)
         w1, w2 = c1[i + 1] ** 2 - c1[i] ** 2, c2[i] ** 2 - c2[i + 1] ** 2
-        gz.append(-z / r + 0.5 * gamma * (w2 * v - w1 * u))
         dzz.append(-1.0 / (r * r * r) - 0.5 * gamma * (w1 * u * u + w2 * v * v))
         d_below.append(gamma * (c1[i] * u + c2[i] * v))
         d_above.append(-gamma * (c1[i + 1] * u + c2[i + 1] * v))
     g, diag, off, col = [], [], [], []
     for k in range(p.n - 1):
         sigma, j = prof.slopes[k] - prof.slopes[k + 1], k + 1  # frame k - 1 shifts its band by exactly -sigma
-        g.append(gz[k] + gz[j] + sigma * gamma * (c1[j] * l1[j] + c2[j] * l2[j]))
+        row = (kap[j] - kap[k]) - gamma * (4.0 * _band_diff(c1[j], c2[j], l1[j], l2[j]))  # a_k - gamma b_k
+        g.append(-row if k % 2 else row)
         diag.append(dzz[k] + dzz[j] + 2.0 * sigma * (d_above[k] + d_below[j]) + sigma * sigma * gamma * (l1[j] + l2[j]))
         if k:
             off.append(dzz[k] + sigma * (d_above[k] - d_below[k]))

@@ -174,18 +174,14 @@ def make_pattern(zs: Iterable[float], expect_mass: float | None = None) -> Axisy
     return p
 
 
-def kappa_g(p: AxisymPattern, k: int) -> float:
-    """Signed geodesic curvature of the k-th interface circle (1-based).
+def kappa_g(p: AxisymPattern) -> tuple[float, ...]:
+    """Signed geodesic curvatures of the n interface circles, a tuple as ``grad_v_normal``'s.
 
-    The sign follows the phase just above the interface: the curvature is
+    The sign follows the phase just above the interface: entry k-1 is
     u(z_k+) * z_k / sqrt(1 - z_k^2), so a double cap {-1/2, 1/2} carries
     -1/sqrt(3) at both circles.
     """
-    if not 1 <= k <= p.n:
-        raise OutOfRange(f"interface index {k} outside 1..{p.n}")
-    zk = p.z[k - 1]
-    sign = 1.0 if k % 2 == 1 else -1.0  # u just above z_k is (-1)^(k+1)
-    return sign * zk / math.sqrt(1.0 - zk * zk)
+    return tuple((z if k % 2 == 0 else -z) / math.sqrt(1.0 - z * z) for k, z in enumerate(p.z))  # u above z_{k+1}: (-1)^k
 
 
 def xi_profile(p: AxisymPattern) -> XiProfile:
@@ -229,6 +225,11 @@ def _band_terms(p: AxisymPattern, prof: XiProfile, j: int) -> tuple[float, float
         c2 = xa - s * (1.0 + za)
         l2 = math.log1p(dz / (1.0 + za))
     return c1, c2, l1, l2
+
+
+def _band_diff(c1: float, c2: float, l1: float, l2: float) -> float:
+    """Potential difference v(z_{j+1}) - v(z_j) across the band whose ``_band_terms`` these are."""
+    return 0.5 * c1 * l1 + 0.5 * c2 * l2
 
 
 def xi_eval(p: AxisymPattern, z):

@@ -3,8 +3,8 @@
 The potential v solves the sphere Poisson problem for (pattern - mean) and,
 for axisymmetric data, reduces to v'(z) = xi(z) / (1 - z^2).  Differences
 between consecutive interface values then integrate in closed form:
-v(z_{j+1}) - v(z_j) = c1/2 L1 + c2/2 L2, in the band coefficients, logs and
-pole rule of ``pattern._band_terms`` that the energy module shares.
+v(z_{j+1}) - v(z_j) = c1/2 L1 + c2/2 L2, ``pattern._band_diff`` of the band
+terms of ``pattern._band_terms``, which the energy's frame slopes read too.
 
 Absolute values are anchored at the south pole: v(z_1) is the pole-band
 difference, so every reported value equals the integral of xi/(1-z^2) from
@@ -17,14 +17,9 @@ import math
 from itertools import accumulate
 
 from .errors import OutOfRange
-from .pattern import AxisymPattern, XiProfile, _band_terms, xi_profile
+from .pattern import AxisymPattern, _band_diff, _band_terms, xi_profile
 
 __all__ = ["v_diff", "v_at_interfaces", "grad_v_normal"]
-
-
-def _band_diff(p: AxisymPattern, prof: XiProfile, k: int) -> float:
-    c1, c2, l1, l2 = _band_terms(p, prof, k)
-    return 0.5 * c1 * l1 + 0.5 * c2 * l2
 
 
 def v_diff(p: AxisymPattern, k: int) -> float:
@@ -35,13 +30,13 @@ def v_diff(p: AxisymPattern, k: int) -> float:
     """
     if not 0 <= k <= p.n:
         raise OutOfRange(f"band index {k} outside 0..{p.n}")
-    return _band_diff(p, xi_profile(p), k)
+    return _band_diff(*_band_terms(p, xi_profile(p), k))
 
 
 def v_at_interfaces(p: AxisymPattern) -> tuple[float, ...]:
     """Potential values v(z_k), k = 1..n, accumulated from the south pole over one xi profile."""
     prof = xi_profile(p)
-    return tuple(accumulate(_band_diff(p, prof, k) for k in range(p.n)))  # sequential sums, as np.cumsum's
+    return tuple(accumulate(_band_diff(*_band_terms(p, prof, k)) for k in range(p.n)))  # sequential sums, as np.cumsum's
 
 
 def grad_v_normal(p: AxisymPattern) -> tuple[float, ...]:

@@ -151,7 +151,7 @@ def assemble_J(p: AxisymPattern, gamma: float, K: int) -> JMatrix:
     """
     if K < 1:
         raise OutOfRange("mode cutoff must be at least 1")
-    worst = max(map(abs, _critical_frame(p, gamma)[0]), default=0.0)  # ``residuals`` up to signs
+    worst = max(map(abs, _critical_frame(p, gamma)[0]), default=0.0)  # ``residuals``' difference rows, signs alternated, bit for bit
     if worst > CRITICAL_TOL:
         raise NotCritical(f"pattern residual {worst:.3e} exceeds {CRITICAL_TOL}")
     z = np.array(p.z)

@@ -307,12 +307,21 @@ def test_numerical_failures_exit_two(run):
 
 
 def test_solver_names_a_coupling_overflow(run):
-    """Past the float range the frame system overflows, and the solver says so with gamma, not "singular"."""
-    for n, gamma in (("8", "1e200"), ("16", "1e160"), ("3", "1e308"), ("2", "1e308")):
+    """Past the float range the frame system overflows, and the solver says so with gamma, not "singular".
+
+    The double cap's rows are exactly 0 at every gamma, so at 1e308 it converges at iteration 0; there, as for
+    one circle, the mean multiplier overflows, and the solver names gamma rather than write -Infinity or NaN.
+    """
+    for n, gamma in (("8", "1e200"), ("16", "1e160"), ("3", "1e308")):
         r = run("critical", "solve", "--n", n, "--gamma", gamma)
         assert r.returncode == 2 and not r.stdout, (n, gamma)
         assert r.stderr.startswith(f"axisphere: numerical failure: frame system overflows at gamma={float(gamma)!r} "
                                    "at iteration 0: max|r| = ") and r.stderr.count("\n") == 1, (n, gamma)
+    for argv in (("solve", "--n", "2", "--gamma", "1e308"), ("solve", "--z", "0.3", "--gamma", "1e308"),
+                 ("continue", "--n", "1", "--gamma-start", "1e307", "--gamma-end", "1e308", "--steps", "2")):
+        r = run("critical", *argv)
+        assert r.returncode == 2 and not r.stdout, argv
+        assert r.stderr == "axisphere: numerical failure: multiplier overflows at gamma=1e+308\n", argv
     # the rows scale their potential part, not 4 gamma, so a coupling within range of the rows still solves
     r = run("critical", "solve", "--n", "2", "--gamma", "5e307")
     assert r.returncode == 0 and json.loads(r.stdout)["residual"] == 0.0
@@ -426,16 +435,19 @@ def test_catalog_jsonl(run, tmp_path):
 
 
 def test_minimize_with_trace(run, tmp_path):
-    """The README example ends exactly on the double cap (-0.5, 0.5), where its Newton step lands.
+    """The README example ends 5e-13 from the double cap (-0.5, 0.5), on the point its strip sweep reaches.
 
-    A frame drop below the rounding of the frame energy is not a move, so
-    the stopping sweep does not drift off that point or raise the trace.
+    The Newton step from there lands on (-0.5, 0.5000000000000001), whose
+    ``total_energy`` reads one rounding above the sweep's end, so it is not
+    taken.  The pins are exact, so a change in that rounding shows here.  A
+    frame drop below the rounding of the frame energy is not a move, so the
+    stopping sweep does not drift off the point or raise the trace.
     """
     trace = tmp_path / "descent.csv"
     r = run("minimize", "--z", "-0.4,0.6", "--gamma", "5", "--trace", str(trace))
     doc = json.loads(r.stdout)
-    assert doc["pattern"]["z"] == [-0.5, 0.5]
-    assert doc["residual_max"] == 0.0
+    assert doc["pattern"]["z"] == [-0.5000000000005, 0.4999999999995]
+    assert doc["residual_max"] == 1.0179523890485598e-11
     body = trace.read_text().splitlines()
     assert body[2] == "cycle,energy_over_pi,max_move"
     energies = [float(ln.split(",")[1]) for ln in body[3:]]
@@ -500,7 +512,7 @@ def test_malformed_ranges_exit_one(run, text):
 
 
 def test_config_file_shapes(run, tmp_path, monkeypatch):
-    """The file holds a JSON object; a list value is a comma list of floats, and null means not given."""
+    """The file holds UTF-8 JSON, an object; a list value is a comma list of floats, an object value is refused, and null means not given."""
     listed = tmp_path / "list.json"
     listed.write_text(json.dumps([["z", "-0.5,0.5"], ["gamma", 2.5]]))
     r = run("energy", "--config", str(listed))
@@ -512,12 +524,19 @@ def test_config_file_shapes(run, tmp_path, monkeypatch):
     assert from_file.stdout == run("energy", "--z", "-0.5,0.5", "--gamma", "2.5").stdout
     cfg.write_text(json.dumps({"z": ["-0.5", "0.5"], "gamma": 2.5}))  # numeric strings convert
     assert run("energy", "--config", str(cfg)).stdout == from_file.stdout
-    for bad in ({"z": ["a", 0.5], "gamma": 1}, {"z": [None, 0.5]}, {"z": [[0.5]]}):
-        cfg.write_text(json.dumps(bad))
-        r = run("energy", "--config", str(cfg))
-        assert r.returncode == 1 and "error:" in r.stderr and "Traceback" not in r.stderr, bad
-    # a null value is a flag not given
     monkeypatch.setenv("AXISPHERE_OUT_DIR", str(tmp_path))
+    for bad, key in (({"z": ["a", 0.5], "gamma": 1}, "z"), ({"z": [None, 0.5]}, "z"), ({"z": [[0.5]]}, "z"),
+                     ({"z": [0.5], "gamma": 1, "out": {"a": 1}}, "out"), ({"m_target": {"x": 1}}, "m_target")):
+        cfg.write_text(json.dumps(bad))
+        r = run("energy", "--config", str(cfg), "--z", "0.5", "--gamma", "1")
+        assert r.returncode == 1 and not r.stdout, bad
+        assert r.stderr.startswith(f"axisphere: error: config value {key!r} ") and r.stderr.count("\n") == 1, bad
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["list.json", "run.json"]  # no file named {'a': 1}
+    cfg.write_bytes(b'\xff\xfe{"z": 1}')
+    r = run("energy", "--config", str(cfg), "--gamma", "1")
+    assert r.returncode == 1 and not r.stdout
+    assert r.stderr.startswith("axisphere: error: 'utf-8' codec can't decode") and r.stderr.count("\n") == 1
+    # a null value is a flag not given
     cfg.write_text(json.dumps({"z": [-0.5, 0.5], "gamma": 2.5, "out": None}))
     assert run("energy", "--config", str(cfg)).stdout == from_file.stdout
     assert not (tmp_path / "None").exists()

@@ -71,8 +71,8 @@ def test_the_criticality_sign_has_one_owner():
 
 
 def test_the_residual_rows_have_one_owner():
-    """``kappa_g`` is called only where the rows' parts and the multipliers are built; ``v_diff`` also in verify's quadrature oracle."""
-    assert {(mod, fn) for mod, fn, _ in _calls("kappa_g")} == {("criticality", "_row_parts"),
+    """``kappa_g`` is called only where the rows' parts, the frame slopes and the multipliers are built; ``v_diff`` also in verify's quadrature oracle."""
+    assert {(mod, fn) for mod, fn, _ in _calls("kappa_g")} == {("criticality", "_row_parts"), ("energy", "_frame_hessian"),
                                                                ("criticality", "lambda_values")}
     assert {(mod, fn) for mod, fn, _ in _calls("v_diff")} == {("criticality", "_row_parts"), ("verify", "run_verify")}
 

@@ -127,13 +127,10 @@ def test_xi_eval_is_the_array_formula(zs, extra):
 def test_kappa_sign_convention():
     p = make_pattern([-0.5, 0.5])
     r = 0.5 / math.sqrt(0.75)
-    assert kappa_g(p, 1) == pytest.approx(-r, rel=1e-15)
-    assert kappa_g(p, 2) == pytest.approx(-r, rel=1e-15)
+    kap = kappa_g(p)
+    assert type(kap) is tuple and kap == pytest.approx((-r, -r), rel=1e-15)
     # equatorial circle is a geodesic regardless of orientation
-    assert kappa_g(make_pattern([0.0]), 1) == 0.0
-    for k in (0, 3):
-        with pytest.raises(OutOfRange, match=rf"^interface index {k} outside 1\.\.2$"):
-            kappa_g(p, k)
+    assert kappa_g(make_pattern([0.0])) == (0.0,)
 
 
 def test_reflect_involution():
